@@ -46,13 +46,9 @@ benchCluster()
 {
     core::ClusterConfig cc;
     cc.nicKind = nic::nicKindFromEnv(cc.nicKind);
-    // Intra-run parallelism rides along the same way: SHRIMP_THREADS
-    // re-runs any table multi-threaded (bit-identical results; only
-    // host wall time changes, and only for partition-safe workloads).
-    cc.threads = core::threadsFromEnv(cc.threads);
-    // And so does the topology sweep axis: SHRIMP_MESH re-runs any
-    // table on a bigger mesh (the paper's tables assume its 16-node
-    // procs fit, which every geometry >= 4x4 satisfies).
+    // The topology sweep axis rides along the same way: SHRIMP_MESH
+    // re-runs any table on a bigger mesh (the paper's tables assume
+    // its 16-node procs fit, which every geometry >= 4x4 satisfies).
     core::meshFromEnv(cc.meshWidth, cc.meshHeight);
     return cc;
 }
@@ -220,12 +216,9 @@ maybeEmitReport(const apps::AppResult &r)
     if (!path || !*path)
         return;
     RunReport rep = apps::makeReport(r);
-    // Identify multi-threaded runs in the JSONL stream; serial runs
-    // stay byte-identical to reports from before the knob existed.
-    if (int threads = core::threadsFromEnv(1); threads > 1)
-        rep.params["threads"] = std::to_string(threads);
-    // Same for an ambient topology override: default-mesh lines stay
-    // byte-identical, SHRIMP_MESH runs identify their geometry
+    // Identify an ambient topology override in the JSONL stream:
+    // default-mesh lines stay byte-identical to reports from before
+    // the knob existed, SHRIMP_MESH runs identify their geometry
     // (unless the bench already stamped one itself).
     int mw = 4, mh = 4;
     core::meshFromEnv(mw, mh);
@@ -241,7 +234,6 @@ maybeEmitReport(const apps::AppResult &r)
                                           r.hostWallSeconds
                                     : 0;
         rep.host.fiberSwitches = r.hostFiberSwitches;
-        rep.host.partitions = r.engineStats;
         fillHostRusage(rep.host);
     }
     emitReport(rep);

@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "sim/causal.hh"
 #include "sim/logging.hh"
 #include "sim/run_report.hh"
 #include "sim/trace_json.hh"
@@ -161,6 +162,12 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     if (count == 0)
         return;
 
+    // Open the process-global recorders here, before any worker
+    // starts, rather than lazily in each job's Cluster constructor,
+    // where concurrent jobs would race to open them.
+    trace_json::openFromEnv();
+    causal::openFromEnv();
+
     std::vector<std::vector<std::string>> buffers(count);
     std::vector<std::vector<std::string>> metricsBuffers(count);
 
@@ -172,11 +179,12 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
         tl_metrics_buffer = nullptr;
     };
 
-    // The trace recorder is process-global; keep traced runs serial.
+    // Both recorders are process-global; keep traced runs serial so
+    // each run's spans stay contiguous and span ids deterministic.
     std::size_t workers = std::size_t(sweepJobs());
     if (workers > count)
         workers = count;
-    if (trace_json::enabled())
+    if (trace_json::enabled() || causal::enabled())
         workers = 1;
 
     g_sweepsActive.fetch_add(1, std::memory_order_relaxed);

@@ -15,9 +15,10 @@
  *    a sweep and flushed in submission order afterwards, so the
  *    SHRIMP_REPORT_JSONL file is byte-identical for SHRIMP_JOBS=1 and
  *    SHRIMP_JOBS=N.
- *  - If Chrome tracing is enabled (SHRIMP_TRACE), the sweep degrades
- *    to serial execution: the trace recorder is process-global and a
- *    deterministic trace is worth more than sweep throughput.
+ *  - If Chrome or causal tracing is enabled (SHRIMP_TRACE,
+ *    SHRIMP_CAUSAL), the sweep opens the recorder up front and
+ *    degrades to serial execution: both recorders are process-global
+ *    and a deterministic trace is worth more than sweep throughput.
  */
 
 #ifndef SHRIMP_BENCH_SWEEP_HH

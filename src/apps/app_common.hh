@@ -69,12 +69,6 @@ struct AppResult
      */
     std::uint64_t hostFiberSwitches = 0;
 
-    /**
-     * Per-partition engine profile when the run used the parallel
-     * engine (Cluster::engineStats); empty for serial runs.
-     */
-    std::vector<RunReport::HostPerf::Partition> engineStats;
-
     /** Time-series samples (empty unless the sampler ran). */
     MetricsSeries metrics;
 
@@ -116,10 +110,6 @@ captureStats(AppResult &result, core::Cluster &cluster)
     result.hostFiberSwitches = cluster.sim().fiberSwitchTotal();
     result.metrics = cluster.metrics().series();
     result.metricsInterval = cluster.config().metricsInterval;
-    result.engineStats.clear();
-    for (const auto &ws : cluster.engineStats())
-        result.engineStats.push_back(
-            {ws.windows, ws.events, ws.barrierWaitNs, ws.fiberSwitches});
 }
 
 /** Assemble the machine-readable report for a finished run. */

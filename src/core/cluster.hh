@@ -21,7 +21,6 @@
 #include "node/node.hh"
 #include "sim/lifecycle.hh"
 #include "sim/metrics.hh"
-#include "sim/parallel.hh"
 #include "sim/simulation.hh"
 #include "sim/watchdog.hh"
 
@@ -29,24 +28,6 @@ namespace shrimp::core
 {
 
 class Endpoint;
-
-/**
- * The hard ceiling on intra-run worker threads: the machine's
- * hardware concurrency, but never below the historical cap of 16 (a
- * box that misreports zero cores still gets the old behaviour).
- */
-int maxThreads();
-
-/** @p t clamped to the valid worker-thread range [1, maxThreads()]. */
-int clampThreads(int t);
-
-/**
- * SHRIMP_THREADS resolved against a programmatic default: the
- * environment overrides @p fallback, and the result is clamped to
- * [1, maxThreads()]. Shared by Cluster construction and the bench
- * harness so both report the thread count the run actually used.
- */
-int threadsFromEnv(int fallback);
 
 /**
  * Parse a "WxH" mesh geometry spec ("16x16"). Both dimensions must
@@ -72,7 +53,7 @@ struct ClusterConfig
     /**
      * Mesh geometry. The 4x4 Paragon default matches the paper; the
      * SHRIMP_MESH environment variable ("WxH") layers onto the
-     * default only, like SHRIMP_THREADS, so configs that name a
+     * default only, like SHRIMP_WATCHDOG_SECS, so configs that name a
      * geometry explicitly keep it.
      */
     int meshWidth = 4;
@@ -120,13 +101,9 @@ struct ClusterConfig
     bool lifecycleTracing = false;
 
     /**
-     * Worker threads for intra-run parallelism (sim/parallel.hh).
-     * Node i belongs to partition i % threads. Takes effect only for
-     * workloads that declare themselves partition-safe (see
-     * Cluster::setParallelEligible); results are bit-identical to
-     * threads = 1. Also settable via SHRIMP_THREADS (clamped to
-     * [1, maxThreads()] — the machine's hardware concurrency, 16 at
-     * minimum).
+     * Must be 1: a simulation runs on one host thread (DESIGN.md
+     * §11). The member remains so configs that assign 1 still
+     * compile; the Cluster constructor rejects any other value.
      */
     int threads = 1;
 
@@ -178,28 +155,7 @@ class Cluster
     Process *
     spawnOn(int i, const std::string &name, F &&body)
     {
-        _sim.setSpawnDomainHint(domainForNode(i));
-        Process *p = node(i).spawnProcess(name, std::forward<F>(body));
-        _sim.setSpawnDomainHint(-1);
-        return p;
-    }
-
-    /**
-     * Declare the current workload safe to partition: all cross-rank
-     * host-memory traffic is either mesh-mediated or bracketed by a
-     * HostRendezvous. Off by default — unknown workloads run serial
-     * regardless of the threads knob.
-     */
-    void setParallelEligible(bool v) { _parallelEligible = v; }
-
-    /** Will run() use the parallel engine? */
-    bool parallelArmed() const;
-
-    /** Partition owning node @p i (-1 when running serial). */
-    int
-    domainForNode(int i) const
-    {
-        return _config.threads > 1 ? i % _config.threads : -1;
+        return node(i).spawnProcess(name, std::forward<F>(body));
     }
 
     /** Run the simulation until the event queue drains. */
@@ -223,17 +179,6 @@ class Cluster
     /** Packet lifecycle tracer (may be disabled). */
     LifecycleTracer &lifecycle() { return _lifecycle; }
 
-    /**
-     * Per-partition engine profile of the last parallel run() —
-     * windows, events executed, epoch-barrier wait time per worker.
-     * Empty when the run was serial. Host-side observability only.
-     */
-    const std::vector<ParallelEngine::WorkerStats> &
-    engineStats() const
-    {
-        return _engineStats;
-    }
-
   private:
     friend class Endpoint;
 
@@ -254,8 +199,6 @@ class Cluster
     std::vector<std::unique_ptr<Endpoint>> endpoints;
     LifecycleTracer _lifecycle;
     MetricsSampler _sampler;
-    bool _parallelEligible = false;
-    std::vector<ParallelEngine::WorkerStats> _engineStats;
 };
 
 } // namespace shrimp::core

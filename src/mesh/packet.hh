@@ -83,16 +83,6 @@ struct Packet
     std::shared_ptr<void> payload;
 
     /**
-     * Parallel-engine hint: the receive handler has same-tick side
-     * effects on the *sender's* node (an AU train's applied callback
-     * releasing the sender's fence), so under intra-run parallelism
-     * the delivery must execute at a global serial point rather than
-     * inside the destination partition's lookahead window. Ignored
-     * (harmless) in serial runs.
-     */
-    bool serialDelivery = false;
-
-    /**
      * Lifecycle stamps (flight recorder). Not covered by
      * packetChecksum: the stamps are observability metadata, not
      * protocol state, so corrupting them is meaningless.
@@ -103,8 +93,8 @@ struct Packet
      * Causal-trace context of the operation that sent this packet
      * (sim/causal.hh). Like `life`, observability metadata outside
      * packetChecksum; it rides every copy the pipeline makes — the
-     * retransmit buffer and the parallel engine's deferred sends
-     * included — so the receiver's spans parent correctly.
+     * retransmit buffer included — so the receiver's spans parent
+     * correctly.
      */
     causal::CauseCtx cause;
 };

@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "mesh/packet.hh"
@@ -43,23 +42,10 @@ class PacketPool
         std::uint32_t id;
     };
 
-    /**
-     * Gate the free list behind a mutex. Armed by the Cluster when the
-     * parallel engine is on: NIC retransmit buffers acquire/release
-     * from partition worker threads. Slot ids may then hand out in a
-     * different order than serial, which is unobservable — nothing in
-     * a report depends on them. Off (the default), the pool stays
-     * lock-free.
-     */
-    void setShared(bool shared) { _shared = shared; }
-
     /** Pop a free slot, growing by one slab if the pool is dry. */
     Ref
     acquireRef()
     {
-        std::unique_lock<std::mutex> lock(_mu, std::defer_lock);
-        if (_shared)
-            lock.lock();
         if (_freeHead == kNone)
             grow();
         std::uint32_t id = _freeHead;
@@ -82,23 +68,16 @@ class PacketPool
     void
     release(std::uint32_t id)
     {
-        std::unique_lock<std::mutex> lock(_mu, std::defer_lock);
-        if (_shared)
-            lock.lock();
-        releaseLocked(id);
+        Slab &slab = *_slabs[id >> kSlabShift];
+        std::uint32_t i = id & (kSlabSize - 1);
+        slab.packets[i].payload.reset();
+        slab.nextFree[i] = _freeHead;
+        _freeHead = id;
+        --_inUse;
     }
 
     /** Return @p p to the free list, recovering its id by scan. */
-    void
-    release(Packet *p)
-    {
-        // The scan must hold the lock too: a concurrent grow()
-        // reallocates the slab table.
-        std::unique_lock<std::mutex> lock(_mu, std::defer_lock);
-        if (_shared)
-            lock.lock();
-        releaseLocked(slotOf(p));
-    }
+    void release(Packet *p) { release(slotOf(p)); }
 
     /** Outstanding (acquired, not yet released) slots. */
     std::size_t inUse() const { return _inUse; }
@@ -116,17 +95,6 @@ class PacketPool
         std::array<Packet, kSlabSize> packets;
         std::array<std::uint32_t, kSlabSize> nextFree;
     };
-
-    void
-    releaseLocked(std::uint32_t id)
-    {
-        Slab &slab = *_slabs[id >> kSlabShift];
-        std::uint32_t i = id & (kSlabSize - 1);
-        slab.packets[i].payload.reset();
-        slab.nextFree[i] = _freeHead;
-        _freeHead = id;
-        --_inUse;
-    }
 
     void
     grow()
@@ -161,8 +129,6 @@ class PacketPool
     std::vector<std::unique_ptr<Slab>> _slabs;
     std::uint32_t _freeHead = kNone;
     std::size_t _inUse = 0;
-    std::mutex _mu;
-    bool _shared = false;
 };
 
 } // namespace shrimp::mesh

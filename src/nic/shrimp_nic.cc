@@ -379,11 +379,6 @@ ShrimpNic::flushTrain(AuTrain &train)
         mp.dst = dst;
         mp.wireBytes = wire;
         mp.hwPackets = hw;
-        // The applied callback inside the receive handler releases
-        // this (sender) node's AU fence at delivery time — a
-        // zero-latency back-channel that must run at a serial point
-        // under intra-run parallelism.
-        mp.serialDelivery = true;
         mp.life = std::get<AuTrainPacket>(payload->body).life;
         if (mp.life.id)
             mp.life.injected = sim.now();

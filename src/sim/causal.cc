@@ -36,11 +36,11 @@ struct Record
 std::FILE *out = nullptr;
 
 /**
- * The record buffer and the per-node id counters. Records are
- * appended under a mutex (worker threads of the parallel engine emit
- * concurrently); the id counters need no lock because a node's events
- * only ever execute on one thread at a time (partition ownership, and
- * the epoch barrier orders worker-vs-main access).
+ * The record buffer and the per-node id counters. The recorder is
+ * process-global, so one simulation at a time may emit into it: the
+ * sweep runner keeps a traced sweep on a single worker
+ * (bench/sweep.cc). Appends still take recMutex; the id counters are
+ * unguarded.
  */
 std::mutex recMutex;
 std::vector<Record> records;
@@ -96,8 +96,7 @@ open(const std::string &path)
         std::lock_guard<std::mutex> lock(recMutex);
         records.clear();
         // Pre-size the counter table to the mesh ceiling (64K nodes)
-        // so mintId never grows it: concurrent growth from parallel
-        // workers would invalidate the in-place increments.
+        // so mintId is a bounds check and an increment.
         nodeCounter.assign(64 * 1024 + 2, 0);
     }
     detail::g_enabled = true;
@@ -112,8 +111,8 @@ close()
 
     std::lock_guard<std::mutex> lock(recMutex);
     // Ids are minted in deterministic per-node order; sorting by id
-    // makes the file independent of cross-node (and cross-thread)
-    // interleaving, so serial and parallel runs write identical logs.
+    // makes the file independent of how emits from different nodes
+    // interleave.
     std::sort(records.begin(), records.end(),
               [](const Record &a, const Record &b) {
                   return a.id < b.id;
@@ -192,9 +191,7 @@ emitSpan(std::uint64_t id, const CauseCtx &parent, int node,
     records.push_back(r);
 
     // Mirror the span (with its causal links as args) into the Chrome
-    // trace when both recorders are on, one track per node. Safe to
-    // call the serial-only recorder here: an open trace file pins the
-    // run to the serial engine, so emits never race.
+    // trace when both recorders are on, one track per node.
     if (trace_json::enabled()) {
         std::size_t idx = std::size_t(node + 1);
         if (chromeTracks.size() <= idx)

@@ -22,7 +22,7 @@
  * with integer picosecond timestamps (exact, no rounding). Span ids
  * are minted from per-node counters (`(node+1) << 32 | counter`), so
  * ids — and therefore the whole sorted log — are identical between
- * serial and SHRIMP_THREADS=N runs of a bit-identical simulation.
+ * runs of a bit-identical simulation.
  * `parent == 0` marks a trace root; `trace` is the root span's id.
  *
  * Enable with causal::open(path) (shrimp_run --causal FILE, or the

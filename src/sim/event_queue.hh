@@ -143,42 +143,6 @@ class EventHandle
 };
 
 /**
- * The (when, a, b) ordering key of an executed or pending event, as
- * seen by the parallel engine (sim/parallel.hh). In serial mode a is
- * the classic scheduling sequence number and b is 0; in parallel mode
- * a is the global execution rank of the scheduling (parent) event —
- * or a provisional per-partition index with kProvisionalBit set until
- * the next rank merge — and b is the schedule-call index within the
- * parent. Both schemes produce the same relative order, which is what
- * byte-identity needs.
- */
-struct OrderKey
-{
-    Tick when;
-    std::uint64_t a;
-    std::uint32_t b;
-
-    bool
-    operator<(const OrderKey &o) const
-    {
-        if (when != o.when)
-            return when < o.when;
-        return a != o.a ? a < o.a : b < o.b;
-    }
-};
-
-/**
- * Per-thread execution cursor the parallel engine binds while events
- * run, so Simulation::schedule can key children off their parent.
- */
-struct ExecCursor
-{
-    std::uint64_t execIdx = 0;  //!< parent rank, or provisional index
-    std::uint32_t callIdx = 0;  //!< schedule calls made by this event
-    bool provisional = false;   //!< execIdx is a pre-merge local index
-};
-
-/**
  * A time-ordered queue of callbacks.
  */
 class EventQueue
@@ -245,88 +209,6 @@ class EventQueue
     /** Total events executed (for reporting/debug). */
     std::uint64_t executed() const { return _executed; }
 
-    /** Set in @p a of provisional (pre-merge) parallel-mode keys. */
-    static constexpr std::uint64_t kProvisionalBit = std::uint64_t(1)
-                                                     << 63;
-
-    /** Schedule at @p when under an explicit parallel-mode key. */
-    template <class F>
-    void
-    scheduleAtKeyed(Tick when, std::uint64_t a, std::uint32_t b, F &&fn)
-    {
-        std::uint32_t slot = postKeyed(when, a, b);
-        record(slot).fn.emplace(std::forward<F>(fn));
-    }
-
-    /** Keyed variant of scheduleCancellable. */
-    template <class F>
-    EventHandle
-    scheduleCancellableKeyed(Tick when, std::uint64_t a, std::uint32_t b,
-                             F &&fn)
-    {
-        std::uint32_t slot = postKeyed(when, a, b);
-        EventRecord &rec = record(slot);
-        rec.fn.emplace(std::forward<F>(fn));
-        return EventHandle(this, slot, rec.gen);
-    }
-
-    /**
-     * Run every event with when < @p end (a conservative-lookahead
-     * window), appending each executed event's key to @p log in
-     * execution order and stamping @p cur with a fresh provisional
-     * index per event so children are keyed off their parent.
-     * @return events executed.
-     */
-    std::size_t runWindow(Tick end, std::vector<OrderKey> &log,
-                          ExecCursor &cur);
-
-    /**
-     * Report the top key without popping. Cancelled events are NOT
-     * swept here — they recycle only when their turn comes, exactly
-     * as in serial execution, so pending-count gauges stay
-     * byte-identical. @return false if the queue is empty.
-     */
-    bool peekKey(OrderKey &out) const;
-
-    /**
-     * Pop the top event (the caller picked this queue as the global
-     * minimum via peekKey). If it was cancelled it is recycled and
-     * nothing runs. Otherwise it runs with @p cur bound to its
-     * assigned global @p rank so children get resolved keys.
-     * @return true if an event actually ran.
-     */
-    bool stepSerial(ExecCursor &cur, std::uint64_t rank);
-
-    /**
-     * Rewrite the provisional keys of pending events through @p
-     * resolve (local index -> final rank). The map is monotone and
-     * every provisional parent has already executed, so heap order is
-     * preserved in place.
-     */
-    template <class Fn>
-    void
-    patchProvisional(Fn &&resolve)
-    {
-        for (HeapKey &k : heap) {
-            if (k.a & kProvisionalBit)
-                k.a = resolve(k.a & ~kProvisionalBit);
-        }
-    }
-
-    /** Reset the per-window provisional index after a rank merge. */
-    void resetWindowExec() { _windowExec = 0; }
-
-    /** The scheduling sequence cursor (parallel engine handoff). */
-    std::uint64_t seqCursor() const { return nextSeq; }
-
-    /** Continue the sequence cursor from @p v (>= current). */
-    void
-    seqCursorResume(std::uint64_t v)
-    {
-        if (v > nextSeq)
-            nextSeq = v;
-    }
-
     /** Cancel the event named by (@p slot, @p gen); stale = no-op. */
     void
     cancel(std::uint32_t slot, std::uint32_t gen)
@@ -337,24 +219,17 @@ class EventQueue
     }
 
   private:
-    /**
-     * Heap keys are POD; ordering is (when, a, b) lexicographic.
-     * Serial scheduling uses (when, nextSeq++, 0), so the classic
-     * (tick, seq) order is the b == 0 special case.
-     */
+    /** Heap keys are POD; ordering is (when, seq) lexicographic. */
     struct HeapKey
     {
         Tick when;
-        std::uint64_t a;
-        std::uint32_t b;
+        std::uint64_t seq;
         std::uint32_t slot;
 
         bool
         operator<(const HeapKey &o) const
         {
-            if (when != o.when)
-                return when < o.when;
-            return a != o.a ? a < o.a : b < o.b;
+            return when != o.when ? when < o.when : seq < o.seq;
         }
     };
 
@@ -381,9 +256,6 @@ class EventQueue
     /** Take a slot from the pool and push its heap key at @p when. */
     std::uint32_t post(Tick when);
 
-    /** post() under an explicit (a, b) key (parallel engine). */
-    std::uint32_t postKeyed(Tick when, std::uint64_t a, std::uint32_t b);
-
     /** Return @p slot to the free list, bumping its generation. */
     void recycle(std::uint32_t slot);
 
@@ -401,7 +273,6 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t _executed = 0;
-    std::uint64_t _windowExec = 0;
 };
 
 void
@@ -409,85 +280,6 @@ EventHandle::cancel()
 {
     if (queue)
         queue->cancel(slot, gen);
-}
-
-class Simulation;
-class ParallelEngine;
-class Process;
-
-/**
- * Per-thread execution context, bound by the parallel engine
- * (sim/parallel.hh) while it executes events. Simulation's schedule
- * templates consult it to key children off the executing parent and
- * to route them to the right partition queue. Null on threads that
- * are not running engine events — i.e. always, in serial mode.
- */
-struct ExecContext
-{
-    Simulation *sim = nullptr;
-    ParallelEngine *engine = nullptr;
-    EventQueue *timeQueue = nullptr;     //!< clock source (executing queue)
-    EventQueue *targetQueue = nullptr;   //!< default schedule target
-    EventQueue *processTarget = nullptr; //!< target while a process runs
-    Process *process = nullptr;          //!< process on this thread
-    int domainIdx = -1;                  //!< domain of targetQueue
-    ExecCursor cursor;
-    bool window = false; //!< inside a parallel window (vs serial step)
-};
-
-/*
- * `constinit` matters here: without it GCC must emit the lazy-init
- * wrapper (`_ZTH*`) guard before every access from another TU, and
- * gcc 12's -fsanitize=null check after that guard branch consumes
- * stale flags (mov/lea set none), aborting with a spurious "load of
- * null pointer".  Constant init drops the wrapper entirely, which is
- * also a shorter code path for a read that sits on the event hot loop.
- */
-extern constinit thread_local ExecContext *tls_exec;
-
-/*
- * A thread-local cannot race: only its owning OS thread ever touches
- * its slot, and fiber-vs-host interleaving on one thread is
- * sequential by construction. TSan, however, models each fiber as a
- * thread of its own, so a fiber reading the hosting thread's slot
- * looks like a cross-thread access — and the tid-slot recycling of
- * short-lived fiber "threads" leaves stale shadow epochs that defeat
- * the happens-before the switch annotations establish. The accessors
- * below are therefore exempt from TSan instrumentation (and kept out
- * of line there so the exemption survives inlining); in normal builds
- * they compile to the raw access.
- */
-#if defined(__SANITIZE_THREAD__)
-#define SHRIMP_NO_TSAN __attribute__((no_sanitize("thread"), noinline))
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SHRIMP_NO_TSAN __attribute__((no_sanitize("thread"), noinline))
-#endif
-#endif
-#ifndef SHRIMP_NO_TSAN
-#define SHRIMP_NO_TSAN
-#endif
-
-/** The executing engine context of this thread (null when serial). */
-SHRIMP_NO_TSAN inline ExecContext *
-execContext()
-{
-    return tls_exec;
-}
-
-/** Bind/unbind the engine context of this thread. */
-SHRIMP_NO_TSAN inline void
-setExecContext(ExecContext *c)
-{
-    tls_exec = c;
-}
-
-/** The key `a` field children of the current event should carry. */
-inline std::uint64_t
-execKeyA(const ExecCursor &c)
-{
-    return c.provisional ? (EventQueue::kProvisionalBit | c.execIdx)
-                         : c.execIdx;
 }
 
 } // namespace shrimp

@@ -91,18 +91,6 @@ RunReport::writeJson(std::ostream &os, bool pretty) const
         w.field("fiber_switches", host.fiberSwitches);
         w.field("fiber_switch_ns", host.fiberSwitchNs);
         w.field("fiber_stack_hwm_bytes", host.fiberStackHwmBytes);
-        if (!host.partitions.empty()) {
-            w.beginArray("partitions");
-            for (const auto &p : host.partitions) {
-                w.beginObject();
-                w.field("windows", p.windows);
-                w.field("events", p.events);
-                w.field("barrier_wait_ns", p.barrierWaitNs);
-                w.field("fiber_switches", p.fiberSwitches);
-                w.endObject();
-            }
-            w.endArray();
-        }
         w.endObject();
     }
 

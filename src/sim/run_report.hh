@@ -76,8 +76,8 @@ struct RunReport
 
         /**
          * Fiber context transfers performed by the run's processes
-         * (Simulation::fiberSwitchTotal). Deterministic — identical
-         * serial vs parallel — but host metadata, so it lives here.
+         * (Simulation::fiberSwitchTotal). Deterministic, but host
+         * metadata, so it lives here.
          */
         std::uint64_t fiberSwitches = 0;
 
@@ -94,21 +94,6 @@ struct RunReport
          * live stacks plus the retired maximum. Guides stack sizing.
          */
         std::uint64_t fiberStackHwmBytes = 0;
-
-        /**
-         * Per-partition profile of a parallel run (one entry per
-         * worker, shard order): sync windows executed, events
-         * executed, and host nanoseconds spent waiting at the epoch
-         * barriers. Empty for serial runs.
-         */
-        struct Partition
-        {
-            std::uint64_t windows = 0;
-            std::uint64_t events = 0;
-            std::uint64_t barrierWaitNs = 0;
-            std::uint64_t fiberSwitches = 0;
-        };
-        std::vector<Partition> partitions;
     };
     HostPerf host;
 
@@ -178,7 +163,7 @@ struct RunReport
  * Fill @p h's process-wide fields: CPU time and memory from
  * getrusage(RUSAGE_SELF) (no-op where unavailable), the fiber-stack
  * high-water mark, and the calibrated per-switch cost. Wall time,
- * events, switch counts, and partitions stay the caller's job —
+ * events and switch counts stay the caller's job —
  * those are per-run, while rusage and the stack registry cover the
  * whole process, which is the right scope for the soak/perf
  * trajectory the host block tracks.

@@ -10,11 +10,8 @@
 #ifndef SHRIMP_SIM_SIMULATION_HH
 #define SHRIMP_SIM_SIMULATION_HH
 
-#include <atomic>
 #include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,7 +26,6 @@ namespace shrimp
 {
 
 class Simulation;
-class ParallelEngine;
 
 /**
  * A simulated thread of control running on a fiber.
@@ -46,12 +42,6 @@ class Process
     bool suspended() const { return state == State::Suspended; }
 
     /**
-     * Partition (parallel-engine domain) this process belongs to;
-     * -1 means the main/serial domain. Fixed at spawn.
-     */
-    int domain() const { return _domain; }
-
-    /**
      * Causal-trace context of the operation this process is currently
      * executing (sim/causal.hh): it lives on the process so it travels
      * with the fiber across suspends. Managed by causal::OpSpan; both
@@ -62,7 +52,6 @@ class Process
 
   private:
     friend class Simulation;
-    friend class ParallelEngine;
 
     enum class State { Created, Running, Suspended, Finished };
 
@@ -75,7 +64,6 @@ class Process
     State state = State::Created;
     bool wakePending = false;
     bool resumeScheduled = false;
-    int _domain = -1;
 
     // Tracing: spawn time, start of the current blocked interval, and
     // the process's lazily created trace track.
@@ -120,14 +108,7 @@ class Simulation
     Simulation &operator=(const Simulation &) = delete;
 
     /** @return current simulated time. */
-    Tick
-    now() const
-    {
-        const ExecContext *c = execContext();
-        if (c && c->sim == this)
-            return c->timeQueue->now();
-        return queue.now();
-    }
+    Tick now() const { return queue.now(); }
 
     /**
      * Schedule a plain callback @p delay from now. The callable is
@@ -146,16 +127,6 @@ class Simulation
     void
     scheduleAt(Tick when, F &&fn)
     {
-        ExecContext *c = execContext();
-        if (c && c->sim == this) {
-            EventQueue *q = c->process ? c->processTarget : c->targetQueue;
-            if (c->window && q != c->timeQueue)
-                panic("cross-partition schedule during a parallel "
-                      "window");
-            q->scheduleAtKeyed(when, execKeyA(c->cursor),
-                               c->cursor.callIdx++, std::forward<F>(fn));
-            return;
-        }
         queue.scheduleAt(when, std::forward<F>(fn));
     }
 
@@ -164,16 +135,6 @@ class Simulation
     EventHandle
     scheduleCancellable(Tick delay, F &&fn)
     {
-        ExecContext *c = execContext();
-        if (c && c->sim == this) {
-            EventQueue *q = c->process ? c->processTarget : c->targetQueue;
-            if (c->window && q != c->timeQueue)
-                panic("cross-partition schedule during a parallel "
-                      "window");
-            return q->scheduleCancellableKeyed(
-                c->timeQueue->now() + delay, execKeyA(c->cursor),
-                c->cursor.callIdx++, std::forward<F>(fn));
-        }
         return queue.scheduleCancellable(delay, std::forward<F>(fn));
     }
 
@@ -199,14 +160,7 @@ class Simulation
     }
 
     /** @return the process currently executing, or nullptr. */
-    Process *
-    current() const
-    {
-        const ExecContext *c = execContext();
-        if (c && c->sim == this)
-            return c->process;
-        return _current;
-    }
+    Process *current() const { return _current; }
 
     /** Block the calling process for @p d ticks. */
     void delay(Tick d);
@@ -244,110 +198,34 @@ class Simulation
      */
     std::vector<std::string> unfinishedProcesses() const;
 
-    // ------------------------------------------------------------------
-    // Intra-run parallelism (sim/parallel.hh)
+    /** Events still queued (cancelled-but-unfired included). */
+    std::size_t pendingEvents() const { return queue.size(); }
 
-    /**
-     * Create the parallel engine with @p partitions domains.
-     * Idempotent for the same partition count.
-     */
-    void configureParallel(int partitions);
-
-    /** The engine, or nullptr if never configured. */
-    ParallelEngine *parallel() { return _parallel.get(); }
-
-    /**
-     * Drain the queues through the parallel engine (which must be
-     * configured), windows bounded by @p lookahead.
-     */
-    void runParallel(Tick lookahead);
-
-    /** Pending events across the main queue and every partition. */
-    std::size_t pendingEvents() const;
-
-    /** Executed events across the main queue and every partition. */
-    std::uint64_t executedEvents() const;
+    /** Events executed so far. */
+    std::uint64_t executedEvents() const { return queue.executed(); }
 
     /**
      * One-way fiber context transfers performed by this run's
-     * processes so far. A pure function of simulated execution —
-     * serial and parallel runs report identical totals — but host
-     * metadata, so it rides in reports only under SHRIMP_REPORT_HOST.
+     * processes so far. A pure function of simulated execution, but
+     * host metadata, so it rides in reports only under
+     * SHRIMP_REPORT_HOST.
      */
-    std::uint64_t fiberSwitchTotal();
+    std::uint64_t fiberSwitchTotal() const;
 
-    /** fiberSwitchTotal() restricted to processes of one domain. */
-    std::uint64_t fiberSwitchesByDomain(int domain);
-
-    /** True if any queue still has pending events. */
-    bool anyPending() const { return pendingEvents() != 0; }
-
-    /**
-     * Serial-demand refcount (HostRendezvous). While positive, the
-     * parallel engine executes events one at a time in global order.
-     */
-    void raiseSerialDemand() { _serialDemand.fetch_add(1); }
-    void dropSerialDemand() { _serialDemand.fetch_sub(1); }
-    int serialDemand() const { return _serialDemand.load(); }
-
-    /**
-     * Default domain for processes spawned while no engine event is
-     * executing (the Cluster brackets per-node construction with
-     * this). Spawns from inside engine execution inherit the
-     * spawner's domain instead.
-     */
-    void setSpawnDomainHint(int domain) { _spawnDomainHint = domain; }
-
-    /**
-     * Enter/leave an engine worker thread: maintains the per-thread
-     * live-simulation stack that currentOrNull() reads, so tracing
-     * and time accounting resolve the right simulation on workers.
-     */
-    static void beginEngineThread(Simulation *sim);
-    static void endEngineThread(Simulation *sim);
+    /** True if any event is still pending. */
+    bool anyPending() const { return !queue.empty(); }
 
   private:
-    friend class ParallelEngine;
-
     Process *spawnImpl(std::string name, FiberBody body,
                        std::size_t stack_bytes);
 
     void resumeProcess(Process *p);
 
-    /** The current-process slot for this thread's execution stream. */
-    void setCurrent(Process *p);
-
-    /** Queue a (spawn/wake) resume-path event for @p p. */
-    template <class F>
-    void
-    scheduleProcessEvent(Process *p, Tick delay, F &&fn)
-    {
-        ExecContext *c = execContext();
-        if (c && c->sim == this) {
-            EventQueue *q = engineQueueForDomain(p->_domain);
-            if (c->window && q != c->timeQueue)
-                panic("cross-partition wake during a parallel window "
-                      "(process %s)",
-                      p->_name.c_str());
-            q->scheduleAtKeyed(c->timeQueue->now() + delay,
-                               execKeyA(c->cursor), c->cursor.callIdx++,
-                               std::forward<F>(fn));
-            return;
-        }
-        queue.schedule(delay, std::forward<F>(fn));
-    }
-
-    EventQueue *engineQueueForDomain(int domain);
-
     EventQueue queue;
     Random _rng;
     StatsRegistry _stats;
     std::vector<std::unique_ptr<Process>> processes;
-    std::mutex _processMutex;
     Process *_current = nullptr;
-    std::unique_ptr<ParallelEngine> _parallel;
-    std::atomic<int> _serialDemand{0};
-    int _spawnDomainHint = -1;
 };
 
 } // namespace shrimp

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -285,32 +284,10 @@ class AccumulatorHandle
 class StatsRegistry
 {
   public:
-    StatsRegistry() = default;
-
-    // Copying snapshots the statistics; the mutex is per-instance.
-    StatsRegistry(const StatsRegistry &o)
-        : counters(o.counters), accumulators(o.accumulators),
-          histograms(o.histograms), scalars(o.scalars)
-    {
-    }
-
-    StatsRegistry &
-    operator=(const StatsRegistry &o)
-    {
-        if (this != &o) {
-            counters = o.counters;
-            accumulators = o.accumulators;
-            histograms = o.histograms;
-            scalars = o.scalars;
-        }
-        return *this;
-    }
-
     /** Get (or create) the counter called @p name. */
     Counter &
     counter(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         return counters[name];
     }
 
@@ -331,14 +308,12 @@ class StatsRegistry
     Accumulator &
     accumulator(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         return accumulators[name];
     }
 
     /** Get (or create, default-configured) the histogram @p name. */
     Histogram &histogram(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         return histograms[name];
     }
 
@@ -350,7 +325,6 @@ class StatsRegistry
     histogram(const std::string &name, double lo, double hi,
               std::size_t buckets)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         auto [it, inserted] = histograms.try_emplace(name);
         if (inserted)
             it->second.configure(lo, hi, buckets);
@@ -365,7 +339,6 @@ class StatsRegistry
     logHistogram(const std::string &name, double lo, double hi,
                  std::size_t buckets)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         auto [it, inserted] = histograms.try_emplace(name);
         if (inserted)
             it->second.configureLog(lo, hi, buckets);
@@ -376,7 +349,6 @@ class StatsRegistry
     Scalar &
     scalar(const std::string &name)
     {
-        std::lock_guard<std::mutex> lock(_mu);
         return scalars[name];
     }
 
@@ -439,16 +411,6 @@ class StatsRegistry
     std::map<std::string, Accumulator> accumulators;
     std::map<std::string, Histogram> histograms;
     std::map<std::string, Scalar> scalars;
-
-    /**
-     * Guards map *insertion* only: engine worker threads lazily bind
-     * node-scoped handles concurrently. The statistics themselves are
-     * never written concurrently (node-scoped stats are bumped only by
-     * the owning partition; mesh stats only in serial replays), and
-     * the std::map nodes are stable, so handles stay lock-free after
-     * binding.
-     */
-    mutable std::mutex _mu;
 };
 
 inline void

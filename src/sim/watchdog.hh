@@ -27,6 +27,23 @@
 #include <string>
 #include <thread>
 
+/*
+ * Exempts a watchdog reader from TSan instrumentation (and keeps it
+ * out of line so the exemption survives inlining): the reads race by
+ * design, and a stale value is fine where a TSan report is not. In
+ * normal builds this expands to nothing.
+ */
+#if defined(__SANITIZE_THREAD__)
+#define SHRIMP_NO_TSAN __attribute__((no_sanitize("thread"), noinline))
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SHRIMP_NO_TSAN __attribute__((no_sanitize("thread"), noinline))
+#endif
+#endif
+#ifndef SHRIMP_NO_TSAN
+#define SHRIMP_NO_TSAN
+#endif
+
 namespace shrimp
 {
 

@@ -5,10 +5,8 @@
  * properties it depends on. Bad geometry must fail loudly (bounds
  * panics, fatal env parses), route memoization must stay per-source
  * lazy, per-destination reliability stats must gate off on big
- * meshes, and — the load-bearing guarantee — results on bigger
- * meshes must stay bit-identical between serial and parallel
- * engines, exactly as the 4x4 matrix in test_parallel.cc proves for
- * the prototype geometry.
+ * meshes, and — the load-bearing guarantee — a 64-rank app run on
+ * 8x8 and 16x16 meshes must reproduce its report byte for byte.
  *
  * The Fig 3 ordering gate rides along at the default 4x4: the
  * paper's headline ordering (NX/VMMC apps beat their SVM twins at 16
@@ -65,6 +63,15 @@ TEST(TopologyBoundsDeathTest, OversizedMeshIsFatal)
     // ceiling; the ctor refuses rather than let dense link arrays
     // and 32-bit id arithmetic quietly misbehave.
     EXPECT_DEATH(Topology(512, 512), "");
+}
+
+TEST(ClusterConfigDeathTest, ThreadsOtherThanOneIsFatal)
+{
+    // A simulation runs on one host thread; a config asking for more
+    // must fail loudly rather than silently run serial.
+    core::ClusterConfig cc;
+    cc.threads = 4;
+    EXPECT_DEATH({ core::Cluster c(cc); }, "only valid value");
 }
 
 // ---------------------------------------------------------------------
@@ -213,23 +220,21 @@ TEST(PerDestStats, PresentOnSmallMeshGatedOnBigMesh)
 }
 
 // ---------------------------------------------------------------------
-// Parallel identity on bigger meshes.
+// Reproducibility on bigger meshes.
 // ---------------------------------------------------------------------
 
 namespace
 {
 
 apps::AppResult
-runRadixOnMesh(int edge, int threads)
+runRadixOnMesh(int edge)
 {
     core::ClusterConfig cc;
     cc.meshWidth = edge;
     cc.meshHeight = edge;
-    cc.threads = threads;
-    // 64 ranks on both geometries keeps the test fast (256 fibers
-    // under the parallel engine are ucontext-switch-bound); what
-    // changes between the runs is exactly the geometry-dependent
-    // state this file polices.
+    // 64 ranks on both geometries keeps the test fast; what changes
+    // between the geometries is exactly the geometry-dependent state
+    // this file polices.
     const int procs = 64;
     apps::RadixConfig cfg;
     // VMMC page alignment needs >= 1024 keys per rank.
@@ -240,21 +245,24 @@ runRadixOnMesh(int edge, int threads)
 
 } // anonymous namespace
 
+/**
+ * The only test that runs an app with 64 ranks on 8x8 and 16x16
+ * meshes: two runs per geometry must agree to the byte.
+ */
 TEST(ScaleIdentity, SerialVsParallelOn8x8And16x16)
 {
-    ::unsetenv("SHRIMP_THREADS");
     ::unsetenv("SHRIMP_MESH");
     for (int edge : {8, 16}) {
         SCOPED_TRACE(testing::Message() << "mesh " << edge << "x"
                                         << edge);
-        apps::AppResult serial = runRadixOnMesh(edge, 1);
-        ASSERT_NE(serial.checksum, 0u);
-        apps::AppResult parallel = runRadixOnMesh(edge, 4);
-        EXPECT_EQ(parallel.checksum, serial.checksum);
-        EXPECT_EQ(parallel.elapsed, serial.elapsed);
-        EXPECT_EQ(parallel.hostEvents, serial.hostEvents);
-        EXPECT_EQ(apps::makeReport(parallel).toJson(true),
-                  apps::makeReport(serial).toJson(true));
+        apps::AppResult first = runRadixOnMesh(edge);
+        ASSERT_NE(first.checksum, 0u);
+        apps::AppResult second = runRadixOnMesh(edge);
+        EXPECT_EQ(second.checksum, first.checksum);
+        EXPECT_EQ(second.elapsed, first.elapsed);
+        EXPECT_EQ(second.hostEvents, first.hostEvents);
+        EXPECT_EQ(apps::makeReport(second).toJson(true),
+                  apps::makeReport(first).toJson(true));
     }
 }
 
@@ -324,7 +332,6 @@ gateRadixSvm(const core::ClusterConfig &cc, int p)
 TEST(Fig3Gate, NxAndVmmcBeatSvmTwinsAt16Procs)
 {
     ::unsetenv("SHRIMP_MESH");
-    ::unsetenv("SHRIMP_THREADS");
     double ocean_nx = speedup16(gateOceanNx);
     double ocean_svm = speedup16(gateOceanSvm);
     double radix_vmmc = speedup16(gateRadixVmmc);

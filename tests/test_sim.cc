@@ -294,8 +294,7 @@ TEST(Fiber, StackHighWaterProbe)
  * The switch counter is a pure function of the fiber's execution:
  * n yields cost n+1 resumes in, n yields out, and one final exit —
  * 2n+2 one-way transfers. Host-perf reports build on this being
- * deterministic (test_parallel holds serial and parallel runs to the
- * same totals).
+ * deterministic.
  */
 TEST(Fiber, SwitchCountIsDeterministic)
 {

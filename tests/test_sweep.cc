@@ -2,7 +2,8 @@
  * @file
  * The parallel sweep runner: submission-ordered results, serial vs
  * parallel determinism, and byte-identical RunReport JSONL output
- * (the golden invariant every design-conclusion sweep rests on).
+ * and causal logs (the golden invariant every design-conclusion
+ * sweep rests on).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 
 #include "bench/bench_common.hh"
 #include "bench/sweep.hh"
+#include "sim/causal.hh"
+#include "sim/causal_read.hh"
 
 using namespace shrimp;
 using namespace shrimp::bench;
@@ -126,6 +129,41 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
 
     std::remove(serial_path.c_str());
     std::remove(parallel_path.c_str());
+}
+
+/**
+ * The causal recorder is process-global. A sweep opens it before any
+ * job starts and runs the jobs on one worker while it is open, so the
+ * log is valid and byte-identical at SHRIMP_JOBS=1 and =4.
+ */
+TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
+{
+    auto traced = [](const std::string &path, const char *jobs_env) {
+        ::setenv("SHRIMP_CAUSAL", path.c_str(), 1);
+        ::setenv("SHRIMP_JOBS", jobs_env, 1);
+        std::vector<std::function<std::uint64_t()>> jobs;
+        for (int p : {1, 2, 4, 8})
+            jobs.push_back([p] { return smallRadix(p, 8 * 1024).checksum; });
+        runSweep(std::move(jobs));
+        causal::close();
+        ::unsetenv("SHRIMP_CAUSAL");
+        ::unsetenv("SHRIMP_JOBS");
+        return slurp(path);
+    };
+    std::string serial_path = testing::TempDir() + "sweep_causal_1.jsonl";
+    std::string parallel_path =
+        testing::TempDir() + "sweep_causal_4.jsonl";
+    std::string a = traced(serial_path, "1");
+    std::string b = traced(parallel_path, "4");
+
+    for (const std::string &path : {serial_path, parallel_path}) {
+        causal_read::Log log;
+        std::string err;
+        ASSERT_TRUE(causal_read::load(path, log, &err)) << path << err;
+        EXPECT_TRUE(causal_read::validate(log, &err)) << path << err;
+    }
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, b);
 }
 
 TEST(Sweep, RepeatedRunsAreDeterministic)

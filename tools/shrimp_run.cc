@@ -107,11 +107,6 @@ usage(const char *argv0)
         "                     same knob)\n"
         "\n"
         "host execution:\n"
-        "  --threads N        worker threads for intra-run parallelism\n"
-        "                     (partition-safe workloads only; results\n"
-        "                     are bit-identical to --threads 1; the\n"
-        "                     SHRIMP_THREADS environment variable sets\n"
-        "                     the same knob)\n"
         "  --watchdog-secs N  soak watchdog: dump progress state to\n"
         "                     stderr when simulated time stalls for N\n"
         "                     real seconds (SIGUSR1 dumps on demand;\n"
@@ -139,8 +134,7 @@ struct Options
     std::string traceFile; //!< --trace destination, empty = off
     std::string causalFile; //!< --causal destination, empty = off
     std::string metricsFile; //!< --metrics destination, empty = off
-    bool threadsGiven = false; //!< --threads appeared explicitly
-    bool meshGiven = false;    //!< --mesh appeared explicitly
+    bool meshGiven = false; //!< --mesh appeared explicitly
     core::ClusterConfig cluster;
 
     /** The single command-line entry point. Exits on bad input. */
@@ -279,9 +273,6 @@ Options::parse(int argc, char **argv)
                 microseconds(std::atof(need(i)));
         } else if (a == "--lifecycle") {
             o.cluster.lifecycleTracing = true;
-        } else if (a == "--threads") {
-            o.cluster.threads = std::atoi(need(i));
-            o.threadsGiven = true;
         } else if (a == "--watchdog-secs") {
             o.cluster.watchdogSecs = std::atoi(need(i));
         } else {
@@ -446,8 +437,6 @@ main(int argc, char **argv)
                                o.cluster.meshHeight));
         if (!o.cluster.udmaSends)
             r.param("cli_no_udma", "1");
-        if (o.threadsGiven)
-            r.param("threads", core::clampThreads(o.cluster.threads));
         const auto &f = o.cluster.network.fault;
         if (f.reliabilityEnabled()) {
             r.param("cli_fault_drop_rate", f.dropRate);
@@ -469,7 +458,6 @@ main(int argc, char **argv)
                     ? double(r.hostEvents) / r.hostWallSeconds
                     : 0;
             rep.host.fiberSwitches = r.hostFiberSwitches;
-            rep.host.partitions = r.engineStats;
             fillHostRusage(rep.host);
         }
         rep.writeFile(o.statsJson);

@@ -7,10 +7,9 @@
 #include <string>
 #include <thread>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 #include "sim/run_report.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::bench
 {
@@ -162,16 +161,15 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     if (count == 0)
         return;
 
-    // Open the process-global recorders here, before any worker
-    // starts, rather than lazily in each job's Cluster constructor,
-    // where concurrent jobs would race to open them.
-    trace_json::openFromEnv();
-    causal::openFromEnv();
-
     std::vector<std::vector<std::string>> buffers(count);
     std::vector<std::vector<std::string>> metricsBuffers(count);
 
+    // Job i's Simulations take run order slot first + i, whichever
+    // worker builds them, so traces and span ids do not depend on
+    // the job count.
+    std::uint64_t first = reserveRunSlots(count);
     auto run_buffered = [&](std::size_t i) {
+        RunSlotScope order(first + i);
         tl_report_buffer = &buffers[i];
         tl_metrics_buffer = &metricsBuffers[i];
         run_one(i);
@@ -179,13 +177,9 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
         tl_metrics_buffer = nullptr;
     };
 
-    // Both recorders are process-global; keep traced runs serial so
-    // each run's spans stay contiguous and span ids deterministic.
     std::size_t workers = std::size_t(sweepJobs());
     if (workers > count)
         workers = count;
-    if (trace_json::enabled() || causal::enabled())
-        workers = 1;
 
     g_sweepsActive.fetch_add(1, std::memory_order_relaxed);
 

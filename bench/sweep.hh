@@ -15,10 +15,11 @@
  *    a sweep and flushed in submission order afterwards, so the
  *    SHRIMP_REPORT_JSONL file is byte-identical for SHRIMP_JOBS=1 and
  *    SHRIMP_JOBS=N.
- *  - If Chrome or causal tracing is enabled (SHRIMP_TRACE,
- *    SHRIMP_CAUSAL), the sweep opens the recorder up front and
- *    degrades to serial execution: both recorders are process-global
- *    and a deterministic trace is worth more than sweep throughput.
+ *  - Job i's Simulations take slot i of a block of the run order
+ *    the sweep reserves (sim/recorder.hh), so traced sweeps run in
+ *    parallel too: the SHRIMP_CAUSAL log is byte-identical for any
+ *    SHRIMP_JOBS, and the SHRIMP_TRACE file holds the same events,
+ *    one trace process per run.
  */
 
 #ifndef SHRIMP_BENCH_SWEEP_HH

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/cluster.hh"
-#include "sim/lifecycle.hh"
+#include "sim/recorder.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"

@@ -5,9 +5,7 @@
 #include <cstdlib>
 
 #include "core/vmmc.hh"
-#include "sim/causal.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::core
 {
@@ -50,8 +48,6 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         fatal("ClusterConfig::threads = %d: a simulation runs on one "
               "host thread, so 1 is the only valid value",
               _config.threads);
-    trace_json::openFromEnv();
-    causal::openFromEnv();
     // Environment fault knobs (SHRIMP_FAULT_*) layer on top of the
     // programmatic config, so any tool or benchmark can be run against
     // a lossy backplane without changing code.
@@ -82,18 +78,12 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         _sim, _config.meshWidth, _config.meshHeight, _config.network);
 
     if (_config.lifecycleTracing)
-        _lifecycle.enable(_sim.stats());
-    // Causal tracing needs per-packet stage stamps but no histograms,
-    // so its runs' reports carry no latency_breakdown block.
-    if (causal::enabled())
-        _lifecycle.enableStamps();
+        _sim.recorder().enableLifecycle();
 
-    // Every NIC kind takes the same construction-time configuration:
-    // reliability tunables plus the lifecycle tracer, wired before
-    // any traffic can flow.
+    // Every NIC kind takes the same construction-time configuration,
+    // wired before any traffic can flow.
     nic::Config nic_cfg;
     nic_cfg.reliability = _config.reliability;
-    nic_cfg.lifecycle = &_lifecycle;
 
     int n = _config.meshWidth * _config.meshHeight;
     // Past the per-destination-stats ceiling the "rel.dst<D>.*"

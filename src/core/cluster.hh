@@ -19,7 +19,6 @@
 #include "nic/nic_kind.hh"
 #include "nic/shrimp_nic.hh"
 #include "node/node.hh"
-#include "sim/lifecycle.hh"
 #include "sim/metrics.hh"
 #include "sim/simulation.hh"
 #include "sim/watchdog.hh"
@@ -176,9 +175,6 @@ class Cluster
     /** Time-series sampler (running only when metricsInterval > 0). */
     MetricsSampler &metrics() { return _sampler; }
 
-    /** Packet lifecycle tracer (may be disabled). */
-    LifecycleTracer &lifecycle() { return _lifecycle; }
-
   private:
     friend class Endpoint;
 
@@ -197,7 +193,6 @@ class Cluster
     std::vector<std::unique_ptr<node::Node>> nodes;
     std::vector<std::unique_ptr<nic::NicBase>> nics;
     std::vector<std::unique_ptr<Endpoint>> endpoints;
-    LifecycleTracer _lifecycle;
     MetricsSampler _sampler;
 };
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::core
 {
@@ -95,7 +95,7 @@ Collective::reduce(int rank, double value, Op op)
         panic("Collective::reduce before init on rank %d", rank);
     Endpoint &ep = cluster.vmmc(rank);
     ScopedCategory cat(r.account, TimeCategory::Barrier);
-    causal::OpSpan span(rank, "coll.reduce");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "coll.reduce");
 
     std::uint64_t e = ++r.epoch;
 

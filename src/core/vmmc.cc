@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::core
 {
@@ -197,7 +197,8 @@ Endpoint::send(ProxyId proxy, const void *src, std::size_t bytes,
 
     stMessages.inc();
     stMessageBytes.inc(bytes);
-    causal::OpSpan span(int(_node.id()), "vmmc.send");
+    causal::OpSpan span(_node.simulation().recorder(), int(_node.id()),
+                        "vmmc.send");
 
     // Table 2 what-if: a kernel-mediated send traps before the
     // transfer is handed to the (same) hardware.
@@ -333,10 +334,10 @@ Endpoint::onDeliver(const nic::Delivery &d)
     // onDeliver runs inside the delivering packet's EventCtxScope;
     // capture that context so the (later) notification handler still
     // parents its work on the packet that requested it.
-    causal::CauseCtx cause = causal::current();
+    causal::CauseCtx cause = _node.simulation().recorder().current();
     _node.os().postNotification([this, &h, src, buf_offset, bytes,
                                  cause] {
-        causal::EventCtxScope cctx(cause);
+        causal::EventCtxScope cctx(_node.simulation().recorder(), cause);
         h(src, buf_offset, bytes);
         // Handler side effects count as progress for pollers.
         ++_deliveries;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::mesh
 {
@@ -47,7 +46,7 @@ Network::linkTrack(int link)
 {
     int &t = linkTracks[link];
     if (t < 0)
-        t = trace_json::track(strfmt("mesh.link%d", link));
+        t = sim.recorder().track(strfmt("mesh.link%d", link));
     return t;
 }
 
@@ -99,8 +98,7 @@ Network::routeMemoBytes() const
 void
 Network::scheduleDelivery(Packet &&pkt, Tick deliver)
 {
-    if (pkt.life.id)
-        pkt.life.delivered = deliver;
+    pkt.life.delivered = deliver;
     auto [p, id] = _pool.acquireRef();
     *p = std::move(pkt);
     sim.scheduleAt(deliver, [this, p, id = id] {
@@ -146,7 +144,8 @@ Network::send(Packet pkt)
         return;
     }
 
-    bool tracing = trace_json::enabled();
+    Recorder &rec = sim.recorder();
+    bool tracing = rec.chromeOn();
 
     // Head enters the backplane through the injection transceiver.
     Tick head = when + _params.transceiverLatency;
@@ -199,9 +198,8 @@ Network::send(Packet pkt)
                 if (v.outage)
                     stOutageDrops.inc();
                 if (tracing)
-                    trace_json::instantEvent(
-                        linkTrack(link), v.outage ? "outage_drop"
-                                                  : "drop",
+                    rec.instant(
+                        linkTrack(link), v.outage ? "outage_drop" : "drop",
                         strfmt("{\"src\":%u,\"dst\":%u,\"seq\":%llu}",
                                pkt.src, pkt.dst,
                                (unsigned long long)pkt.seq));
@@ -223,7 +221,7 @@ Network::send(Packet pkt)
         }
         if (tracing) {
             // One hop span per link the packet's body streams through.
-            trace_json::completeEvent(
+            rec.complete(
                 linkTrack(link), "hop", start, start + serialization,
                 strfmt("{\"src\":%u,\"dst\":%u,\"bytes\":%u}", pkt.src,
                        pkt.dst, pkt.wireBytes));
@@ -237,10 +235,9 @@ Network::send(Packet pkt)
                    serialization + _params.transceiverLatency;
 
     if (tracing) {
-        trace_json::completeEvent(
-            trace_json::track("mesh"), "pkt", when, deliver,
-            strfmt("{\"src\":%u,\"dst\":%u,\"bytes\":%u}", pkt.src,
-                   pkt.dst, pkt.wireBytes));
+        rec.complete(rec.track("mesh"), "pkt", when, deliver,
+                     strfmt("{\"src\":%u,\"dst\":%u,\"bytes\":%u}",
+                            pkt.src, pkt.dst, pkt.wireBytes));
     }
 
     scheduleDelivery(std::move(pkt), deliver);

@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/causal.hh"
+#include "sim/recorder.hh"
 #include "sim/types.hh"
 
 namespace shrimp::mesh
@@ -27,22 +27,6 @@ enum class PacketKind : std::uint8_t
     Data, //!< carries an opaque NI payload
     Ack,  //!< cumulative acknowledgement; seq = next expected
     Nack, //!< go-back-N resend request; seq = first missing
-};
-
-/**
- * Lifecycle stamps a packet carries when per-packet latency
- * attribution is on (sim/lifecycle.hh). id == 0 means tracing is off
- * for this packet and every consumer ignores the stamps. All times
- * are absolute simulation ticks; the stage durations derived from
- * them are defined in LifecycleTracer.
- */
-struct PacketLife
-{
-    std::uint64_t id = 0; //!< trace id, stamped at send; 0 = untraced
-    Tick born = 0;        //!< send API entered (CPU starts paying)
-    Tick queued = 0;      //!< accepted by the NI (queue/train flush)
-    Tick injected = 0;    //!< first byte onto the backplane
-    Tick delivered = 0;   //!< tail arrived at the destination NI
 };
 
 /** A packet in flight on the backplane. */
@@ -83,20 +67,14 @@ struct Packet
     std::shared_ptr<void> payload;
 
     /**
-     * Lifecycle stamps (flight recorder). Not covered by
-     * packetChecksum: the stamps are observability metadata, not
-     * protocol state, so corrupting them is meaningless.
-     */
-    PacketLife life;
-
-    /**
-     * Causal-trace context of the operation that sent this packet
-     * (sim/causal.hh). Like `life`, observability metadata outside
-     * packetChecksum; it rides every copy the pipeline makes — the
-     * retransmit buffer included — so the receiver's spans parent
+     * The recorder's stamps and the sending operation's causal
+     * context (sim/recorder.hh). Not covered by packetChecksum: they
+     * are observability metadata, not protocol state, so corrupting
+     * them is meaningless. They ride every copy the pipeline makes —
+     * the retransmit buffer included — so the receiver's spans parent
      * correctly.
      */
-    causal::CauseCtx cause;
+    PacketLife life;
 };
 
 /**

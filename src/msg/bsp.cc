@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::msg
 {
@@ -108,7 +108,7 @@ BspDomain::put(int rank, int dst, int area, std::size_t offset,
     ep.node().cpu().sync();
     ScopedCategory cat(ranks[rank].account,
                        TimeCategory::Communication);
-    causal::OpSpan span(rank, "bsp.put");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "bsp.put");
     ep.send(a.proxies[rank][dst], src, bytes, offset);
     PerRank &pr = ranks[rank];
     if (!pr.stPuts)
@@ -124,7 +124,7 @@ BspDomain::sync(int rank)
     core::Endpoint &ep = cluster.vmmc(rank);
     ep.node().cpu().sync();
     ScopedCategory cat(r.account, TimeCategory::Barrier);
-    causal::OpSpan span(rank, "bsp.sync");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "bsp.sync");
 
     std::uint64_t step = ++r.step;
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::msg
 {
@@ -165,7 +165,7 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
 
     ep.node().cpu().sync(); // close out compute time first
     ScopedCategory cat(account, TimeCategory::Communication);
-    causal::OpSpan span(rank, "nx.csend");
+    causal::OpSpan span(dom.cluster.sim().recorder(), rank, "nx.csend");
 
     // Never let a record cross the ring end: pad to the top first.
     std::size_t off = out.writePos % cap;
@@ -309,7 +309,7 @@ NxProcess::crecvProbe(int typesel, int from, void *buf,
     core::Endpoint &ep = dom.cluster.vmmc(rank);
     ep.node().cpu().sync(); // close out compute time first
     ScopedCategory cat(account, TimeCategory::Communication);
-    causal::OpSpan span(rank, "nx.crecv");
+    causal::OpSpan span(dom.cluster.sim().recorder(), rank, "nx.crecv");
 
     for (;;) {
         drainRings();

@@ -2,8 +2,8 @@
 
 #include <cstring>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::msg
 {
@@ -187,7 +187,8 @@ RpcDomain::dispatchSlot(int server_rank, int slot)
 
     // Parented on the caller's packet context when dispatched from a
     // notification, or on the serving process's context when polled.
-    causal::OpSpan span(server_rank, "rpc.serve");
+    causal::OpSpan span(cluster.sim().recorder(), server_rank,
+                        "rpc.serve");
 
     // Unmarshal + handler + marshal reply.
     cpu.compute(cfg.marshalCost);
@@ -243,7 +244,7 @@ RpcDomain::Client::call(std::uint32_t proc, const void *args,
     auto &cpu = ep.node().cpu();
     cpu.sync();
     ScopedCategory cat(account, TimeCategory::Communication);
-    causal::OpSpan span(rank, "rpc.call");
+    causal::OpSpan span(d.cluster.sim().recorder(), rank, "rpc.call");
 
     ++seq;
     cpu.compute(d.cfg.marshalCost);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
 
 namespace shrimp::nic
@@ -35,11 +34,7 @@ ModernNic::post(const SendDesc &req)
     if (req.bytes == 0 || req.bytes > node::kPageBytes)
         panic("posted send size %u invalid", req.bytes);
 
-    mesh::PacketLife life;
-    if (lifecycle && lifecycle->enabled()) {
-        life.id = lifecycle->nextId();
-        life.born = sim.now();
-    }
+    PacketLife life = sim.recorder().sendStamp();
 
     // The whole host-side cost of a send: build the WQE and ring the
     // doorbell with one user-level MMIO write.
@@ -62,7 +57,6 @@ ModernNic::post(const SendDesc &req)
     pkt.endOfMessage = req.endOfMessage;
     pkt.life = life;
     pkt.life.queued = sim.now(); // after any queue-full wait
-    pkt.cause = causal::current();
 
     sendQueue.push_back(std::move(pkt));
     sendQueueDst.push_back(entry.dstNode);
@@ -102,9 +96,7 @@ ModernNic::engineBody()
         mp.dst = dst;
         mp.wireBytes = wire;
         mp.life = pkt.life;
-        if (mp.life.id)
-            mp.life.injected = sim.now();
-        mp.cause = pkt.cause;
+        mp.life.injected = sim.now();
         auto payload = std::make_shared<NicPayload>();
         payload->body = std::move(pkt);
         mp.payload = std::move(payload);
@@ -186,18 +178,11 @@ ModernNic::receive(const mesh::Packet &pkt)
 
     stPacketsIn.inc();
     stBytesIn.inc(bytes);
-    if (pkt.life.id && lifecycle)
-        lifecycle->record(pkt.life.born, pkt.life.queued,
-                          pkt.life.injected, pkt.life.delivered, start,
-                          done);
-    if (pkt.life.id && causal::enabled())
-        causal::emitPacket(pkt.cause, int(nodeId()), pkt.life.born,
-                           pkt.life.queued, pkt.life.injected,
-                           pkt.life.delivered, start, done);
+    sim.recorder().packetDelivered(pkt.life, int(nodeId()), start, done);
 
     sim.schedule(done - sim.now(), [this, payload] {
         causal::EventCtxScope cctx(
-            std::get<DuPacket>(payload->body).cause);
+            sim.recorder(), std::get<DuPacket>(payload->body).life.cause);
         auto &mem = _node.mem();
         auto &du2 = std::get<DuPacket>(payload->body);
         if (du2.dstFrame >= mem.frameCount())

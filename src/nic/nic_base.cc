@@ -4,13 +4,12 @@
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::nic
 {
 
 NicBase::NicBase(node::Node &n, mesh::Network &net, const Config &cfg)
-    : _node(n), _net(net), lifecycle(cfg.lifecycle),
+    : _node(n), _net(net),
       _reliable(net.reliabilityEnabled()), _rel(cfg.reliability),
       stCorruptRx(n.simulation().stats(), "mesh.corrupt_rx"),
       stDupRx(n.simulation().stats(), "mesh.dup_rx"),
@@ -77,7 +76,8 @@ int
 NicBase::relTrack()
 {
     if (_relTrack < 0)
-        _relTrack = trace_json::track(_node.name() + ".rel");
+        _relTrack =
+            _node.simulation().recorder().track(_node.name() + ".rel");
     return _relTrack;
 }
 
@@ -340,14 +340,13 @@ NicBase::retransmit(RelChannel &ch, NodeId dst)
         // The buffered copy still carries the original send's causal
         // context, so the resend — and the eventual delivery — stay
         // parented on the operation that first sent the packet.
-        if (causal::enabled())
-            causal::emitRetx(ch.unacked[i]->cause, int(nodeId()),
-                             sim.now());
+        sim.recorder().emitRetx(ch.unacked[i]->life.cause,
+                                int(nodeId()));
         mesh::Packet copy = *ch.unacked[i];
         _net.send(std::move(copy));
     }
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (sim.recorder().chromeOn())
+        sim.recorder().complete(
             relTrack(), "retx", oldest, sim.now(),
             strfmt("{\"dst\":%u,\"packets\":%zu,\"first_seq\":%llu}",
                    dst, ch.unacked.size(),

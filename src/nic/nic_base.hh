@@ -45,7 +45,6 @@ namespace shrimp
 {
 class Accumulator;
 class Histogram;
-class LifecycleTracer;
 class Scalar;
 } // namespace shrimp
 
@@ -109,21 +108,14 @@ inline constexpr int kPerDestStatsMaxNodes = 64;
 
 /**
  * Construction-time configuration shared by every NIC kind: the
- * cluster passes reliability tunables and its lifecycle tracer here
- * instead of through post-hoc setters, so a NIC is fully wired the
- * moment it attaches to the mesh.
+ * cluster passes reliability tunables here instead of through
+ * post-hoc setters, so a NIC is fully wired the moment it attaches
+ * to the mesh.
  */
 struct Config
 {
     /** Reliability-protocol tunables (used only in fault mode). */
     ReliabilityParams reliability;
-
-    /**
-     * The cluster's packet-lifecycle tracer (may be disabled;
-     * nullptr = none). The NIC stamps and records packets only while
-     * the tracer reports enabled().
-     */
-    LifecycleTracer *lifecycle = nullptr;
 };
 
 /**
@@ -359,9 +351,6 @@ class NicBase
     DeliverHook deliverHook;
     NotifyHook notifyHook;
     PeerDeadHook peerDeadHook;
-
-    /** Cluster lifecycle tracer; nullptr or disabled = no stamping. */
-    LifecycleTracer *lifecycle = nullptr;
 
   private:
     /** Sender-side per-destination reliability state. */

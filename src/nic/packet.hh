@@ -45,16 +45,13 @@ struct DuPacket
     bool endOfMessage = true;       //!< last packet of a library message
 
     /**
-     * Lifecycle stamps (flight recorder): born/queued are filled on
-     * the send path and copied onto the mesh packet at injection.
-     * Kept in the payload rather than captured by the injection
-     * lambdas, which are already near the inline-callback capture
-     * budget.
+     * Recorder stamps and the posting operation's causal context:
+     * born/queued/cause are filled on the send path and copied onto
+     * the mesh packet at injection. Kept in the payload rather than
+     * captured by the injection lambdas, which are already near the
+     * inline-callback capture budget.
      */
-    mesh::PacketLife life;
-
-    /** Causal context of the posting operation; see mesh::Packet. */
-    causal::CauseCtx cause;
+    PacketLife life;
 };
 
 /**
@@ -83,11 +80,8 @@ struct AuTrainPacket
      */
     std::function<void()> applied;
 
-    /** Lifecycle stamps; see DuPacket::life. */
-    mesh::PacketLife life;
-
-    /** Causal context of the train-opening store; see mesh::Packet. */
-    causal::CauseCtx cause;
+    /** Stamps and the train-opening store's context; see DuPacket. */
+    PacketLife life;
 };
 
 /**

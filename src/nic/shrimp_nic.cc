@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/lifecycle.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp::nic
 {
@@ -48,7 +46,7 @@ int
 ShrimpNic::traceTrack()
 {
     if (_traceTrack < 0)
-        _traceTrack = trace_json::track(statPrefix);
+        _traceTrack = sim.recorder().track(statPrefix);
     return _traceTrack;
 }
 
@@ -86,12 +84,8 @@ ShrimpNic::post(const SendDesc &req)
     // The two-instruction UDMA initiation sequence plus the library's
     // protection bookkeeping. The span also covers any queue-full wait
     // below, so the trace shows true per-send initiation cost.
-    trace_json::Span span(traceTrack(), "du_submit");
-    mesh::PacketLife life;
-    if (lifecycle && lifecycle->enabled()) {
-        life.id = lifecycle->nextId();
-        life.born = sim.now();
-    }
+    ChromeSpan span(sim.recorder(), traceTrack(), "du_submit");
+    PacketLife life = sim.recorder().sendStamp();
     cpu.compute(_params.udmaIssueCost);
     cpu.sync();
 
@@ -112,7 +106,6 @@ ShrimpNic::post(const SendDesc &req)
     pkt.endOfMessage = req.endOfMessage;
     pkt.life = life;
     pkt.life.queued = sim.now(); // after any queue-full wait
-    pkt.cause = causal::current();
 
     duQueue.push_back(std::move(pkt));
     duQueueDst.push_back(entry.dstNode);
@@ -164,8 +157,8 @@ ShrimpNic::duEngineBody()
                    transferTime(wire, link_bw);
         chipBusyUntil = inj;
 
-        if (trace_json::enabled())
-            trace_json::completeEvent(
+        if (sim.recorder().chromeOn())
+            sim.recorder().complete(
                 traceTrack(), "du_xfer", start, inj,
                 strfmt("{\"bytes\":%llu,\"dst\":%u}",
                        (unsigned long long)bytes, dst));
@@ -179,9 +172,7 @@ ShrimpNic::duEngineBody()
             mp2.dst = dst;
             mp2.wireBytes = wire;
             mp2.life = std::get<DuPacket>(payload->body).life;
-            if (mp2.life.id)
-                mp2.life.injected = sim.now();
-            mp2.cause = std::get<DuPacket>(payload->body).cause;
+            mp2.life.injected = sim.now();
             mp2.payload = payload;
             netSend(std::move(mp2));
         });
@@ -236,11 +227,7 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
         train.dstFrame = entry->dstFrame;
         train.combining = entry->combining;
         train.interruptRequest = entry->interruptRequest;
-        if (lifecycle && lifecycle->enabled()) {
-            train.life.id = lifecycle->nextId();
-            train.life.born = sim.now();
-        }
-        train.cause = causal::current();
+        train.life = sim.recorder().sendStamp();
     }
 
     AuWrite w;
@@ -331,8 +318,8 @@ ShrimpNic::flushTrain(AuTrain &train)
         fifoStalled = true;
         fifoStallStart = sim.now();
         stFifoThresholdIrqs.inc();
-        if (trace_json::enabled())
-            trace_json::instantEvent(traceTrack(), "fifo_threshold_irq");
+        if (sim.recorder().chromeOn())
+            sim.recorder().instant(traceTrack(), "fifo_threshold_irq");
         _node.os().interrupt(_params.fifoInterruptCost);
     }
 
@@ -341,8 +328,8 @@ ShrimpNic::flushTrain(AuTrain &train)
                transferTime(wire, link_bw);
     chipBusyUntil = inj;
 
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (sim.recorder().chromeOn())
+        sim.recorder().complete(
             traceTrack(), "au_train", sim.now(), inj,
             strfmt("{\"packets\":%u,\"bytes\":%u}", train.packetCount,
                    data_bytes));
@@ -357,7 +344,6 @@ ShrimpNic::flushTrain(AuTrain &train)
     pkt.interruptRequest = train.interruptRequest;
     pkt.life = train.life;
     pkt.life.queued = sim.now(); // NI-visible ordering point
-    pkt.cause = train.cause;
     ++auInFlight;
     pkt.applied = [this] {
         if (--auInFlight == 0)
@@ -380,9 +366,7 @@ ShrimpNic::flushTrain(AuTrain &train)
         mp.wireBytes = wire;
         mp.hwPackets = hw;
         mp.life = std::get<AuTrainPacket>(payload->body).life;
-        if (mp.life.id)
-            mp.life.injected = sim.now();
-        mp.cause = std::get<AuTrainPacket>(payload->body).cause;
+        mp.life.injected = sim.now();
         mp.payload = payload;
         netSend(std::move(mp));
     });
@@ -407,9 +391,9 @@ ShrimpNic::fifoCredit(std::uint32_t wire_bytes)
                                 double(_params.outFifoBytes));
     if (fifoStalled && _fifoFill <= resume) {
         fifoStalled = false;
-        if (trace_json::enabled())
-            trace_json::completeEvent(traceTrack(), "fifo_stall",
-                                      fifoStallStart, sim.now());
+        if (sim.recorder().chromeOn())
+            sim.recorder().complete(traceTrack(), "fifo_stall",
+                                    fifoStallStart, sim.now());
         fifoWait.wakeAll(sim);
     }
 }
@@ -447,17 +431,10 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     stPacketsIn.inc(packets);
     stBytesIn.inc(data_bytes);
     stEisaBusyPs.inc(done - start);
-    if (pkt.life.id && lifecycle)
-        lifecycle->record(pkt.life.born, pkt.life.queued,
-                          pkt.life.injected, pkt.life.delivered, start,
-                          done);
-    if (pkt.life.id && causal::enabled())
-        causal::emitPacket(pkt.cause, int(nodeId()), pkt.life.born,
-                           pkt.life.queued, pkt.life.injected,
-                           pkt.life.delivered, start, done);
+    sim.recorder().packetDelivered(pkt.life, int(nodeId()), start, done);
 
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (sim.recorder().chromeOn())
+        sim.recorder().complete(
             traceTrack(), "rx", start, done,
             strfmt("{\"packets\":%u,\"bytes\":%u,\"src\":%u}", packets,
                    data_bytes, pkt.src));
@@ -465,15 +442,12 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     sim.schedule(done - sim.now(), [this, payload] {
         // Sends issued from inside the delivery chain (notification
         // handlers and their replies) inherit the packet's carried
-        // context through the thread's event slot.
-        causal::CauseCtx cause;
-        if (causal::enabled()) {
-            if (auto *du = std::get_if<DuPacket>(&payload->body))
-                cause = du->cause;
-            else
-                cause = std::get<AuTrainPacket>(payload->body).cause;
-        }
-        causal::EventCtxScope cctx(cause);
+        // context through the run's event slot.
+        const auto *du = std::get_if<DuPacket>(&payload->body);
+        causal::EventCtxScope cctx(
+            sim.recorder(),
+            du ? du->life.cause
+               : std::get<AuTrainPacket>(payload->body).life.cause);
 
         auto &mem = _node.mem();
         Delivery d;
@@ -528,8 +502,8 @@ ShrimpNic::finishDelivery(const Delivery &d, bool want_notify)
     Delivery copy = d;
     copy.notify = want_notify;
 
-    if (want_notify && trace_json::enabled())
-        trace_json::instantEvent(
+    if (want_notify && sim.recorder().chromeOn())
+        sim.recorder().instant(
             traceTrack(), "notify",
             strfmt("{\"src\":%u,\"bytes\":%u}", d.srcNode, d.bytes));
 

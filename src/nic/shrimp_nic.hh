@@ -138,11 +138,8 @@ class ShrimpNic : public NicBase
         bool combining = false;
         bool interruptRequest = false;
 
-        /** Lifecycle stamps; born at the train's first snooped store. */
-        mesh::PacketLife life;
-
-        /** Causal context of the train-opening store. */
-        causal::CauseCtx cause;
+        /** Stamped at the train's first snooped store. */
+        PacketLife life;
     };
 
     void duEngineBody();

@@ -118,8 +118,9 @@ struct NameStat
 
 /**
  * Per-name duration statistics for every "pkt.*" span in the log —
- * the causal-log mirror of the lifecycle latency histograms, for
- * cross-checking stage means.
+ * the stage means of the packets the log holds. The recorder's
+ * receive hook emits these spans from the same stamps it samples into
+ * the lifecycle histograms.
  */
 std::vector<NameStat> packetStageStats(const Log &log);
 

@@ -1,7 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp
 {
@@ -118,9 +118,8 @@ EventQueue::step()
         ++_executed;
         // Periodic queue-depth samples give the trace a load track
         // without a per-event cost.
-        if (trace_json::enabled() && (_executed & 0x3ff) == 0)
-            trace_json::counterEvent("events.pending",
-                                     double(heap.size()));
+        if (depthRecorder && (_executed & 0x3ff) == 0)
+            depthRecorder->counter("events.pending", double(heap.size()));
         // Invoke in place: the record's slab address is stable even if
         // the callback schedules (slabs only grow), and the slot stays
         // live — hence un-reusable — until recycled below.

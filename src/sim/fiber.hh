@@ -8,29 +8,17 @@
  * on the critical path pays two switches, so the switch itself is the
  * simulator's hottest host instruction sequence.
  *
- * Two implementations share this interface (DESIGN.md §15):
- *
- *  - Default: a hand-written assembly switch (sim/fcontext.hh) that
- *    saves only callee-saved registers + FP control state. ~20 ns,
- *    no kernel involvement.
- *  - Fallback (-DSHRIMP_UCONTEXT_FIBERS=ON, or an architecture
- *    without an fcontext port): POSIX ucontext, whose swapcontext
- *    carries the signal mask through a sigprocmask syscall per switch
- *    (~1.7 us, and all of it sys time).
- *
- * Both resume a fiber from whatever scheduler frame calls resume():
- * the fiber re-reads its return context at every entry instead of
- * caching the one it was first started from.
+ The switch is hand-written assembly (sim/fcontext.hh, DESIGN.md
+ * §15) that saves only callee-saved registers + FP control state:
+ * ~20 ns, no kernel involvement. A fiber resumes from whatever
+ * scheduler frame calls resume(): it re-reads its return context at
+ * every entry instead of caching the one it was first started from.
  */
 
 #ifndef SHRIMP_SIM_FIBER_HH
 #define SHRIMP_SIM_FIBER_HH
 
 #include <sys/mman.h>
-
-#if defined(SHRIMP_UCONTEXT_FIBERS)
-#include <ucontext.h>
-#endif
 
 #include <cstddef>
 #include <cstdint>
@@ -60,15 +48,12 @@
 
 // AddressSanitizer tracks the current stack's bounds and fake-stack
 // state per thread; the hand-written switch must hand those over
-// explicitly via __sanitizer_{start,finish}_switch_fiber (the
-// ucontext fallback is covered by ASan's swapcontext interceptor).
-#if !defined(SHRIMP_UCONTEXT_FIBERS)
+// explicitly via __sanitizer_{start,finish}_switch_fiber.
 #if defined(__SANITIZE_ADDRESS__)
 #define SHRIMP_ASAN_FIBERS 1
 #elif defined(__has_feature)
 #if __has_feature(address_sanitizer)
 #define SHRIMP_ASAN_FIBERS 1
-#endif
 #endif
 #endif
 
@@ -354,12 +339,6 @@ class Fiber
     FiberBody body;
     FiberStack stack;
 
-#if defined(SHRIMP_UCONTEXT_FIBERS)
-    static void trampoline(unsigned hi, unsigned lo);
-
-    ucontext_t fiberCtx;
-    ucontext_t schedulerCtx;
-#else
     /** First-activation entry; recovers `this` from Transfer.arg. */
     static void entry(void *from, void *arg);
 
@@ -371,7 +350,6 @@ class Fiber
      */
     fctx::Context fctx = nullptr;
     fctx::Context retCtx = nullptr;
-#endif
 
     bool _finished = false;
     bool running = false;
@@ -398,14 +376,10 @@ class Fiber
     static constinit thread_local Fiber *current_fiber;
 };
 
-#if !defined(SHRIMP_UCONTEXT_FIBERS)
-
-// The switch wrappers are inlined on the assembly path: every
-// simulated event on the critical path runs through them, and the
-// call/ret pairs they'd otherwise cost mispredict after a stack
-// switch (the return stack buffer does not survive one). The
-// ucontext fallback keeps them out of line — its syscall dwarfs any
-// call overhead.
+// The switch wrappers are inlined: every simulated event on the
+// critical path runs through them, and the call/ret pairs they'd
+// otherwise cost mispredict after a stack switch (the return stack
+// buffer does not survive one).
 
 inline void
 Fiber::resume()
@@ -456,8 +430,6 @@ Fiber::yield()
     setCurrentFiber(this);
     running = true;
 }
-
-#endif // !SHRIMP_UCONTEXT_FIBERS
 
 } // namespace shrimp
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Time-series metrics sampling (the flight recorder's first half; the
- * second is sim/lifecycle.hh).
+ * second is the lifecycle histograms of sim/recorder.hh).
  *
  * A MetricsSampler holds a set of named read-only gauges and samples
  * them all on a fixed simulated-time cadence into a columnar

@@ -38,7 +38,7 @@ struct RunReport
      * 3: histograms gained "p99" and "scale" (log-bucket mode), the
      *    stats block gained the "scalars" sub-object, and runs with
      *    packet lifecycle tracing enabled carry a
-     *    "latency_breakdown" block (see sim/lifecycle.hh).
+     *    "latency_breakdown" block (see sim/recorder.hh).
      *
      *    Note (no layout change): since the three-NIC redesign,
      *    shrimp_run reports always carry a "cli_nic" param
@@ -117,8 +117,8 @@ struct RunReport
     Faults faults;
 
     /**
-     * Per-stage latency attribution of every traced packet
-     * (sim/lifecycle.hh). Serialized only when lifecycle tracing was
+     * Per-stage latency attribution of every delivered packet
+     * (sim/recorder.hh). Serialized only when lifecycle tracing was
      * on; the stage list ends with "total" (end-to-end).
      */
     struct StageLatency

@@ -1,7 +1,6 @@
 #include "sim/simulation.hh"
 
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp
 {
@@ -53,8 +52,10 @@ WaitQueue::wakeAll(Simulation &sim)
     return n;
 }
 
-Simulation::Simulation()
+Simulation::Simulation() : _recorder(*this)
 {
+    if (_recorder.chromeOn())
+        queue.sampleDepthInto(&_recorder);
     live_simulations.push_back(this);
 }
 
@@ -131,19 +132,19 @@ Simulation::suspend()
         p->wakePending = false;
         return;
     }
-    if (trace_json::enabled())
+    if (_recorder.chromeOn())
         p->traceSuspendAt = now();
     p->state = Process::State::Suspended;
     _current = nullptr;
     p->fiber.yield();
     _current = p;
     p->state = Process::State::Running;
-    if (trace_json::enabled() && p->traceSuspendAt != kTickNever &&
+    if (_recorder.chromeOn() && p->traceSuspendAt != kTickNever &&
         now() > p->traceSuspendAt) {
         if (p->traceTrack < 0)
-            p->traceTrack = trace_json::track(p->_name);
-        trace_json::completeEvent(p->traceTrack, "blocked",
-                                  p->traceSuspendAt, now());
+            p->traceTrack = _recorder.track(p->_name);
+        _recorder.complete(p->traceTrack, "blocked", p->traceSuspendAt,
+                           now());
     }
     p->traceSuspendAt = kTickNever;
 }
@@ -179,11 +180,11 @@ Simulation::resumeProcess(Process *p)
     // finished.
     if (p->fiber.finished()) {
         p->state = Process::State::Finished;
-        if (trace_json::enabled()) {
+        if (_recorder.chromeOn()) {
             if (p->traceTrack < 0)
-                p->traceTrack = trace_json::track(p->_name);
-            trace_json::completeEvent(p->traceTrack, "proc",
-                                      p->traceSpawnAt, now());
+                p->traceTrack = _recorder.track(p->_name);
+            _recorder.complete(p->traceTrack, "proc", p->traceSpawnAt,
+                               now());
         }
     }
     _current = nullptr;

@@ -19,6 +19,7 @@
 #include "sim/fiber.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/recorder.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -43,9 +44,9 @@ class Process
 
     /**
      * Causal-trace context of the operation this process is currently
-     * executing (sim/causal.hh): it lives on the process so it travels
-     * with the fiber across suspends. Managed by causal::OpSpan; both
-     * zero outside a traced operation.
+     * executing (sim/recorder.hh): it lives on the process so it
+     * travels with the fiber across suspends. Managed by
+     * causal::OpSpan; both zero outside a traced operation.
      */
     std::uint64_t causeTrace = 0;
     std::uint64_t causeSpan = 0;
@@ -65,8 +66,8 @@ class Process
     bool wakePending = false;
     bool resumeScheduled = false;
 
-    // Tracing: spawn time, start of the current blocked interval, and
-    // the process's lazily created trace track.
+    // Chrome timeline: spawn time, start of the current blocked
+    // interval, and the process's lazily created track.
     Tick traceSpawnAt = 0;
     Tick traceSuspendAt = kTickNever;
     int traceTrack = -1;
@@ -186,10 +187,13 @@ class Simulation
     /** Statistics registry. */
     StatsRegistry &stats() { return _stats; }
 
+    /** This run's span recorder (trace, causal log, histograms). */
+    Recorder &recorder() { return _recorder; }
+
     /** Raw queue access (tests and models needing cancellation). */
     EventQueue &events() { return queue; }
 
-    /** Innermost live Simulation, or nullptr (used by tracing). */
+    /** Innermost live Simulation, or nullptr (logging, TimeAccount). */
     static Simulation *currentOrNull();
 
     /**
@@ -221,6 +225,8 @@ class Simulation
 
     void resumeProcess(Process *p);
 
+    // First, so it outlives everything that records into it.
+    Recorder _recorder;
     EventQueue queue;
     Random _rng;
     StatsRegistry _stats;

@@ -1,14 +1,20 @@
 /**
  * @file
- * Structured tracing: span/instant/counter events in the Chrome
- * trace_event JSON format, loadable in chrome://tracing and Perfetto.
+ * The Chrome trace_event JSON output, loadable in chrome://tracing
+ * and Perfetto.
  *
- * The recorder is process-global and off by default; instrumentation
- * sites guard on enabled() (a single bool load) so disabled tracing is
- * near-zero cost. Events land on named *tracks* — one per simulated
- * process, plus per-node NIC tracks and per-link mesh tracks — and
- * carry simulated time (microsecond ts/dur with picosecond precision),
- * so the trace is deterministic across identical runs.
+ * Each run's Recorder (sim/recorder.hh) writes span, instant and
+ * counter events on named *tracks* — one per simulated process, plus
+ * per-node NIC/SVM tracks, per-link mesh tracks and, with the causal
+ * log also open, one causal.node<N> mirror track per node. Events
+ * carry simulated time (microsecond ts/dur with picosecond
+ * precision), so a run's events are deterministic.
+ *
+ * Every run in the file is its own trace process: runs that execute
+ * in parallel never share a track. A single-run trace has one
+ * process, pid 0, named "shrimp"; in a multi-run trace the processes
+ * are named "shrimp run <k>" with k the run order (Recorder).
+ * Events stream to the file in bounded per-run chunks.
  *
  * Enable with trace_json::open(path) (shrimp_run --trace FILE, or the
  * SHRIMP_TRACE environment variable) and finish with close().
@@ -19,93 +25,18 @@
 
 #include <string>
 
-#include "sim/types.hh"
-
 namespace shrimp::trace_json
 {
 
-namespace detail
-{
-extern bool g_enabled;
-}
-
-/** @return whether a trace file is open (fast path for call sites). */
-inline bool
-enabled()
-{
-    return detail::g_enabled;
-}
-
 /**
- * Open @p path and start recording. Replaces any open trace.
- * The file becomes a complete JSON document once close() runs.
+ * Open @p path as the Chrome trace. Replaces any open trace. Runs
+ * whose Simulation is built from now on record into it; the file
+ * becomes a complete JSON document once close() runs.
  */
 void open(const std::string &path);
 
-/** Finish the JSON document and stop recording. Idempotent. */
+/** Name the runs' processes, finish the document. Idempotent. */
 void close();
-
-/**
- * Open a trace if the SHRIMP_TRACE environment variable names a file.
- * Called once by simulation startup paths; harmless to repeat.
- */
-void openFromEnv();
-
-/**
- * Get (or create) the track named @p name. Track ids are stable for
- * the lifetime of the process, so call sites may cache them even
- * across close()/open() cycles.
- */
-int track(const std::string &name);
-
-/**
- * Emit a completed span [@p start, @p end] on @p track.
- *
- * @param args_json Optional preformatted JSON object ("{...}") for
- *                  the event's args field.
- */
-void completeEvent(int track, const char *name, Tick start, Tick end,
-                   const std::string &args_json = std::string());
-
-/** Emit an instant event at the current simulated time. */
-void instantEvent(int track, const char *name,
-                  const std::string &args_json = std::string());
-
-/** Emit a counter sample at the current simulated time. */
-void counterEvent(const char *name, double value);
-
-/**
- * RAII span: opens at construction, emits a complete event covering
- * [construction, destruction] in simulated time. A disabled recorder
- * makes both ends a bool check.
- */
-class Span
-{
-  public:
-    Span(int track, const char *name)
-        : tr(track), _name(name), live(enabled())
-    {
-        if (live)
-            start = nowTick();
-    }
-
-    ~Span()
-    {
-        if (live)
-            completeEvent(tr, _name, start, nowTick());
-    }
-
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
-
-  private:
-    static Tick nowTick();
-
-    int tr;
-    const char *_name;
-    bool live;
-    Tick start = 0;
-};
 
 } // namespace shrimp::trace_json
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::sock
 {
@@ -158,7 +158,8 @@ Socket::push(const void *buf, std::size_t len, bool staging_copy)
     const char *src = static_cast<const char *>(buf);
     ep.node().cpu().sync(); // close out compute time first
     ScopedCategory cat(account, TimeCategory::Communication);
-    causal::OpSpan span(_rank, "sock.send");
+    causal::OpSpan span(ep.node().simulation().recorder(), _rank,
+                        "sock.send");
 
     stSendBytes.inc(len);
     stSends.inc();
@@ -224,7 +225,8 @@ Socket::recv(void *buf, std::size_t maxlen)
     const std::size_t cap = dom._config.bufBytes;
     ep.node().cpu().sync(); // close out compute time first
     ScopedCategory cat(account, TimeCategory::Communication);
-    causal::OpSpan span(_rank, "sock.recv");
+    causal::OpSpan span(ep.node().simulation().recorder(), _rank,
+                        "sock.recv");
 
     volatile std::uint64_t *written = &inCtl->written;
     ep.waitUntil([this, written] {

@@ -7,9 +7,8 @@
 #include "core/collective.hh"
 #include "svm/diff.hh"
 
-#include "sim/causal.hh"
 #include "sim/logging.hh"
-#include "sim/trace_json.hh"
+#include "sim/recorder.hh"
 
 namespace shrimp::svm
 {
@@ -536,8 +535,8 @@ SvmRuntime::traceTrack(int rank)
 {
     RankState &rs = *ranks[rank];
     if (rs.traceTrack < 0)
-        rs.traceTrack =
-            trace_json::track(cluster.node(rank).name() + ".svm");
+        rs.traceTrack = cluster.sim().recorder().track(
+            cluster.node(rank).name() + ".svm");
     return rs.traceTrack;
 }
 
@@ -552,7 +551,7 @@ SvmRuntime::fetchPage(int rank, PageId page)
     core::Endpoint &ep = cluster.vmmc(rank);
     cluster.node(rank).cpu().sync(); // close out compute time first
     ScopedCategory cat(&rs.account, TimeCategory::Communication);
-    causal::OpSpan span(rank, "svm.fault");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "svm.fault");
     rs.stFaults.inc();
     ++rs.faultCount;
 
@@ -575,8 +574,8 @@ SvmRuntime::fetchPage(int rank, PageId page)
         ep.waitUntil([fs, stamp] { return *fs >= stamp; });
     }
 
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (cluster.sim().recorder().chromeOn())
+        cluster.sim().recorder().complete(
             traceTrack(rank), "fetch", fetch_start,
             cluster.sim().now(), strfmt("{\"page\":%u}", page));
 
@@ -592,7 +591,7 @@ SvmRuntime::makeTwin(int rank, PageId page)
         return;
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
-    trace_json::Span span(traceTrack(rank), "twin");
+    ChromeSpan span(cluster.sim().recorder(), traceTrack(rank), "twin");
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
     ps.twin = std::make_unique<std::vector<char>>(
@@ -645,8 +644,8 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
     cpu.chargeCopy(2 * node::kPageBytes); // the scan reads both copies
     cpu.sync();
 
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (cluster.sim().recorder().chromeOn())
+        cluster.sim().recorder().complete(
             traceTrack(rank), "diff", diff_start, cluster.sim().now(),
             strfmt("{\"page\":%u,\"bytes\":%zu}", page, blob.size()));
 
@@ -737,7 +736,7 @@ SvmRuntime::releaseInterval(int rank)
 
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
-    causal::OpSpan span(rank, "svm.release");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "svm.release");
 
     // Capture diffs for still-dirty twinned pages.
     std::vector<PageId> interval_pages;
@@ -833,7 +832,7 @@ SvmRuntime::lock(int rank, int id)
     core::Endpoint &ep = cluster.vmmc(rank);
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Lock);
-    causal::OpSpan span(rank, "svm.lock");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "svm.lock");
     rs.lastOp = "lock";
     rs.lastArg = id;
     rs.stLockAcquires.inc();
@@ -951,7 +950,7 @@ SvmRuntime::barrier(int rank)
     releaseInterval(rank);
 
     ScopedCategory cat(&rs.account, TimeCategory::Barrier);
-    causal::OpSpan span(rank, "svm.barrier");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "svm.barrier");
     rs.stBarriers.inc();
 
     rs.lastOp = "barrier";
@@ -1113,7 +1112,7 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
     ++rs.handlersRun;
     // Parented on the requesting packet's context (handleCtl runs
     // from the notification dispatcher under its EventCtxScope).
-    causal::OpSpan span(rank, "svm.serve");
+    causal::OpSpan span(cluster.sim().recorder(), rank, "svm.serve");
     Tick handler_start = cluster.sim().now();
     cpu.compute(cfg.handlerCost);
     cpu.sync();
@@ -1203,8 +1202,8 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
         rs.ctlProcessed[sender] = h.cursorAfter;
     rs.handlerActive = 0;
 
-    if (trace_json::enabled())
-        trace_json::completeEvent(
+    if (cluster.sim().recorder().chromeOn())
+        cluster.sim().recorder().complete(
             traceTrack(rank), "handler", handler_start,
             cluster.sim().now(), strfmt("{\"kind\":%u}", h.kind));
 }

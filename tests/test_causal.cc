@@ -1,6 +1,6 @@
 /**
  * @file
- * Causal-tracing tests (sim/causal.hh + sim/causal_read.hh):
+ * Causal-tracing tests (sim/recorder.hh + sim/causal_read.hh):
  *
  *   - tracing is an observer: enabling it changes neither the
  *     workload checksum nor one byte of the RunReport;
@@ -11,7 +11,7 @@
  *   - the critical-path reconstruction is an exact partition of the
  *     chosen operation's interval;
  *   - per-stage packet span means equal the lifecycle histogram
- *     means (the PR-4 cross-check);
+ *     means (the receive hook feeds both outputs alike);
  *   - two runs of the same workload emit byte-identical causal logs.
  */
 
@@ -26,7 +26,7 @@
 #include "apps/radix.hh"
 #include "sim/causal.hh"
 #include "sim/causal_read.hh"
-#include "sim/lifecycle.hh"
+#include "sim/recorder.hh"
 #include "sim/run_report.hh"
 
 using namespace shrimp;
@@ -188,8 +188,9 @@ TEST(Causal, CriticalPathPartitionsTheRootExactly)
 
 /**
  * The pkt.* span means must equal the lifecycle histogram means: the
- * causal log and the PR-4 latency_breakdown measure the same packets
- * through independent plumbing.
+ * recorder's receive hook emits the pkt.* spans and samples the
+ * latency_breakdown histograms from the same stamps, so the two
+ * outputs must describe the same packets.
  */
 TEST(Causal, PacketStageMeansMatchLifecycleHistograms)
 {

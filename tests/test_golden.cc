@@ -1,10 +1,12 @@
 /**
  * @file
- * Golden-file regression tests: two pinned runs must reproduce their
+ * Golden-file regression tests: pinned runs must reproduce their
  * checked-in observability artifacts byte for byte — the RunReport
- * JSON of a fault-plane run and the flight-recorder metrics JSONL of
- * a fault-free run. Any datapath "optimization" that perturbs either
- * file changed simulated behaviour, not just host speed.
+ * JSON of a fault-plane run (plain and with lifecycle histograms),
+ * that run's causal log, and the flight-recorder metrics JSONL of a
+ * fault-free run. Any datapath "optimization" that perturbs one of
+ * these files changed simulated behaviour, not just host speed; a
+ * recorder change that perturbs one changed an output format.
  *
  * The files live in tests/golden/ (path baked in via the
  * SHRIMP_TEST_GOLDEN_DIR compile definition). To regenerate after an
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,6 +28,7 @@
 
 #include "apps/app_common.hh"
 #include "apps/radix.hh"
+#include "sim/causal.hh"
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"
 
@@ -98,6 +102,16 @@ pinnedRadix(const core::ClusterConfig &cc)
     return apps::runRadixVmmc(cc, /*au=*/true, /*procs=*/4, cfg);
 }
 
+/** The fault-plane config: 0.5% drops, seed 7. */
+core::ClusterConfig
+faultConfig()
+{
+    core::ClusterConfig cc;
+    cc.network.fault.dropRate = 0.005;
+    cc.network.fault.seed = 7;
+    return cc;
+}
+
 } // anonymous namespace
 
 /**
@@ -108,10 +122,7 @@ pinnedRadix(const core::ClusterConfig &cc)
  */
 TEST(Golden, FaultRunReportIsByteStable)
 {
-    core::ClusterConfig cc;
-    cc.network.fault.dropRate = 0.005;
-    cc.network.fault.seed = 7;
-    auto r = pinnedRadix(cc);
+    auto r = pinnedRadix(faultConfig());
 
     // The run exercises the recovery path but not the timer path;
     // guard that before comparing bytes so a config drift fails
@@ -135,4 +146,35 @@ TEST(Golden, MetricsJsonlIsByteStable)
     std::ostringstream ss;
     r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
     checkGolden("radix_metrics.jsonl", ss.str());
+}
+
+/**
+ * The fault run's causal log: span ids, parent links, packet stage
+ * spans and the nic.retx spans of its go-back-N resends.
+ */
+TEST(Golden, FaultRunCausalLogIsByteStable)
+{
+    std::string path = testing::TempDir() + "golden_fault_causal.jsonl";
+    causal::open(path);
+    auto r = pinnedRadix(faultConfig());
+    causal::close();
+    ASSERT_GT(r.stats.counterValue("mesh.retransmits"), 0u);
+
+    checkGolden("fault_radix_causal.jsonl", slurp(path));
+    std::remove(path.c_str());
+}
+
+/**
+ * The fault run's report with lifecycle histograms on: pins the
+ * latency_breakdown block, whose floating-point sums depend on the
+ * order packets are sampled in.
+ */
+TEST(Golden, FaultRunLifecycleReportIsByteStable)
+{
+    core::ClusterConfig cc = faultConfig();
+    cc.lifecycleTracing = true;
+    auto r = pinnedRadix(cc);
+
+    RunReport rep = apps::makeReport(r);
+    checkGolden("fault_radix_lifecycle_report.json", rep.toJson(true));
 }

@@ -19,7 +19,7 @@
 
 #include "bench/bench_common.hh"
 #include "bench/sweep.hh"
-#include "sim/lifecycle.hh"
+#include "sim/recorder.hh"
 #include "sim/metrics.hh"
 #include "sim/report_schema.hh"
 #include "sim/stats.hh"

@@ -3,15 +3,20 @@
  * The parallel sweep runner: submission-ordered results, serial vs
  * parallel determinism, and byte-identical RunReport JSONL output
  * and causal logs (the golden invariant every design-conclusion
- * sweep rests on).
+ * sweep rests on), with traced sweeps running in parallel too.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +26,9 @@
 #include "bench/sweep.hh"
 #include "sim/causal.hh"
 #include "sim/causal_read.hh"
+#include "sim/json_in.hh"
+#include "sim/logging.hh"
+#include "sim/trace_json.hh"
 
 using namespace shrimp;
 using namespace shrimp::bench;
@@ -66,6 +74,77 @@ sweepInto(const std::string &jsonl, const char *jobs_env)
     ::unsetenv("SHRIMP_REPORT_JSONL");
     ::unsetenv("SHRIMP_JOBS");
     return results;
+}
+
+/** A JSON value as canonical text (object keys in written order). */
+std::string
+canon(const JsonValue &v)
+{
+    switch (v.kind) {
+      case JsonValue::Kind::Null:
+        return "null";
+      case JsonValue::Kind::Bool:
+        return v.boolean ? "true" : "false";
+      case JsonValue::Kind::Number:
+        return strfmt("%.17g", v.number);
+      case JsonValue::Kind::String:
+        return "\"" + v.str + "\"";
+      case JsonValue::Kind::Array: {
+        std::string s = "[";
+        for (const auto &e : v.array)
+            s += canon(e) + ",";
+        return s + "]";
+      }
+      case JsonValue::Kind::Object: {
+        std::string s = "{";
+        for (const auto &[k, e] : v.object)
+            s += k + ":" + canon(e) + ",";
+        return s + "}";
+      }
+    }
+    return "";
+}
+
+/**
+ * A Chrome trace's events as sorted (process name, track name, ph,
+ * name, ts, dur, args) tuples: the trace's content, independent of
+ * line order and of pid/tid numbering.
+ */
+std::vector<std::string>
+chromeEvents(const std::string &text)
+{
+    JsonValue doc;
+    std::string err;
+    EXPECT_TRUE(parseJson(text, doc, &err)) << err;
+    const JsonValue *events = doc.find("traceEvents");
+    if (!events)
+        return {};
+    auto str = [](const JsonValue &e, const char *key) {
+        const JsonValue *v = e.find(key);
+        return v ? canon(*v) : std::string("-");
+    };
+    std::map<std::string, std::string> procs, tracks;
+    for (const JsonValue &e : events->array) {
+        if (str(e, "ph") != "\"M\"")
+            continue;
+        std::string name = canon(*e.find("args")->find("name"));
+        if (str(e, "name") == "\"process_name\"")
+            procs[str(e, "pid")] = name;
+        else
+            tracks[str(e, "pid") + "/" + str(e, "tid")] = name;
+    }
+    std::vector<std::string> out;
+    for (const JsonValue &e : events->array) {
+        if (str(e, "name") == "\"process_name\"")
+            continue;
+        out.push_back(procs[str(e, "pid")] + "|" +
+                      tracks[str(e, "pid") + "/" + str(e, "tid")] + "|" +
+                      str(e, "ph") + "|" + str(e, "name") + "|" +
+                      str(e, "ts") + "|" + str(e, "dur") + "|" +
+                      str(e, "args"));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 } // anonymous namespace
@@ -132,38 +211,102 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
 }
 
 /**
- * The causal recorder is process-global. A sweep opens it before any
- * job starts and runs the jobs on one worker while it is open, so the
- * log is valid and byte-identical at SHRIMP_JOBS=1 and =4.
+ * Traced sweeps run in parallel. With every recorder output on — the
+ * Chrome trace, the causal log, lifecycle histograms and the report
+ * JSONL — SHRIMP_JOBS=4 must have two jobs in flight at once and
+ * still write what SHRIMP_JOBS=1 writes: the causal log and the
+ * report JSONL byte for byte, and the Chrome trace event for event
+ * (its line order depends on which worker flushes first).
  */
 TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
 {
-    auto traced = [](const std::string &path, const char *jobs_env) {
-        ::setenv("SHRIMP_CAUSAL", path.c_str(), 1);
+    struct Outputs
+    {
+        std::string causal, jsonl, chrome;
+        bool overlapped = false;
+    };
+    auto traced = [](const char *jobs_env) {
+        std::string stem = testing::TempDir() + "sweep_traced_" + jobs_env;
+        std::string causal_path = stem + ".causal.jsonl";
+        std::string jsonl_path = stem + ".reports.jsonl";
+        std::string chrome_path = stem + ".trace.json";
+        std::remove(jsonl_path.c_str()); // the report sink appends
+        ::setenv("SHRIMP_CAUSAL", causal_path.c_str(), 1);
+        ::setenv("SHRIMP_TRACE", chrome_path.c_str(), 1);
+        ::setenv("SHRIMP_LIFECYCLE", "1", 1);
+        ::setenv("SHRIMP_REPORT_JSONL", jsonl_path.c_str(), 1);
         ::setenv("SHRIMP_JOBS", jobs_env, 1);
+
+        // Each job waits, bounded, until a second job is in flight.
+        // One timeout means the sweep runs jobs one at a time, so the
+        // rest stop waiting.
+        std::mutex mu;
+        std::condition_variable cv;
+        int in_flight = 0;
+        bool overlapped = false, gave_up = false;
+        bool await_peer = std::string(jobs_env) != "1";
         std::vector<std::function<std::uint64_t()>> jobs;
-        for (int p : {1, 2, 4, 8})
-            jobs.push_back([p] { return smallRadix(p, 8 * 1024).checksum; });
+        for (int p : {1, 2, 4, 8}) {
+            jobs.push_back([&, p] {
+                {
+                    std::unique_lock<std::mutex> lock(mu);
+                    ++in_flight;
+                    cv.notify_all();
+                    if (await_peer && !gave_up) {
+                        if (cv.wait_for(lock, std::chrono::seconds(10),
+                                        [&] { return in_flight >= 2; }))
+                            overlapped = true;
+                        else
+                            gave_up = true;
+                    }
+                }
+                auto r = smallRadix(p, 8 * 1024);
+                maybeEmitReport(r);
+                std::lock_guard<std::mutex> lock(mu);
+                --in_flight;
+                return r.checksum;
+            });
+        }
         runSweep(std::move(jobs));
         causal::close();
-        ::unsetenv("SHRIMP_CAUSAL");
-        ::unsetenv("SHRIMP_JOBS");
-        return slurp(path);
-    };
-    std::string serial_path = testing::TempDir() + "sweep_causal_1.jsonl";
-    std::string parallel_path =
-        testing::TempDir() + "sweep_causal_4.jsonl";
-    std::string a = traced(serial_path, "1");
-    std::string b = traced(parallel_path, "4");
+        trace_json::close();
+        for (const char *v : {"SHRIMP_CAUSAL", "SHRIMP_TRACE",
+                              "SHRIMP_LIFECYCLE", "SHRIMP_REPORT_JSONL",
+                              "SHRIMP_JOBS"})
+            ::unsetenv(v);
 
-    for (const std::string &path : {serial_path, parallel_path}) {
         causal_read::Log log;
         std::string err;
-        ASSERT_TRUE(causal_read::load(path, log, &err)) << path << err;
-        EXPECT_TRUE(causal_read::validate(log, &err)) << path << err;
-    }
+        EXPECT_TRUE(causal_read::load(causal_path, log, &err)) << err;
+        EXPECT_TRUE(causal_read::validate(log, &err)) << err;
+
+        Outputs o;
+        o.causal = slurp(causal_path);
+        o.jsonl = slurp(jsonl_path);
+        o.chrome = slurp(chrome_path);
+        o.overlapped = overlapped;
+        for (const std::string &path :
+             {causal_path, jsonl_path, chrome_path})
+            std::remove(path.c_str());
+        return o;
+    };
+    Outputs serial = traced("1");
+    Outputs parallel = traced("4");
+
+    EXPECT_TRUE(parallel.overlapped)
+        << "no two traced jobs ran at once at SHRIMP_JOBS=4";
+    ASSERT_FALSE(serial.causal.empty());
+    EXPECT_EQ(serial.causal, parallel.causal);
+    ASSERT_NE(serial.jsonl.find("latency_breakdown"), std::string::npos);
+    EXPECT_EQ(serial.jsonl, parallel.jsonl);
+
+    std::vector<std::string> a = chromeEvents(serial.chrome);
+    std::vector<std::string> b = chromeEvents(parallel.chrome);
     ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
+    EXPECT_TRUE(a == b) << a.size() << " vs " << b.size() << " events";
+    // One trace process per run, named by run order.
+    for (const char *proc : {"shrimp run 0", "shrimp run 3"})
+        EXPECT_NE(parallel.chrome.find(proc), std::string::npos) << proc;
 }
 
 TEST(Sweep, RepeatedRunsAreDeterministic)

@@ -20,7 +20,9 @@
 
 #include "apps/radix.hh"
 #include "core/vmmc.hh"
+#include "sim/recorder.hh"
 #include "sim/run_report.hh"
+#include "sim/simulation.hh"
 #include "sim/trace_json.hh"
 
 using namespace shrimp;
@@ -351,11 +353,23 @@ TEST(TraceJson, DocumentParsesAndSpansNest)
 
 TEST(TraceJson, DisabledRecorderEmitsNothing)
 {
-    EXPECT_FALSE(trace_json::enabled());
-    // Must be safe (and free) to call without an open trace.
-    trace_json::completeEvent(trace_json::track("nowhere"), "x", 0, 1);
-    trace_json::instantEvent(trace_json::track("nowhere"), "y");
-    trace_json::counterEvent("z", 1.0);
+    // A run built while no trace is open arms nothing; its timeline
+    // calls must be safe (and free), even once a trace opens later.
+    Simulation sim;
+    Recorder &rec = sim.recorder();
+    EXPECT_FALSE(rec.chromeOn());
+    EXPECT_FALSE(rec.causalOn());
+
+    const std::string path = "test_trace_report.disabled.trace.json";
+    trace_json::open(path);
+    rec.complete(rec.track("nowhere"), "x", 0, 1);
+    rec.instant(rec.track("nowhere"), "y");
+    rec.counter("z", 1.0);
+    trace_json::close();
+
+    EXPECT_EQ(slurp(path),
+              "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n");
+    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------------

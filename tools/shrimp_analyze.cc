@@ -19,8 +19,9 @@
  * one operation (--op picks it by name substring, default: the
  * longest coll.reduce span, else the longest trace root) and prints
  * an exact per-layer attribution of its interval, plus the aggregate
- * packet-stage means for cross-checking against the lifecycle
- * latency_breakdown block.
+ * packet-stage means (the receive hook that emits the pkt.* spans
+ * also feeds the latency_breakdown block, so for a run with both on
+ * the means agree).
  *
  * With --validate it only checks the documents against the published
  * schemas (RunReport schema_version 3, metrics_schema 1, causal_schema
@@ -284,7 +285,7 @@ printCriticalPath(const causal_read::Log &log, const std::string &op,
     return sum == cp.totalPs;
 }
 
-/** Aggregate pkt.* stage means — lifecycle-histogram cross-check. */
+/** Aggregate pkt.* stage means over the causal log. */
 void
 printPacketStages(const causal_read::Log &log)
 {

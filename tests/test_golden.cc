@@ -3,8 +3,11 @@
  * Golden-file regression tests: pinned runs must reproduce their
  * checked-in observability artifacts byte for byte — the RunReport
  * JSON of a fault-plane run (plain and with lifecycle histograms),
- * that run's causal log, and the flight-recorder metrics JSONL of a
- * fault-free run. Any datapath "optimization" that perturbs one of
+ * that run's causal log, the flight-recorder metrics JSONL of a
+ * fault-free run, the RunReports of NX runs (Barnes-NX under DU and
+ * AU, Ocean-NX on a lossy backplane, Barnes-NX on 96 ranks), and the
+ * receive order and elapsed time of raw NX ring traffic. Any datapath
+ * "optimization" that perturbs one of
  * these files changed simulated behaviour, not just host speed; a
  * recorder change that perturbs one changed an output format.
  *
@@ -27,7 +30,10 @@
 #include <string>
 
 #include "apps/app_common.hh"
+#include "apps/barnes.hh"
+#include "apps/ocean.hh"
 #include "apps/radix.hh"
+#include "msg/nx.hh"
 #include "sim/causal.hh"
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"
@@ -177,4 +183,163 @@ TEST(Golden, FaultRunLifecycleReportIsByteStable)
 
     RunReport rep = apps::makeReport(r);
     checkGolden("fault_radix_lifecycle_report.json", rep.toJson(true));
+}
+
+// ----------------------------------------------------------------------
+// NX: app runs and raw ring traffic
+// ----------------------------------------------------------------------
+
+namespace
+{
+
+/** The pinned Barnes-NX shape: 256 bodies, 2 steps, 16 ranks on 4x4. */
+apps::AppResult
+pinnedBarnesNx(bool use_au)
+{
+    apps::BarnesConfig cfg;
+    cfg.bodies = 256;
+    cfg.timesteps = 2;
+    return apps::runBarnesNx(core::ClusterConfig{}, use_au, 16, cfg);
+}
+
+/**
+ * NX ring traffic among 4 ranks over an 8-page ring, rendered as text:
+ * each rank's receives in order (sender, length and a byte sum), the
+ * time it finished, its CPU busy time, and the final simulated time.
+ * Two phases:
+ *  - all pairs, about 100 KB per pair, so every ring wraps several
+ *    times; messages of up to three pages make DU headers land before
+ *    their trailers;
+ *  - rank 3 streams to a slow rank 0 until it blocks on credits, so
+ *    each credit return follows polls of the empty rings 1 and 2.
+ * A change to what a receive probe charges, or when, moves a time.
+ */
+std::string
+ringTraffic(bool use_au)
+{
+    constexpr int kRanks = 4;
+    constexpr int kRounds = 24;
+    constexpr int kBurst = 24;
+    constexpr std::size_t kSizes[] = {64, 4100, 7000, 200, 11000, 1500};
+
+    core::Cluster c;
+    msg::NxConfig cfg;
+    cfg.nprocs = kRanks;
+    cfg.ringBytes = 8 * node::kPageBytes;
+    cfg.useAutomaticUpdate = use_au;
+    msg::NxDomain dom(c, cfg);
+    std::vector<std::string> log(kRanks);
+
+    for (int r = 0; r < kRanks; ++r) {
+        c.spawnOn(r, "rank" + std::to_string(r), [&, r] {
+            dom.init(r);
+            msg::NxProcess &nx = dom.process(r);
+            std::vector<unsigned char> buf(12 * 1024);
+            auto send = [&](std::size_t len, int to, int tag) {
+                for (std::size_t i = 0; i < len; ++i)
+                    buf[i] = static_cast<unsigned char>(tag * 7 + r * 3 + i);
+                nx.csend(tag % 3, buf.data(), len, to);
+            };
+            auto recv = [&](int from) {
+                int src = -1;
+                std::size_t len = nx.crecvProbe(-1, from, buf.data(),
+                                                buf.size(), &src);
+                unsigned sum = 0;
+                for (std::size_t i = 0; i < len; ++i)
+                    sum += buf[i];
+                log[r] += " " + std::to_string(src) + ":" +
+                          std::to_string(len) + ":" + std::to_string(sum);
+            };
+
+            for (int round = 0; round < kRounds; ++round) {
+                for (int to = 0; to < kRanks; ++to)
+                    if (to != r)
+                        send(kSizes[(round + r + 2 * to) % 6], to, round);
+                // Odd rounds name each sender in turn; even rounds take
+                // whatever has arrived.
+                for (int k = 0; k < kRanks - 1; ++k)
+                    recv(round % 2 ? (r + 1 + k) % kRanks : -1);
+            }
+            for (int i = 0; i < kBurst; ++i) {
+                if (r == kRanks - 1)
+                    send(4000, 0, i);
+                if (r == 0) {
+                    recv(-1);
+                    c.node(0).cpu().compute(microseconds(400));
+                }
+            }
+            log[r] += " iprobe:" + std::to_string(nx.iprobe(-1));
+            c.node(r).cpu().sync();
+            log[r] += " end_ps:" + std::to_string(c.sim().now());
+        });
+    }
+    c.run();
+
+    std::string out = std::string(use_au ? "au" : "du") +
+                      " elapsed_ps " + std::to_string(c.sim().now()) +
+                      "\n";
+    for (int r = 0; r < kRanks; ++r)
+        out += "rank " + std::to_string(r) + log[r] + " cpu_busy_ps:" +
+               std::to_string(c.sim().stats().counterValue(
+                   "node" + std::to_string(r) + ".cpu_busy_ps")) +
+               "\n";
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(Golden, BarnesNxDuReportIsByteStable)
+{
+    checkGolden("barnes_nx_du_report.json",
+                apps::makeReport(pinnedBarnesNx(false)).toJson(true));
+}
+
+TEST(Golden, BarnesNxAuReportIsByteStable)
+{
+    checkGolden("barnes_nx_au_report.json",
+                apps::makeReport(pinnedBarnesNx(true)).toJson(true));
+}
+
+/** Ocean-NX over AU on a lossy backplane: 1% drops, seed 7. */
+TEST(Golden, OceanNxAuFaultReportIsByteStable)
+{
+    core::ClusterConfig cc;
+    cc.network.fault.dropRate = 0.01;
+    cc.network.fault.seed = 7;
+    apps::OceanConfig cfg;
+    cfg.n = 66;
+    cfg.iterations = 4;
+    auto r = apps::runOceanNx(cc, /*au=*/true, 16, cfg);
+
+    ASSERT_GT(r.stats.counterValue("mesh.drops"), 0u);
+    ASSERT_GT(r.stats.counterValue("mesh.retransmits"), 0u);
+    checkGolden("ocean_nx_au_fault_report.json",
+                apps::makeReport(r).toJson(true));
+}
+
+/**
+ * Barnes-NX on a 12x8 mesh: 96 ranks, so each receiver's senders sit
+ * on both sides of a 64-bit word boundary.
+ */
+TEST(Golden, BarnesNx96RankReportIsByteStable)
+{
+    core::ClusterConfig cc;
+    cc.meshWidth = 12;
+    cc.meshHeight = 8;
+    apps::BarnesConfig cfg;
+    cfg.bodies = 384;
+    cfg.timesteps = 1;
+    auto r = apps::runBarnesNx(cc, false, 96, cfg);
+    checkGolden("barnes_nx_96_report.json",
+                apps::makeReport(r).toJson(true));
+}
+
+TEST(Golden, NxRingTrafficDuIsByteStable)
+{
+    checkGolden("nx_ring_du.txt", ringTraffic(false));
+}
+
+TEST(Golden, NxRingTrafficAuIsByteStable)
+{
+    checkGolden("nx_ring_au.txt", ringTraffic(true));
 }

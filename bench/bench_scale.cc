@@ -12,7 +12,9 @@
  * arena bytes per node. The memo is per-source lazy, so bytes/node
  * must grow at most linearly in the node count (it would be ~8*N^2
  * per node if the old dense all-pairs cache came back) — the sweep
- * fails loudly if that regresses.
+ * fails loudly if that regresses. Every cell's answer is checked too:
+ * these checksums do not depend on the rank count, so each must equal
+ * a 1-rank run of the same input.
  */
 
 #include <sys/resource.h>
@@ -77,7 +79,8 @@ main()
         struct Cell
         {
             const char *app;
-            std::function<apps::AppResult(const core::ClusterConfig &)>
+            std::function<apps::AppResult(const core::ClusterConfig &,
+                                          int procs)>
                 run;
         };
         std::vector<Cell> cells;
@@ -88,27 +91,26 @@ main()
         rcfg.keys = std::size_t(1024) * nodes; // VMMC page alignment
         rcfg.iterations = 2;
         cells.push_back({"Radix-VMMC",
-                         [nodes, rcfg](const core::ClusterConfig &cc) {
-                             return apps::runRadixVmmc(cc, bestAu(cc),
-                                                       nodes, rcfg);
+                         [rcfg](const core::ClusterConfig &cc, int p) {
+                             return apps::runRadixVmmc(cc, bestAu(cc), p,
+                                                       rcfg);
                          }});
 
         apps::OceanConfig ocfg;
         ocfg.n = 2 * nodes + 2; // two interior rows per rank
         ocfg.iterations = 2;
         cells.push_back({"Ocean-NX",
-                         [nodes, ocfg](const core::ClusterConfig &cc) {
-                             return apps::runOceanNx(cc, bestAu(cc),
-                                                     nodes, ocfg);
+                         [ocfg](const core::ClusterConfig &cc, int p) {
+                             return apps::runOceanNx(cc, bestAu(cc), p,
+                                                     ocfg);
                          }});
 
         apps::BarnesConfig bcfg;
         bcfg.bodies = std::max(2048, 8 * nodes);
         bcfg.timesteps = 2;
         cells.push_back({"Barnes-NX",
-                         [nodes, bcfg](const core::ClusterConfig &cc) {
-                             return apps::runBarnesNx(cc, false, nodes,
-                                                      bcfg);
+                         [bcfg](const core::ClusterConfig &cc, int p) {
+                             return apps::runBarnesNx(cc, false, p, bcfg);
                          }});
 
         for (const Cell &cell : cells) {
@@ -116,7 +118,7 @@ main()
             cc.meshWidth = g.w;
             cc.meshHeight = g.h;
 
-            auto r = timedRun([&] { return cell.run(cc); });
+            auto r = timedRun([&] { return cell.run(cc, nodes); });
             r.param("nic", nic::nicKindName(cc.nicKind));
             r.param("mesh", g.name());
             maybeEmitReport(r);
@@ -152,6 +154,15 @@ main()
                         break;
                     }
 
+            std::uint64_t oracle = cell.run(cc, 1).checksum;
+            if (r.checksum != oracle) {
+                std::printf("  FAIL: checksum %llu differs from the "
+                            "1-rank run's %llu\n",
+                            (unsigned long long)r.checksum,
+                            (unsigned long long)oracle);
+                ok = false;
+            }
+
             if (std::string(cell.app) == "Radix-VMMC")
                 radix_bytes_per_node.push_back(double(arena) / nodes);
         }
@@ -175,7 +186,8 @@ main()
         }
     }
 
-    std::printf("\nper-node route state sublinear in nodes^2: %s\n",
+    std::printf("\nchecksums match 1-rank runs, per-node route state "
+                "sublinear in nodes^2: %s\n",
                 ok ? "HOLDS" : "VIOLATED");
     return ok ? 0 : 1;
 }

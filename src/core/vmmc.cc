@@ -25,10 +25,12 @@ Endpoint::Endpoint(Cluster &cluster, node::Node &n, nic::NicBase &nic)
 {
     _nic.setDeliverHook([this](const nic::Delivery &d) { onDeliver(d); });
     // A dead peer (fault mode, fatalOnGiveUp off) wakes every blocked
-    // waiter so wait predicates can re-check peer health instead of
-    // sleeping forever.
-    _nic.setPeerDeadHook([this](NodeId) {
+    // waiter at both ends of the dead channel, so wait predicates can
+    // re-check peer health instead of sleeping forever: a receiver
+    // waiting on this node's data has no other wake-up coming.
+    _nic.setPeerDeadHook([this](NodeId dst) {
         deliveryWait.wakeAll(_node.simulation());
+        _cluster.vmmc(int(dst)).deliveryWait.wakeAll(_node.simulation());
     });
 }
 

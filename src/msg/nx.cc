@@ -1,6 +1,7 @@
 #include "msg/nx.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -20,6 +21,20 @@ constexpr std::size_t
 align16(std::size_t n)
 {
     return (n + 15) / 16 * 16;
+}
+
+/** Index of the first set bit at or after @p i in @p words, or @p n. */
+int
+nextSetBit(const std::vector<std::uint64_t> &words, int i, int n)
+{
+    for (std::size_t w = std::size_t(i) / 64; w < words.size(); ++w) {
+        std::uint64_t bits = words[w];
+        if (w == std::size_t(i) / 64)
+            bits &= ~std::uint64_t(0) << (i % 64);
+        if (bits)
+            return int(w * 64) + std::countr_zero(bits);
+    }
+    return n;
 }
 
 } // anonymous namespace
@@ -55,6 +70,7 @@ NxDomain::NxDomain(core::Cluster &cluster, const NxConfig &config)
         procs[r] = std::unique_ptr<NxProcess>(new NxProcess(*this, r));
     inRings.assign(n, std::vector<InRing>(n));
     outRings.assign(n, std::vector<OutRing>(n));
+    unread.assign(n, std::vector<std::uint64_t>((n + 63) / 64));
     creditPages.assign(n, nullptr);
     creditExports.assign(n, core::kInvalidExport);
     creditProxies.assign(n, std::vector<core::ProxyId>(
@@ -179,8 +195,17 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
         return out.writePos + need - *out.credit <= cap;
     });
 
+    // Count each record as produced, and flag the receiver's ring,
+    // before its first byte is posted: a send can yield between pages,
+    // so the receiver may see a header whose trailer is still in
+    // flight, and must not take the ring for empty then.
+    std::uint64_t &unread_word = dom.unread[to][rank / 64];
+    const std::uint64_t my_bit = std::uint64_t(1) << (rank % 64);
+
     if (need_wrap) {
         MsgHeader wrap{out.nextSeq, kWrapType, 0, 0};
+        out.writePos += wrap_bytes;
+        unread_word |= my_bit;
         // The wrap record consumes the rest of the ring; only the
         // 16-byte marker is actually transmitted.
         if (dom.config.useAutomaticUpdate) {
@@ -188,7 +213,6 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
         } else {
             ep.send(out.proxy, &wrap, sizeof(wrap), off);
         }
-        out.writePos += wrap_bytes;
         ++out.nextSeq;
         off = 0;
     }
@@ -212,6 +236,8 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
     stSends.inc();
     stSendBytes.inc(len);
 
+    out.writePos += total;
+    unread_word |= my_bit;
     if (dom.config.useAutomaticUpdate) {
         // Library-level gather into the AU-bound staging ring; the
         // stores propagate as a side effect and flush here.
@@ -220,18 +246,16 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
     } else {
         ep.send(out.proxy, frame.data(), total, off);
     }
-    out.writePos += total;
     ++out.nextSeq;
 }
 
-bool
+void
 NxProcess::drainRingFrom(int src)
 {
     NxDomain::InRing &ring = dom.inRings[rank][src];
     core::Endpoint &ep = dom.cluster.vmmc(rank);
     auto &cpu = ep.node().cpu();
     const std::size_t cap = dom.config.ringBytes;
-    bool got = false;
 
     for (;;) {
         std::size_t off = ring.readPos % cap;
@@ -267,12 +291,10 @@ NxProcess::drainRingFrom(int src)
         ring.readPos += total;
         ring.consumed += total;
         ++ring.nextSeq;
-        got = true;
 
         if (ring.consumed - ring.creditsSent > cap / 4)
             sendCredits(src);
     }
-    return got;
 }
 
 void
@@ -290,9 +312,25 @@ NxProcess::sendCredits(int src)
 void
 NxProcess::drainRings()
 {
-    for (int src = 0; src < dom.config.nprocs; ++src) {
-        if (src != rank)
-            drainRingFrom(src);
+    // Walk the unread senders in rank order. The rings in between are
+    // empty, and each still costs the two accesses of an empty poll,
+    // charged before the next drained ring runs: its credit return
+    // syncs the CPU. That return can also yield while other ranks
+    // send, so the live bitset is re-read after every drain.
+    std::vector<std::uint64_t> &unread = dom.unread[rank];
+    auto &cpu = dom.cluster.vmmc(rank).node().cpu();
+    const int n = dom.config.nprocs;
+    for (int next = 0;;) {
+        int src = nextSetBit(unread, next, n);
+        int empty = src - next - (next <= rank && rank < src ? 1 : 0);
+        cpu.chargeAccess(2 * std::uint64_t(empty));
+        if (src == n)
+            return;
+        drainRingFrom(src);
+        if (dom.inRings[rank][src].consumed ==
+            dom.outRings[src][rank].writePos)
+            unread[src / 64] &= ~(std::uint64_t(1) << (src % 64));
+        next = src + 1;
     }
 }
 

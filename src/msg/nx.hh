@@ -123,8 +123,12 @@ class NxProcess
         std::vector<char> data;
     };
 
+    /**
+     * Poll every ring: drain the ones whose unread bit is set and
+     * charge an empty poll for each of the others.
+     */
     void drainRings();
-    bool drainRingFrom(int src);
+    void drainRingFrom(int src);
     void sendCredits(int src);
 
     /**
@@ -203,6 +207,16 @@ class NxDomain
     // [rank][peer] state; indexed by the owning rank.
     std::vector<std::vector<InRing>> inRings;
     std::vector<std::vector<OutRing>> outRings;
+
+    /**
+     * unread[rank] is a bitset over senders, 64 to a word. Bit p is
+     * set from the moment p starts posting a record to rank until
+     * rank has consumed every byte p produced (InRing::consumed
+     * equals OutRing::writePos), so a clear bit means an empty ring.
+     * A host-side index only: polls are charged as if every ring
+     * were read.
+     */
+    std::vector<std::vector<std::uint64_t>> unread;
 
     // Credit pages: credits[rank] holds one u64 per peer, exported by
     // rank and written by its peers as they consume.

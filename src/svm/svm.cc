@@ -560,7 +560,7 @@ SvmRuntime::fetchPage(int rank, PageId page)
     rs.lastOp = "fetch";
     rs.lastArg = int(page);
     std::uint32_t stamp = ++rs.fetchSeq;
-    CtlHeader h{kPageReq, std::uint32_t(rank), page, stamp, 0, 0};
+    CtlHeader h{kPageReq, std::uint32_t(rank), page, stamp, 0, 0, 0};
     sendCtl(rank, home, &h, sizeof(h));
 
     Tick fetch_start = cluster.sim().now();
@@ -702,7 +702,7 @@ SvmRuntime::flushPendingDiffs(int rank)
             }
             std::vector<char> msg(sizeof(CtlHeader) + seg.size());
             CtlHeader h{kDiff, std::uint32_t(rank), page, 0,
-                        std::uint32_t(seg.size()), 0};
+                        std::uint32_t(seg.size()), 0, 0};
             std::memcpy(msg.data(), &h, sizeof(h));
             std::memcpy(msg.data() + sizeof(h), seg.data(),
                         seg.size());
@@ -845,7 +845,7 @@ SvmRuntime::lock(int rank, int id)
         std::vector<char> msg(sizeof(CtlHeader) +
                               std::size_t(cfg.nprocs) * 4);
         CtlHeader h{kLockReq, std::uint32_t(rank), std::uint32_t(id), 0,
-                    std::uint32_t(cfg.nprocs * 4), 0};
+                    std::uint32_t(cfg.nprocs * 4), 0, 0};
         std::memcpy(msg.data(), &h, sizeof(h));
         std::memcpy(msg.data() + sizeof(h), rs.vc.data(),
                     std::size_t(cfg.nprocs) * 4);
@@ -963,7 +963,8 @@ SvmRuntime::barrier(int rank)
         std::size_t payload = std::size_t(cfg.nprocs) * 4;
         std::vector<char> msg(sizeof(CtlHeader) + payload);
         CtlHeader h{kBarrArrive, std::uint32_t(rank),
-                    std::uint32_t(epoch), 0, std::uint32_t(payload), 0};
+                    std::uint32_t(epoch), 0, std::uint32_t(payload), 0,
+                    0};
         std::memcpy(msg.data(), &h, sizeof(h));
         std::memcpy(msg.data() + sizeof(h), rs.vc.data(), payload);
         sendCtl(rank, 0, msg.data(), msg.size());
@@ -1004,7 +1005,7 @@ SvmRuntime::sendCtlWithNotices(int rank, int to, std::uint32_t kind,
                                std::uint32_t arg0, const Vc &vc,
                                std::size_t notice_bytes)
 {
-    CtlHeader h{kind, std::uint32_t(rank), arg0, 0, 0, 0};
+    CtlHeader h{kind, std::uint32_t(rank), arg0, 0, 0, 0, 0};
     // First message: header + vector clock + as many notice bytes as
     // fit in one page; the remainder travels in pad messages the
     // receiver discards (their bytes are what matters on the wire).
@@ -1023,7 +1024,7 @@ SvmRuntime::sendCtlWithNotices(int rank, int to, std::uint32_t kind,
             std::min(kMaxCtlPayload, notice_bytes - sent);
         std::vector<char> pad(sizeof(CtlHeader) + chunk, 0);
         CtlHeader ph{kNoticePad, std::uint32_t(rank), 0, 0,
-                     std::uint32_t(chunk), 0};
+                     std::uint32_t(chunk), 0, 0};
         std::memcpy(pad.data(), &ph, sizeof(ph));
         sendCtl(rank, to, pad.data(), pad.size());
         sent += chunk;

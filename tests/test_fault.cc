@@ -25,6 +25,7 @@
 #include "core/vmmc.hh"
 #include "mesh/fault.hh"
 #include "mesh/network.hh"
+#include "msg/nx.hh"
 #include "nic/shrimp_nic.hh"
 #include "node/node.hh"
 #include "sockets/socket.hh"
@@ -661,19 +662,59 @@ TEST(PeerHealth, ClusterSurfacesHealthyChannelState)
     EXPECT_EQ(ph.rtoStreak, 0);
 }
 
+namespace
+{
+
+/**
+ * A 2x1 cluster whose only path is dead: every packet drops and the
+ * channel gives up without aborting the simulator.
+ */
+core::ClusterConfig
+deadPathCluster()
+{
+    core::ClusterConfig cc;
+    cc.meshWidth = 2;
+    cc.meshHeight = 1;
+    cc.network.fault.dropRate = 1.0;
+    cc.network.fault.seed = 1;
+    cc.reliability.fatalOnGiveUp = false;
+    return cc;
+}
+
+/**
+ * Rank 1 sends one NX message to rank 0, which blocks receiving it
+ * from @p from (-1 = any sender). Only node 1's channel gives up, so
+ * the receiver learns of the death only if the give-up wakes node 0.
+ */
+void
+nxReceiveFromDeadPeer(int from)
+{
+    core::Cluster cluster(deadPathCluster());
+    msg::NxConfig ncfg;
+    ncfg.nprocs = 2;
+    msg::NxDomain dom(cluster, ncfg);
+    cluster.spawnOn(0, "receiver", [&] {
+        dom.init(0);
+        int v = 0;
+        dom.process(0).crecvProbe(-1, from, &v, sizeof(v), nullptr);
+    });
+    cluster.spawnOn(1, "sender", [&] {
+        dom.init(1);
+        int v = 1;
+        dom.process(1).csend(3, &v, sizeof(v), 0);
+    });
+    cluster.run();
+}
+
+} // anonymous namespace
+
 TEST(PeerHealth, DeadPeerKillsBlockedSocketSend)
 {
     // A socket blocked on ring credits from a peer whose path died
     // must fatal with a diagnosis, not sleep forever.
     EXPECT_DEATH(
         {
-            core::ClusterConfig cc;
-            cc.meshWidth = 2;
-            cc.meshHeight = 1;
-            cc.network.fault.dropRate = 1.0;
-            cc.network.fault.seed = 1;
-            cc.reliability.fatalOnGiveUp = false;
-            core::Cluster cluster(cc);
+            core::Cluster cluster(deadPathCluster());
             sock::SocketConfig scfg;
             scfg.bufBytes = node::kPageBytes;
             sock::SocketDomain dom(cluster, scfg);
@@ -691,4 +732,37 @@ TEST(PeerHealth, DeadPeerKillsBlockedSocketSend)
             cluster.sim().run();
         },
         "peer declared dead");
+}
+
+TEST(PeerHealth, DeadPeerKillsBlockedNxNamedReceive)
+{
+    EXPECT_DEATH(nxReceiveFromDeadPeer(1), "declared dead");
+}
+
+TEST(PeerHealth, DeadPeerKillsBlockedNxWildcardReceive)
+{
+    EXPECT_DEATH(nxReceiveFromDeadPeer(-1), "declared dead");
+}
+
+TEST(PeerHealth, DeadPeerKillsBlockedSocketRecv)
+{
+    // The sender's small write fits its ring and returns; the
+    // receiver waits on data that never arrives.
+    EXPECT_DEATH(
+        {
+            core::Cluster cluster(deadPathCluster());
+            sock::SocketDomain dom(cluster, sock::SocketConfig{});
+            cluster.sim().spawn("listener", [&] {
+                sock::Socket *a = dom.accept(0, 5);
+                char buf[16];
+                a->recv(buf, sizeof(buf));
+            });
+            cluster.sim().spawn("connector", [&] {
+                sock::Socket *b = dom.connect(1, 0, 5);
+                char msg[16] = "hello";
+                b->send(msg, sizeof(msg));
+            });
+            cluster.sim().run();
+        },
+        "declared dead");
 }

@@ -12,7 +12,6 @@
 #define SHRIMP_APPS_MAILBOX_HH
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "core/vmmc.hh"
@@ -48,9 +47,10 @@ class Mailbox
         PerRank &r = state[rank];
 
         std::size_t stride = slotStride();
+        // A fresh page-aligned arena allocation reads as zero, so the
+        // stamps start at 0 without touching the inbox's pages.
         r.inbox = static_cast<char *>(
             mem.alloc(stride * std::size_t(nprocs), true));
-        std::memset(r.inbox, 0, stride * std::size_t(nprocs));
         r.exp = ep.exportBuffer(r.inbox, stride * std::size_t(nprocs));
         ready[rank] = true;
 

@@ -95,18 +95,14 @@ Endpoint::import(NodeId owner, ExportId id)
 
     Import imp;
     imp.record = rec;
-    imp.proxyPages.reserve(rec->pages);
-    for (std::size_t i = 0; i < rec->pages; ++i) {
-        imp.proxyPages.push_back(
-            _nic.importPage(owner, rec->baseFrame + node::Frame(i)));
-    }
+    imp.firstProxy = _nic.importPage(owner, rec->baseFrame, rec->pages);
 
     // Mapping setup is kernel work (one trap, per-page table updates).
     _node.cpu().compute(_node.params().syscallCost +
                         Tick(rec->pages) * microseconds(1.0));
     _node.cpu().sync();
 
-    imports.push_back(std::move(imp));
+    imports.push_back(imp);
     return ProxyId(imports.size() - 1);
 }
 
@@ -146,11 +142,9 @@ Endpoint::unexport(ExportId id)
     // staleness is visible through record->live.
     for (int n = 0; n < _cluster.nodeCount(); ++n) {
         Endpoint &peer = _cluster.vmmc(n);
-        for (Import &imp : peer.imports) {
-            if (imp.record != &rec)
-                continue;
-            for (nic::OptIndex idx : imp.proxyPages)
-                peer._nic.invalidateProxy(idx);
+        for (const Import &imp : peer.imports) {
+            if (imp.record == &rec)
+                peer._nic.invalidateProxy(imp.firstProxy);
         }
     }
 
@@ -171,12 +165,11 @@ Endpoint::unimport(ProxyId p)
         fatal("unimport: proxy %u already torn down", p);
 
     imp.live = false;
-    for (nic::OptIndex idx : imp.proxyPages)
-        _nic.invalidateProxy(idx);
+    _nic.invalidateProxy(imp.firstProxy);
 
     // Unmapping is kernel work (one trap, per-page table updates).
     _node.cpu().compute(_node.params().syscallCost +
-                        Tick(imp.proxyPages.size()) * microseconds(1.0));
+                        Tick(imp.record->pages) * microseconds(1.0));
     if (_node.simulation().current())
         _node.cpu().sync();
     stUnimports.inc();
@@ -219,7 +212,7 @@ Endpoint::send(ProxyId proxy, const void *src, std::size_t bytes,
 
         nic::SendDesc req;
         req.src = s;
-        req.proxy = imp.proxyPages[page];
+        req.proxy = imp.firstProxy + nic::OptIndex(page);
         req.dstOffset = page_off;
         req.bytes = std::uint32_t(chunk);
         req.endOfMessage = (remaining == chunk);

@@ -350,7 +350,8 @@ class Endpoint
     struct Import
     {
         ExportRecord *record = nullptr;
-        std::vector<nic::OptIndex> proxyPages;
+        /** OPT entry of page 0; page i is firstProxy + i. */
+        nic::OptIndex firstProxy = nic::kInvalidOpt;
         bool live = true; //!< cleared by unimport
     };
 

@@ -25,7 +25,7 @@ void
 BaselineNic::post(const SendDesc &req)
 {
     auto &cpu = _node.cpu();
-    const auto &entry = _opt.proxy(req.proxy);
+    const OptEntry entry = _opt.proxy(req.proxy);
 
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("transfer crosses destination page boundary");

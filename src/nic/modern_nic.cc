@@ -27,7 +27,7 @@ void
 ModernNic::post(const SendDesc &req)
 {
     auto &cpu = _node.cpu();
-    const auto &entry = _opt.proxy(req.proxy);
+    const OptEntry entry = _opt.proxy(req.proxy);
 
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("transfer crosses destination page boundary");

@@ -241,14 +241,21 @@ class NicBase
     // Mapping setup (driven by the VMMC system layer)
     // ------------------------------------------------------------------
 
-    /** Allocate an OPT entry for an imported (proxy) page. */
+    /**
+     * Allocate OPT entries for an imported (proxy) buffer of @p pages
+     * pages starting at @p first_frame on @p dst_node. @return the
+     * first of @p pages consecutive indices, one per page.
+     */
     OptIndex
-    importPage(NodeId dst_node, node::Frame dst_frame)
+    importPage(NodeId dst_node, node::Frame first_frame, std::size_t pages)
     {
-        return _opt.allocate(dst_node, dst_frame);
+        return _opt.allocate(dst_node, first_frame, pages);
     }
 
-    /** Tear down a proxy page mapping; later transfers fault. */
+    /**
+     * Tear down the proxy mapping that owns entry @p idx, all of its
+     * pages; later transfers through any of them fault.
+     */
     void invalidateProxy(OptIndex idx) { _opt.invalidate(idx); }
 
     /** Receiver-side interrupt enable bit for an exported page. */

@@ -5,7 +5,9 @@
  * The OPT translates local sources to remote physical pages: imported
  * proxy pages get explicitly allocated entries (used by deliberate
  * update), and automatic update uses the one-to-one correspondence
- * between local physical pages and OPT entries (Sec 2.3).
+ * between local physical pages and OPT entries (Sec 2.3). An import
+ * maps one contiguous export, so the host stores its entries as one
+ * range of consecutive indices.
  *
  * The IPT holds per-destination-page receive state, most importantly
  * the receiver-controlled interrupt-enable bit used by notifications.
@@ -14,6 +16,7 @@
 #ifndef SHRIMP_NIC_PAGE_TABLES_HH
 #define SHRIMP_NIC_PAGE_TABLES_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -42,7 +45,6 @@ struct OptEntry
     bool auEnabled = false;        //!< automatic update on this page
     bool combining = false;        //!< AU combining enabled
     bool interruptRequest = false; //!< AU packets request an interrupt
-    bool valid = true;             //!< cleared when the import is torn down
 };
 
 /**
@@ -51,38 +53,47 @@ struct OptEntry
 class OutgoingPageTable
 {
   public:
-    /** Allocate an entry for an imported proxy page. */
+    /**
+     * Allocate entries for an imported proxy buffer: @p pages
+     * consecutive indices, the i-th mapping (@p dst_node,
+     * @p first_frame + i). @return the first index.
+     */
     OptIndex
-    allocate(NodeId dst_node, node::Frame dst_frame)
+    allocate(NodeId dst_node, node::Frame first_frame, std::size_t pages)
     {
-        proxyEntries.push_back(
-            OptEntry{dst_node, dst_frame, false, false, false, true});
-        return OptIndex(proxyEntries.size() - 1);
+        OptIndex first = OptIndex(proxyCount());
+        if (pages > kInvalidOpt - first)
+            panic("OPT proxy indices exhausted (%u + %zu)", first, pages);
+        proxyRanges.push_back(
+            ProxyRange{first, OptIndex(pages), dst_node, first_frame});
+        return first;
     }
 
     /** Look up a proxy entry; transfers through dead entries fault. */
-    const OptEntry &
+    OptEntry
     proxy(OptIndex idx) const
     {
-        if (idx >= proxyEntries.size())
+        if (idx >= proxyCount())
             panic("OPT proxy index %u out of range", idx);
-        if (!proxyEntries[idx].valid)
+        const ProxyRange &r = proxyRanges[rangeOf(idx)];
+        if (!r.valid)
             fatal("OPT proxy entry %u is stale (unimported or "
                   "unexported buffer)", idx);
-        return proxyEntries[idx];
+        return OptEntry{r.dstNode, r.firstFrame + (idx - r.first)};
     }
 
     /**
-     * Invalidate a proxy entry when its import (or the underlying
-     * export) is torn down. Indices are never reused, so stale sends
-     * hit the dead entry instead of someone else's memory.
+     * Invalidate the import that owns entry @p idx, every page of it,
+     * when the import (or the underlying export) is torn down.
+     * Indices are never reused, so stale sends hit the dead entry
+     * instead of someone else's memory.
      */
     void
     invalidate(OptIndex idx)
     {
-        if (idx >= proxyEntries.size())
+        if (idx >= proxyCount())
             panic("OPT invalidate: index %u out of range", idx);
-        proxyEntries[idx].valid = false;
+        proxyRanges[rangeOf(idx)].valid = false;
     }
 
     /**
@@ -115,10 +126,37 @@ class OutgoingPageTable
     std::size_t auBindingCount() const { return auBindings.size(); }
 
     /** Number of allocated proxy entries. */
-    std::size_t proxyCount() const { return proxyEntries.size(); }
+    std::size_t
+    proxyCount() const
+    {
+        return proxyRanges.empty()
+                   ? 0
+                   : std::size_t(proxyRanges.back().first) +
+                         proxyRanges.back().pages;
+    }
 
   private:
-    std::vector<OptEntry> proxyEntries;
+    /** The entries of one import, in index order. */
+    struct ProxyRange
+    {
+        OptIndex first = 0;   //!< index of the first page
+        OptIndex pages = 0;   //!< consecutive indices it owns
+        NodeId dstNode = kInvalidNode;
+        node::Frame firstFrame = node::kInvalidFrame; //!< of @c first
+        bool valid = true;    //!< cleared when the import is torn down
+    };
+
+    /** Position of the range holding @p idx (< proxyCount()). */
+    std::size_t
+    rangeOf(OptIndex idx) const
+    {
+        auto it = std::upper_bound(
+            proxyRanges.begin(), proxyRanges.end(), idx,
+            [](OptIndex i, const ProxyRange &r) { return i < r.first; });
+        return std::size_t(it - proxyRanges.begin()) - 1;
+    }
+
+    std::vector<ProxyRange> proxyRanges;
     std::unordered_map<node::Frame, OptEntry> auBindings;
 };
 

@@ -74,7 +74,7 @@ void
 ShrimpNic::post(const SendDesc &req)
 {
     auto &cpu = _node.cpu();
-    const auto &entry = _opt.proxy(req.proxy);
+    const OptEntry entry = _opt.proxy(req.proxy);
 
     if (req.dstOffset + req.bytes > node::kPageBytes)
         panic("deliberate update crosses destination page boundary");

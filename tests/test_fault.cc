@@ -299,7 +299,7 @@ TEST(Reliability, ExactlyOnceInOrderUnderHeavyLoss)
 
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
 
     std::vector<std::uint32_t> offsets;
     h.nic1.setDeliverHook(
@@ -348,7 +348,7 @@ TEST(Reliability, CorruptedPacketsAreDroppedAndResent)
 
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
     int deliveries = 0;
     h.nic1.setDeliverHook([&](const nic::Delivery &) { ++deliveries; });
 
@@ -389,7 +389,7 @@ TEST(Reliability, GiveUpOnDeadPathIsFatal)
                 static_cast<char *>(h.n1.mem().alloc(4096, true));
             std::memset(dst, 0, 4096);
             nic::OptIndex proxy =
-                h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+                h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
             h.sim.spawn("send", [&] {
                 char v = 1;
                 nic::SendDesc req;
@@ -414,7 +414,7 @@ TEST(Reliability, ZeroRateProtocolIsTransparent)
 
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    nic::OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
     int deliveries = 0;
     h.nic1.setDeliverHook([&](const nic::Delivery &) { ++deliveries; });
 
@@ -630,7 +630,7 @@ TEST(PeerHealth, NonFatalGiveUpMarksChannelDeadAndCompletes)
 
     char *dst = static_cast<char *>(n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    nic::OptIndex proxy = nic0.importPage(1, n1.mem().frameOf(dst));
+    nic::OptIndex proxy = nic0.importPage(1, n1.mem().frameOf(dst), 1);
     sim.spawn("send", [&] {
         char v = 1;
         nic::SendDesc req;

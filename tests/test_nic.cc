@@ -44,12 +44,59 @@ struct NicHarness
 TEST(PageTables, OptProxyAllocationAndLookup)
 {
     OutgoingPageTable opt;
-    OptIndex a = opt.allocate(3, 17);
-    OptIndex b = opt.allocate(5, 99);
+    OptIndex a = opt.allocate(3, 17, 1);
+    OptIndex b = opt.allocate(5, 99, 1);
     EXPECT_EQ(opt.proxy(a).dstNode, 3u);
     EXPECT_EQ(opt.proxy(a).dstFrame, 17u);
     EXPECT_EQ(opt.proxy(b).dstNode, 5u);
     EXPECT_EQ(opt.proxyCount(), 2u);
+}
+
+TEST(PageTables, OptImportIsOneRangeOfConsecutiveIndices)
+{
+    // A 256-rank mailbox inbox: 768 pages in one import.
+    OutgoingPageTable opt;
+    OptIndex a = opt.allocate(3, 40, 768);
+    EXPECT_EQ(a, 0u);
+    EXPECT_EQ(opt.proxyCount(), 768u);
+    for (OptIndex i = 0; i < 768; ++i) {
+        EXPECT_EQ(opt.proxy(a + i).dstNode, 3u);
+        EXPECT_EQ(opt.proxy(a + i).dstFrame, 40u + i);
+    }
+
+    // The next import continues the numbering.
+    OptIndex b = opt.allocate(5, 7, 2);
+    EXPECT_EQ(b, 768u);
+    EXPECT_EQ(opt.proxyCount(), 770u);
+    EXPECT_EQ(opt.proxy(b).dstNode, 5u);
+    EXPECT_EQ(opt.proxy(b + 1).dstFrame, 8u);
+    EXPECT_EQ(opt.proxy(b - 1).dstFrame, 40u + 767);
+}
+
+TEST(PageTablesDeathTest, InvalidateKillsTheWholeImportOnly)
+{
+    OutgoingPageTable opt;
+    OptIndex a = opt.allocate(1, 10, 3);
+    OptIndex b = opt.allocate(2, 50, 3);
+    OptIndex c = opt.allocate(3, 90, 3);
+    opt.invalidate(b);
+    for (OptIndex i = 0; i < 3; ++i)
+        EXPECT_DEATH(opt.proxy(b + i), "stale");
+    // The neighbouring imports still resolve.
+    EXPECT_EQ(opt.proxy(a + 2).dstFrame, 12u);
+    EXPECT_EQ(opt.proxy(c).dstNode, 3u);
+    EXPECT_EQ(opt.proxy(c).dstFrame, 90u);
+}
+
+TEST(PageTablesDeathTest, IndexPastProxyCountPanics)
+{
+    OutgoingPageTable opt;
+    EXPECT_DEATH(opt.proxy(0), "out of range");
+    opt.allocate(1, 10, 4);
+    EXPECT_DEATH(opt.proxy(4), "out of range");
+    EXPECT_DEATH(opt.invalidate(4), "out of range");
+    // Ranges make a huge import cheap, so the index space is checked.
+    EXPECT_DEATH(opt.allocate(1, 0, kInvalidOpt), "exhausted");
 }
 
 TEST(PageTables, AuBindingLifecycle)
@@ -81,7 +128,7 @@ TEST(ShrimpNic, DeliberateUpdateWritesRemoteMemory)
     std::memset(dst, 0, 4096);
     node::Frame dst_frame = h.n1.mem().frameOf(dst);
 
-    OptIndex proxy = h.nic0.importPage(1, dst_frame);
+    OptIndex proxy = h.nic0.importPage(1, dst_frame, 1);
     bool delivered = false;
     h.nic1.setDeliverHook([&](const Delivery &d) {
         delivered = true;
@@ -109,7 +156,7 @@ TEST(ShrimpNic, PageCrossingTransferPanics)
 {
     NicHarness h;
     char *dst = static_cast<char *>(h.n1.mem().alloc(8192, true));
-    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
     h.sim.spawn("send", [&] {
         SendDesc req;
         char buf[64] = {};
@@ -247,7 +294,7 @@ TEST(ShrimpNic, NotificationRequiresBothBits)
     NicHarness h;
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     node::Frame frame = h.n1.mem().frameOf(dst);
-    OptIndex proxy = h.nic0.importPage(1, frame);
+    OptIndex proxy = h.nic0.importPage(1, frame, 1);
 
     int notified = 0;
     int delivered = 0;
@@ -287,7 +334,7 @@ TEST(ShrimpNic, ForcedInterruptModeChargesReceiverCpu)
     p.interruptPerMessage = true;
     NicHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
-    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
 
     h.sim.spawn("p", [&] {
         for (int i = 0; i < 10; ++i) {
@@ -315,7 +362,7 @@ TEST(ShrimpNic, DuQueueDepthAllowsPipelinedSubmit)
         NicHarness h(p);
         char *dst = static_cast<char *>(h.n1.mem().alloc(8192, true));
         OptIndex proxy =
-            h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+            h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
         Tick second_accepted = 0;
         h.sim.spawn("p", [&] {
             std::vector<char> buf(4096, 'x');
@@ -444,7 +491,7 @@ TEST(ModernNic, DoorbellPostIsCheapAndDelivers)
     ModernHarness h;
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
 
     bool delivered = false;
     h.nic1.setDeliverHook([&](const Delivery &d) {
@@ -478,7 +525,7 @@ TEST(ModernNic, NotifiableWriteWakesUserLevelWaiter)
     ModernHarness h;
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     std::memset(dst, 0, 4096);
-    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst));
+    OptIndex proxy = h.nic0.importPage(1, h.n1.mem().frameOf(dst), 1);
 
     bool data_present_at_wake = false;
     h.sim.spawn("waiter", [&] {
@@ -514,7 +561,7 @@ TEST(ModernNic, CqCoalescesNotificationsIntoOneInterrupt)
     ModernHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     node::Frame frame = h.n1.mem().frameOf(dst);
-    OptIndex proxy = h.nic0.importPage(1, frame);
+    OptIndex proxy = h.nic0.importPage(1, frame, 1);
     h.nic1.setInterruptEnable(frame, true);
 
     int notified = 0;
@@ -550,7 +597,7 @@ TEST(ModernNic, CqTimeoutDrainsPartialBatch)
     ModernHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     node::Frame frame = h.n1.mem().frameOf(dst);
-    OptIndex proxy = h.nic0.importPage(1, frame);
+    OptIndex proxy = h.nic0.importPage(1, frame, 1);
     h.nic1.setInterruptEnable(frame, true);
 
     Tick notified_at = 0;
@@ -583,7 +630,7 @@ TEST(ModernNic, UrgentEventBypassesCoalescing)
     ModernHarness h(p);
     char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
     node::Frame frame = h.n1.mem().frameOf(dst);
-    OptIndex proxy = h.nic0.importPage(1, frame);
+    OptIndex proxy = h.nic0.importPage(1, frame, 1);
     h.nic1.setInterruptEnable(frame, true);
 
     Tick notified_at = 0;

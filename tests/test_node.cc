@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "node/node.hh"
 
 using namespace shrimp;
@@ -24,6 +26,26 @@ TEST(NodeMemory, AllocatesAndTranslates)
     EXPECT_EQ(mem.ptrOf(f), b);
     EXPECT_EQ(mem.ptrOf(f, 123), static_cast<char *>(b) + 123);
     EXPECT_FALSE(mem.contains(&f));
+}
+
+TEST(NodeMemory, PageAlignedAllocationReadsZero)
+{
+    // Receive buffers (NX rings, mailbox inboxes) are not cleared
+    // after allocation: they rely on the arena handing out pages no
+    // earlier allocation touched, which read as zero.
+    NodeMemory mem(1 << 20);
+    constexpr std::size_t kUsed = kPageBytes + 100;
+    auto *used = static_cast<unsigned char *>(mem.alloc(kUsed));
+    std::memset(used, 0xff, kUsed);
+
+    constexpr std::size_t kFresh = 3 * kPageBytes;
+    auto *fresh =
+        static_cast<const unsigned char *>(mem.alloc(kFresh, true));
+    EXPECT_EQ(mem.offsetOf(fresh) % kPageBytes, 0u);
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < kFresh; ++i)
+        nonzero += fresh[i] != 0;
+    EXPECT_EQ(nonzero, 0u);
 }
 
 TEST(NodeMemory, ExhaustionIsFatal)

@@ -569,6 +569,52 @@ TEST(VmmcTeardown, DoubleUnexportIsFatal)
         "already withdrawn");
 }
 
+TEST(VmmcTeardown, MultiPageImportsTearDownWhole)
+{
+    // Two imports of one 3-page export. Unimporting the first leaves
+    // the second mapping every page, the last one included. With
+    // withdraw set, the owner then unexports and the second goes
+    // stale.
+    constexpr std::size_t kBytes = 3 * node::kPageBytes;
+    auto scenario = [](bool withdraw) {
+        Cluster c;
+        char *buf = pageBuf(c, 1, kBytes);
+        ExportId exp = kInvalidExport;
+        bool landed = false;
+        bool withdrawn = false;
+        c.spawnOn(1, "owner", [&] {
+            exp = c.vmmc(1).exportBuffer(buf, kBytes);
+            c.vmmc(1).waitUntil([&] { return buf[kBytes - 1] == 7; });
+            landed = true;
+            if (withdraw) {
+                c.vmmc(1).unexport(exp);
+                withdrawn = true;
+            }
+        });
+        c.spawnOn(0, "importer", [&] {
+            while (exp == kInvalidExport)
+                c.sim().delay(microseconds(10));
+            ProxyId first = c.vmmc(0).import(1, exp);
+            ProxyId second = c.vmmc(0).import(1, exp);
+            c.vmmc(0).unimport(first);
+            char v = 7;
+            c.vmmc(0).send(second, &v, 1, kBytes - 1);
+            if (!withdraw)
+                return;
+            // Bounded, so a send that never lands fails the test
+            // instead of hanging it.
+            for (int i = 0; i < 1000 && !withdrawn; ++i)
+                c.sim().delay(microseconds(10));
+            c.vmmc(0).send(second, &v, 1, kBytes - 1); // stale
+        });
+        c.run();
+        return landed;
+    };
+
+    EXPECT_TRUE(scenario(false));
+    EXPECT_DEATH(scenario(true), "stale proxy");
+}
+
 TEST(VmmcTeardown, HandlesReleaseMappingsOnScopeExit)
 {
     Cluster c;

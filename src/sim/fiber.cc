@@ -9,6 +9,10 @@
 
 #include "sim/logging.hh"
 
+#if defined(SHRIMP_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace shrimp
 {
 
@@ -71,6 +75,12 @@ FiberStack::~FiberStack()
         if (next)
             next->prev = prev;
     }
+#if defined(SHRIMP_ASAN_FIBERS)
+    // ASan keeps the redzones of this stack's dead frames in shadow
+    // memory after munmap; a later mmap that reuses the addresses (a
+    // node arena) would inherit them as stack poison.
+    __asan_unpoison_memory_region(data(), bytes);
+#endif
     ::munmap(base, bytes + guardBytes);
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * A small all-pairs mailbox on raw VMMC: one slot per (sender,
- * receiver) pair, written by deliberate update with a trailing stamp
- * (FIFO delivery makes the stamp an arrival marker). The native-VMMC
+ * receiver) pair, written by deliberate update and stamped by the
+ * message's last write (FIFO delivery makes the stamp an arrival
+ * marker). The stamp is the header's first word, so a message of up
+ * to a page minus the header touches one inbox page. The native-VMMC
  * applications use it for control exchanges (histograms, offsets,
  * gathered key runs) the way the paper's VMMC ports managed their own
  * receive buffers.
@@ -47,8 +49,6 @@ class Mailbox
         PerRank &r = state[rank];
 
         std::size_t stride = slotStride();
-        // A fresh page-aligned arena allocation reads as zero, so the
-        // stamps start at 0 without touching the inbox's pages.
         r.inbox = static_cast<char *>(
             mem.alloc(stride * std::size_t(nprocs), true));
         r.exp = ep.exportBuffer(r.inbox, stride * std::size_t(nprocs));
@@ -87,13 +87,14 @@ class Mailbox
         core::Endpoint &ep = cluster.vmmc(rank);
         std::size_t base = slotStride() * std::size_t(rank);
 
-        Header h{++r.sendSeq[to], std::uint64_t(bytes)};
+        // The header carries the previous stamp, so it cannot signal
+        // before the payload lands; the last write sets the new one.
+        Header h{r.sendSeq[to], std::uint64_t(bytes)};
         ep.send(r.proxy[to], &h, sizeof(h), base);
         if (bytes > 0)
             ep.send(r.proxy[to], data, bytes, base + sizeof(Header));
-        std::uint64_t stamp = r.sendSeq[to];
-        ep.send(r.proxy[to], &stamp, sizeof(stamp),
-                base + slotStride() - sizeof(std::uint64_t));
+        std::uint64_t stamp = ++r.sendSeq[to];
+        ep.send(r.proxy[to], &stamp, sizeof(stamp), base);
     }
 
     /**
@@ -109,8 +110,7 @@ class Mailbox
         std::uint64_t want = ++r.recvSeq[from];
 
         volatile std::uint64_t *stamp =
-            reinterpret_cast<volatile std::uint64_t *>(
-                r.inbox + base + slotStride() - sizeof(std::uint64_t));
+            reinterpret_cast<volatile std::uint64_t *>(r.inbox + base);
         ep.waitUntil([stamp, want] { return *stamp >= want; });
 
         const Header *h =
@@ -126,15 +126,15 @@ class Mailbox
   private:
     struct Header
     {
-        std::uint64_t seq;
+        std::uint64_t stamp;
         std::uint64_t bytes;
     };
 
     std::size_t
     slotStride() const
     {
-        // header + payload + trailing stamp, page aligned.
-        std::size_t raw = sizeof(Header) + slotBytes + 8;
+        // header + payload, page aligned.
+        std::size_t raw = sizeof(Header) + slotBytes;
         return (raw + node::kPageBytes - 1) / node::kPageBytes *
                node::kPageBytes;
     }

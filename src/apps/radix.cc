@@ -245,7 +245,6 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
             b.partA = mem.allocArray<std::uint32_t>(per, true);
             b.partB = mem.allocArray<std::uint32_t>(per, true);
             std::memcpy(b.partA, init_keys.data() + per * q, per * 4);
-            std::memset(b.partB, 0, per * 4);
             b.expA = ep.exportBuffer(b.partA, per * 4);
             b.expB = ep.exportBuffer(b.partB, per * 4);
             b.exported = true;

@@ -1,7 +1,5 @@
 #include "msg/bsp.hh"
 
-#include <cstring>
-
 #include "sim/logging.hh"
 #include "sim/recorder.hh"
 
@@ -28,7 +26,6 @@ BspDomain::init(int rank)
     // End-of-superstep markers: one u64 slot per peer.
     auto *eos = static_cast<std::uint64_t *>(
         mem.alloc(node::kPageBytes, true));
-    std::memset(eos, 0, node::kPageBytes);
     r.eos = eos;
     r.eosExp = ep.exportBuffer(eos, node::kPageBytes);
     r.initialized = true;

@@ -91,8 +91,6 @@ NxDomain::init(int rank)
         if (peer == rank)
             continue;
         InRing &ring = inRings[rank][peer];
-        // Fresh arena pages read as zero; no memset, or the whole
-        // n^2-ring matrix faults into host RSS at construction.
         ring.base = static_cast<char *>(
             mem.alloc(config.ringBytes, true));
         ring.exp = ep.exportBuffer(ring.base, config.ringBytes);

@@ -84,7 +84,6 @@ RpcDomain::initServer(int server_rank)
     const int max_clients = cluster.nodeCount() * 2;
     std::size_t bytes = s.slotStride * std::size_t(max_clients);
     s.reqArea = static_cast<char *>(mem.alloc(bytes, true));
-    std::memset(s.reqArea, 0, bytes);
     s.reqExp = ep.exportBuffer(s.reqArea, bytes);
     s.slots.assign(max_clients, nullptr);
     s.lastServed.assign(max_clients, 0);
@@ -140,7 +139,6 @@ RpcDomain::bind(int client_rank, int server_rank)
          node::kPageBytes - 1) /
         node::kPageBytes * node::kPageBytes;
     raw->replyBuf = static_cast<char *>(mem.alloc(reply_bytes, true));
-    std::memset(raw->replyBuf, 0, reply_bytes);
     core::ExportId reply_exp =
         ep.exportBuffer(raw->replyBuf, reply_bytes);
 

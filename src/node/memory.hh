@@ -63,6 +63,11 @@ class NodeMemory
     /**
      * Allocate @p bytes, page-aligned when @p page_aligned (default:
      * 8-byte aligned). Allocation is permanent for the run.
+     *
+     * The memory always reads as zero: a bump allocation never hands
+     * out a byte twice, and the MAP_NORESERVE mapping zero-fills each
+     * page on first touch. Callers never clear it; a memset would
+     * only fault in pages nobody else writes.
      */
     void *
     alloc(std::size_t bytes, bool page_aligned = false)

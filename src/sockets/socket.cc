@@ -31,10 +31,8 @@ SocketDomain::makeHalf(int rank, int peer)
     core::Endpoint &ep = cluster.vmmc(rank);
     auto &mem = ep.node().mem();
     raw->inRing = static_cast<char *>(mem.alloc(_config.bufBytes, true));
-    std::memset(raw->inRing, 0, _config.bufBytes);
     raw->inCtl = static_cast<Socket::Ctl *>(
         mem.alloc(node::kPageBytes, true));
-    std::memset(raw->inCtl, 0, node::kPageBytes);
     raw->ringExp = ep.exportBuffer(raw->inRing, _config.bufBytes);
     raw->ctlExp = ep.exportBuffer(
         reinterpret_cast<char *>(raw->inCtl), node::kPageBytes);
@@ -53,7 +51,6 @@ SocketDomain::finishImport(Socket *s, Socket *peer_half)
         auto &mem = ep.node().mem();
         s->auStage = static_cast<char *>(
             mem.alloc(_config.bufBytes, true));
-        std::memset(s->auStage, 0, _config.bufBytes);
         ep.bindAu(s->auStage, s->outRing, 0, _config.bufBytes,
                   _config.auCombining);
     }

@@ -203,11 +203,9 @@ SvmRuntime::SvmRuntime(core::Cluster &cluster, const SvmConfig &config)
         homes[p] = int(p % PageId(cfg.nprocs));
 
     replicas.resize(cfg.nprocs);
-    for (int r = 0; r < cfg.nprocs; ++r) {
+    for (int r = 0; r < cfg.nprocs; ++r)
         replicas[r] = static_cast<char *>(
             cluster.node(r).mem().alloc(cfg.heapBytes, true));
-        std::memset(replicas[r], 0, cfg.heapBytes);
-    }
 
     intervalsOf.assign(cfg.nprocs, {});
     barrierVc.assign(cfg.nprocs, 0);
@@ -352,10 +350,8 @@ SvmRuntime::init(int rank)
 
     rs.reqBuf = static_cast<char *>(
         mem.alloc(kCtlRegionBytes * std::size_t(cfg.nprocs), true));
-    std::memset(rs.reqBuf, 0, kCtlRegionBytes * std::size_t(cfg.nprocs));
     rs.ctl = static_cast<RankState::NodeCtl *>(
         mem.alloc(node::kPageBytes, true));
-    std::memset(rs.ctl, 0, node::kPageBytes);
 
     rs.heapExp = ep.exportBuffer(replicas[rank], cfg.heapBytes);
     rs.reqExp = ep.exportBuffer(

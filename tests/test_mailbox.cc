@@ -5,6 +5,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 #include <vector>
@@ -13,6 +14,21 @@
 
 using namespace shrimp;
 using namespace shrimp::apps;
+
+namespace
+{
+
+/** Whether the model page at @p page is resident in host memory. */
+bool
+resident(const char *page)
+{
+    unsigned char v = 0;
+    EXPECT_EQ(::mincore(const_cast<char *>(page), node::kPageBytes, &v),
+              0);
+    return v & 1;
+}
+
+} // anonymous namespace
 
 TEST(Mailbox, RoundTripBetweenTwoRanks)
 {
@@ -167,4 +183,35 @@ TEST(Mailbox, EmptyMessageDeliversZeroBytes)
     });
     c.run();
     EXPECT_EQ(got, 0u);
+}
+
+/**
+ * The stamp is the header's first word, so a message that fits the
+ * slot's first page leaves the slot's other pages untouched. At 256
+ * ranks that is one host page per rank pair, not two.
+ */
+TEST(Mailbox, SmallMessageTouchesOnlyTheSlotsFirstPage)
+{
+    core::Cluster c;
+    Mailbox mbox(c, 2, 8192); // header + 8,192 bytes: three pages
+    const char *slot = nullptr;
+
+    c.spawnOn(0, "a", [&] {
+        mbox.init(0);
+        std::uint32_t v = 42;
+        mbox.send(0, 1, &v, sizeof(v));
+    });
+    c.spawnOn(1, "b", [&] {
+        mbox.init(1);
+        std::size_t n = 0;
+        const char *d = static_cast<const char *>(mbox.recv(1, 0, &n));
+        EXPECT_EQ(n, sizeof(std::uint32_t));
+        // Slots are page aligned and the payload follows the header.
+        slot = d - reinterpret_cast<std::uintptr_t>(d) % node::kPageBytes;
+    });
+    c.run();
+    ASSERT_NE(slot, nullptr);
+    EXPECT_TRUE(resident(slot));
+    EXPECT_FALSE(resident(slot + node::kPageBytes));
+    EXPECT_FALSE(resident(slot + 2 * node::kPageBytes));
 }

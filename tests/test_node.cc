@@ -30,9 +30,10 @@ TEST(NodeMemory, AllocatesAndTranslates)
 
 TEST(NodeMemory, PageAlignedAllocationReadsZero)
 {
-    // Receive buffers (NX rings, mailbox inboxes) are not cleared
-    // after allocation: they rely on the arena handing out pages no
-    // earlier allocation touched, which read as zero.
+    // No subsystem clears arena memory after allocation (rings,
+    // inboxes, control pages, SVM heap replicas): it relies on the
+    // arena handing out pages no earlier allocation touched, which
+    // read as zero.
     NodeMemory mem(1 << 20);
     constexpr std::size_t kUsed = kPageBytes + 100;
     auto *used = static_cast<unsigned char *>(mem.alloc(kUsed));

@@ -6,6 +6,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <numeric>
 #include <vector>
@@ -196,6 +197,33 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, SvmProtocolTest,
                                      ch = '_';
                              return n;
                          });
+
+/**
+ * Fresh arena memory reads as zero, so construction clears no heap
+ * replica: a shared page nobody has touched costs no host memory on
+ * any rank.
+ */
+TEST(SvmRuntime, ConstructionLeavesHeapReplicasUntouched)
+{
+    constexpr std::size_t kPages = 64;
+    core::Cluster c;
+    SvmConfig cfg;
+    cfg.nprocs = 4;
+    cfg.heapBytes = kPages * node::kPageBytes;
+    SvmRuntime rt(c, cfg);
+
+    void *heap = rt.sharedAlloc(cfg.heapBytes);
+    for (int r = 0; r < cfg.nprocs; ++r) {
+        std::vector<unsigned char> res(kPages);
+        ASSERT_EQ(::mincore(rt.replicaAddr(r, heap), cfg.heapBytes,
+                            res.data()),
+                  0);
+        int touched = 0;
+        for (unsigned char v : res)
+            touched += v & 1;
+        EXPECT_EQ(touched, 0) << "rank " << r;
+    }
+}
 
 TEST(Svm, HomeWritesNeedNoFaults)
 {

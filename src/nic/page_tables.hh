@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -104,12 +103,24 @@ class OutgoingPageTable
     bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
            bool combining, bool interrupt_request)
     {
-        auBindings[local] = OptEntry{dst_node, dst_frame, true,
-                                     combining, interrupt_request};
+        if (local >= auBindings.size())
+            auBindings.resize(std::size_t(local) + 1);
+        OptEntry &e = auBindings[local];
+        if (!e.auEnabled)
+            ++liveAuBindings;
+        e = OptEntry{dst_node, dst_frame, true, combining,
+                     interrupt_request};
     }
 
     /** Disable automatic update on local page @p local. */
-    void unbindAu(node::Frame local) { auBindings.erase(local); }
+    void
+    unbindAu(node::Frame local)
+    {
+        if (local < auBindings.size() && auBindings[local].auEnabled) {
+            auBindings[local] = OptEntry{};
+            --liveAuBindings;
+        }
+    }
 
     /**
      * @return the AU binding for local page @p local, or nullptr when
@@ -118,12 +129,13 @@ class OutgoingPageTable
     const OptEntry *
     auBinding(node::Frame local) const
     {
-        auto it = auBindings.find(local);
-        return it == auBindings.end() ? nullptr : &it->second;
+        return local < auBindings.size() && auBindings[local].auEnabled
+                   ? &auBindings[local]
+                   : nullptr;
     }
 
     /** Number of live AU bindings. */
-    std::size_t auBindingCount() const { return auBindings.size(); }
+    std::size_t auBindingCount() const { return liveAuBindings; }
 
     /** Number of allocated proxy entries. */
     std::size_t
@@ -157,7 +169,14 @@ class OutgoingPageTable
     }
 
     std::vector<ProxyRange> proxyRanges;
-    std::unordered_map<node::Frame, OptEntry> auBindings;
+
+    /**
+     * AU entries indexed by local frame, auEnabled marking the live
+     * ones: the snoop path looks one up per store. Sized to the
+     * highest frame bound so far, so a DU-only node holds none.
+     */
+    std::vector<OptEntry> auBindings;
+    std::size_t liveAuBindings = 0;
 };
 
 /**

@@ -57,16 +57,15 @@ ShrimpNic::bindAu(node::Frame local, NodeId dst_node,
 {
     _opt.bindAu(local, dst_node, dst_frame,
                 combining && _params.combiningEnabled, interrupt_request);
+    if (local >= trainIndex.size())
+        trainIndex.resize(std::size_t(local) + 1, kNoTrain);
 }
 
 void
 ShrimpNic::unbindAu(node::Frame local)
 {
-    auto it = trainIndex.find(local);
-    if (it != trainIndex.end()) {
-        flushTrain(trainOrder[it->second]);
-        trainIndex.erase(it);
-    }
+    if (local < trainIndex.size() && trainIndex[local] != kNoTrain)
+        flushTrain(trainOrder[trainIndex[local]]);
     _opt.unbindAu(local);
 }
 
@@ -215,20 +214,26 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
         _node.cpu().sync();
         if (fifoStalled)
             fifoWait.wait(sim);
+        // Other processes ran meanwhile; a bind that grew the table
+        // moved the entry, and an unbind removed it.
+        entry = _opt.auBinding(frame);
+        if (!entry)
+            return;
     }
 
-    auto [it, inserted] =
-        trainIndex.try_emplace(frame, trainOrder.size());
-    if (inserted)
-        trainOrder.emplace_back();
-    AuTrain &train = trainOrder[it->second];
-    if (train.dstFrame == node::kInvalidFrame) {
-        train.dstNode = entry->dstNode;
-        train.dstFrame = entry->dstFrame;
-        train.combining = entry->combining;
-        train.interruptRequest = entry->interruptRequest;
-        train.life = sim.recorder().sendStamp();
+    // A bound frame is below trainIndex.size() (bindAu grew it).
+    std::uint32_t &slot = trainIndex[frame];
+    if (slot == kNoTrain) {
+        slot = std::uint32_t(trainOrder.size());
+        AuTrain &fresh = trainOrder.emplace_back();
+        fresh.localFrame = frame;
+        fresh.dstNode = entry->dstNode;
+        fresh.dstFrame = entry->dstFrame;
+        fresh.combining = entry->combining;
+        fresh.interruptRequest = entry->interruptRequest;
+        fresh.life = sim.recorder().sendStamp();
     }
+    AuTrain &train = trainOrder[slot];
 
     AuWrite w;
     w.offset = offset;
@@ -279,7 +284,6 @@ ShrimpNic::auFlush()
     for (auto &t : trainOrder)
         flushTrain(t);
     trainOrder.clear();
-    trainIndex.clear();
 }
 
 void
@@ -287,6 +291,7 @@ ShrimpNic::flushTrain(AuTrain &train)
 {
     if (train.writes.empty())
         return;
+    trainIndex[train.localFrame] = kNoTrain;
 
     double link_bw = _net.params().linkBytesPerSec;
     std::uint32_t data_bytes = std::uint32_t(train.data.size());

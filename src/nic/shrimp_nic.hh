@@ -20,7 +20,6 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "nic/nic_base.hh"
 #include "sim/simulation.hh"
@@ -128,6 +127,7 @@ class ShrimpNic : public NicBase
     /** One open AU packet train. */
     struct AuTrain
     {
+        node::Frame localFrame = node::kInvalidFrame; //!< snooped page
         NodeId dstNode = kInvalidNode;
         node::Frame dstFrame = node::kInvalidFrame;
         std::vector<AuWrite> writes;
@@ -178,8 +178,12 @@ class ShrimpNic : public NicBase
     bool duEngineBusy = false;
 
     // Automatic update. Trains flush in first-write order so that
-    // multi-page write sequences arrive in program order.
-    std::unordered_map<node::Frame, std::size_t> trainIndex;
+    // multi-page write sequences arrive in program order. trainIndex
+    // maps a local frame to its open train's slot in trainOrder
+    // (kNoTrain: none); like the OPT's AU entries it is sized to the
+    // highest frame bound so far, and a flushed train clears its slot.
+    static constexpr std::uint32_t kNoTrain = ~std::uint32_t(0);
+    std::vector<std::uint32_t> trainIndex;
     std::vector<AuTrain> trainOrder;
     /**
      * Page of the most recent AU store: combining merges only stores

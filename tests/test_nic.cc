@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "mesh/network.hh"
 #include "nic/modern_nic.hh"
@@ -103,12 +104,47 @@ TEST(PageTables, AuBindingLifecycle)
 {
     OutgoingPageTable opt;
     EXPECT_EQ(opt.auBinding(7), nullptr);
+    EXPECT_EQ(opt.auBindingCount(), 0u);
     opt.bindAu(7, 2, 40, /*combining=*/true, /*irq=*/false);
     ASSERT_NE(opt.auBinding(7), nullptr);
     EXPECT_EQ(opt.auBinding(7)->dstFrame, 40u);
     EXPECT_TRUE(opt.auBinding(7)->combining);
+    EXPECT_EQ(opt.auBindingCount(), 1u);
+
+    // A lookup past the highest frame bound so far.
+    EXPECT_EQ(opt.auBinding(8), nullptr);
+    EXPECT_EQ(opt.auBinding(1u << 20), nullptr);
+
+    // A low frame after a high one; the frames between stay unbound.
+    opt.bindAu(2, 3, 50, /*combining=*/false, /*irq=*/true);
+    ASSERT_NE(opt.auBinding(2), nullptr);
+    EXPECT_EQ(opt.auBinding(2)->dstNode, 3u);
+    EXPECT_TRUE(opt.auBinding(2)->interruptRequest);
+    EXPECT_EQ(opt.auBinding(5), nullptr);
+    EXPECT_EQ(opt.auBindingCount(), 2u);
+
+    // Rebinding a bound frame replaces it without counting twice.
+    opt.bindAu(7, 2, 41, /*combining=*/true, /*irq=*/false);
+    EXPECT_EQ(opt.auBinding(7)->dstFrame, 41u);
+    EXPECT_EQ(opt.auBindingCount(), 2u);
+
     opt.unbindAu(7);
     EXPECT_EQ(opt.auBinding(7), nullptr);
+    EXPECT_EQ(opt.auBindingCount(), 1u);
+
+    // Unbinding a frame that was never bound, inside and past the
+    // table, changes nothing.
+    opt.unbindAu(5);
+    opt.unbindAu(1u << 20);
+    EXPECT_EQ(opt.auBindingCount(), 1u);
+    ASSERT_NE(opt.auBinding(2), nullptr);
+
+    // Rebinding after an unbind.
+    opt.bindAu(7, 1, 60, /*combining=*/false, /*irq=*/false);
+    ASSERT_NE(opt.auBinding(7), nullptr);
+    EXPECT_EQ(opt.auBinding(7)->dstFrame, 60u);
+    EXPECT_FALSE(opt.auBinding(7)->combining);
+    EXPECT_EQ(opt.auBindingCount(), 2u);
 }
 
 TEST(PageTables, IptInterruptBits)
@@ -403,6 +439,48 @@ TEST(ShrimpNic, AuFenceWaitsForRemoteApplication)
     });
     h.sim.run();
     EXPECT_TRUE(value_present_at_fence);
+}
+
+TEST(ShrimpNic, UnbindAuFlushesTheOpenTrain)
+{
+    NicHarness h;
+    char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
+    char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
+    node::Frame local_frame = h.n0.mem().frameOf(local);
+    node::Frame dst_frame = h.n1.mem().frameOf(dst);
+    std::vector<std::uint32_t> offsets;
+    h.nic1.setDeliverHook(
+        [&](const Delivery &d) { offsets.push_back(d.offset); });
+
+    h.sim.spawn("p", [&] {
+        h.nic0.bindAu(local_frame, 1, dst_frame, true, false);
+        std::uint64_t v = 11;
+        std::memcpy(local, &v, 8);
+        h.nic0.auStore(local, 8);
+        // Unbinding closes the page's open train: the store goes out
+        // with no flush.
+        h.nic0.unbindAu(local_frame);
+        h.sim.delay(microseconds(100));
+        EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0}));
+
+        // After rebinding, a store opens a new train, which the next
+        // flush delivers.
+        h.nic0.bindAu(local_frame, 1, dst_frame, true, false);
+        v = 22;
+        std::memcpy(local + 64, &v, 8);
+        h.nic0.auStore(local + 64, 8);
+        h.sim.delay(microseconds(100));
+        EXPECT_EQ(offsets.size(), 1u);
+        h.nic0.auFlush();
+    });
+    h.sim.run();
+    EXPECT_EQ(offsets, (std::vector<std::uint32_t>{0, 64}));
+    std::uint64_t got = 0;
+    std::memcpy(&got, dst, 8);
+    EXPECT_EQ(got, 11u);
+    std::memcpy(&got, dst + 64, 8);
+    EXPECT_EQ(got, 22u);
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_packets"), 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -97,13 +97,15 @@ struct SvmRuntime::LockState
 
 struct SvmRuntime::RankState
 {
-    /** Per-page coherence state. */
+    /**
+     * Per-page coherence state. Every shared store checks it, so it
+     * stays three bytes; the twins live in their own vector.
+     */
     struct PageState
     {
         bool valid = false;
         bool writable = false;
         bool dirty = false;
-        std::unique_ptr<std::vector<char>> twin;
     };
 
     /**
@@ -135,6 +137,8 @@ struct SvmRuntime::RankState
     CounterHandle stCtlMsgs;
 
     std::vector<PageState> pages;
+    /** HLRC twins by page; null where the page has none. */
+    std::vector<std::unique_ptr<std::vector<char>>> twins;
     std::vector<PageId> dirtyList;
     std::map<PageId, std::vector<char>> pendingDiffs;
     TimeAccount account;
@@ -229,6 +233,7 @@ SvmRuntime::SvmRuntime(core::Cluster &cluster, const SvmConfig &config)
         rs.stCtlMsgs = CounterHandle(stats, prefix + "ctl_msgs");
         rs.vc.assign(cfg.nprocs, 0);
         rs.pages.resize(pageCount);
+        rs.twins.resize(pageCount);
         rs.heapProxy.assign(cfg.nprocs, core::kInvalidProxy);
         rs.reqProxy.assign(cfg.nprocs, core::kInvalidProxy);
         rs.ctlProxy.assign(cfg.nprocs, core::kInvalidProxy);
@@ -582,15 +587,15 @@ void
 SvmRuntime::makeTwin(int rank, PageId page)
 {
     RankState &rs = *ranks[rank];
-    auto &ps = rs.pages[page];
-    if (ps.twin)
+    auto &twin = rs.twins[page];
+    if (twin)
         return;
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
     ChromeSpan span(cluster.sim().recorder(), traceTrack(rank), "twin");
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
-    ps.twin = std::make_unique<std::vector<char>>(
+    twin = std::make_unique<std::vector<char>>(
         local, local + node::kPageBytes);
     auto &cpu = cluster.node(rank).cpu();
     cpu.compute(cfg.twinBaseCost);
@@ -625,8 +630,8 @@ void
 SvmRuntime::capturePendingDiff(int rank, PageId page)
 {
     RankState &rs = *ranks[rank];
-    auto &ps = rs.pages[page];
-    if (!ps.twin)
+    auto &twin = rs.twins[page];
+    if (!twin)
         panic("capturePendingDiff without a twin");
 
     cluster.node(rank).cpu().sync();
@@ -634,7 +639,7 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
     Tick diff_start = cluster.sim().now();
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
-    std::vector<char> blob = encodeDiff(ps.twin->data(), local);
+    std::vector<char> blob = encodeDiff(twin->data(), local);
     auto &cpu = cluster.node(rank).cpu();
     cpu.compute(cfg.diffBaseCost);
     cpu.chargeCopy(2 * node::kPageBytes); // the scan reads both copies
@@ -651,7 +656,7 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
 
     auto &pending = rs.pendingDiffs[page];
     pending.insert(pending.end(), blob.begin(), blob.end());
-    ps.twin.reset();
+    twin.reset();
 }
 
 void
@@ -739,12 +744,12 @@ SvmRuntime::releaseInterval(int rank)
     for (PageId page : rs.dirtyList) {
         auto &ps = rs.pages[page];
         interval_pages.push_back(page);
-        if (ps.dirty && ps.twin && homes[page] != rank &&
+        if (ps.dirty && rs.twins[page] && homes[page] != rank &&
             cfg.protocol != Protocol::AURC)
             capturePendingDiff(rank, page);
         ps.dirty = false;
         ps.writable = false;
-        ps.twin.reset();
+        rs.twins[page].reset();
     }
     std::sort(interval_pages.begin(), interval_pages.end());
     interval_pages.erase(
@@ -791,7 +796,7 @@ SvmRuntime::applyNotices(int rank, const Vc &upto)
                     // Preserve our in-progress writes before dropping
                     // the copy (false sharing across sync objects).
                     if (cfg.protocol == Protocol::HLRC) {
-                        if (ps.twin)
+                        if (rs.twins[page])
                             capturePendingDiff(rank, page);
                     } else if (!fenced) {
                         cluster.vmmc(rank).auFence();
@@ -801,7 +806,7 @@ SvmRuntime::applyNotices(int rank, const Vc &upto)
                 }
                 ps.valid = false;
                 ps.writable = false;
-                ps.twin.reset();
+                rs.twins[page].reset();
                 cpu.compute(cfg.invalidateCost);
                 ++invalidated;
             }

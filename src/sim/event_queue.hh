@@ -194,6 +194,17 @@ class EventQueue
     std::size_t size() const { return heap.size(); }
 
     /**
+     * @return true if an event (cancelled-but-unfired included) is
+     * due at the current tick. When it is false, an event scheduled
+     * now would be the very next one to run.
+     */
+    bool
+    dueNow() const
+    {
+        return !heap.empty() && heap.front().when == _now;
+    }
+
+    /**
      * Run the next event; advances time to its timestamp.
      * @return false if the queue was empty.
      */

@@ -322,6 +322,42 @@ TEST(Simulation, DelayAdvancesTime)
     EXPECT_EQ(observed, microseconds(5));
 }
 
+TEST(Simulation, DelayCostsOneEventWhenNothingElseIsDue)
+{
+    Simulation sim;
+    constexpr int kDelays = 100;
+    Tick finished_at = 0;
+    sim.spawn("p", [&] {
+        for (int i = 0; i < kDelays; ++i)
+            sim.delay(10);
+        finished_at = sim.now();
+    });
+    sim.run();
+    EXPECT_EQ(finished_at, Tick(10 * kDelays));
+    // The start event, then one timer per delay: each resume runs
+    // inside its timer.
+    EXPECT_EQ(sim.executedEvents(), std::uint64_t(1 + kDelays));
+}
+
+TEST(Simulation, DelayResumesAfterEventsDueAtItsTick)
+{
+    // p's timer for tick 10 is scheduled first; E, for the same tick,
+    // follows it in sequence. p must still resume after E, where the
+    // resume event wake() schedules would run.
+    Simulation sim;
+    bool e_ran = false;
+    bool p_saw_e = false;
+    sim.spawn("p", [&] {
+        sim.delay(10);
+        p_saw_e = e_ran;
+    });
+    sim.schedule(5, [&] { sim.schedule(5, [&] { e_ran = true; }); });
+    sim.run();
+    EXPECT_TRUE(e_ran);
+    EXPECT_TRUE(p_saw_e);
+    EXPECT_EQ(sim.now(), Tick(10));
+}
+
 TEST(Simulation, ProcessesInterleave)
 {
     Simulation sim;

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -291,6 +292,11 @@ class Endpoint
     /**
      * Poll until @p cond becomes true. Charges a per-check poll cost
      * and sleeps between deliveries to this node. Process context.
+     *
+     * Once a poll finds no new delivery, the re-checks run in event
+     * context and the process resumes only when @p cond holds, so
+     * @p cond must be a pure read of simulation state (it may fatal)
+     * and must not rely on Simulation::current().
      */
     void waitUntil(const std::function<bool()> &cond);
 
@@ -332,7 +338,31 @@ class Endpoint
   private:
     friend class Cluster;
 
+    /**
+     * A waitUntil() parked until the next delivery. It lives on the
+     * waiting process's stack, which stays suspended until the
+     * predicate holds.
+     */
+    struct Poller
+    {
+        const std::function<bool()> *cond = nullptr;
+        Process *proc = nullptr; //!< cleared when it resumes
+        std::uint64_t seen = 0;  //!< _deliveries at the last check
+    };
+
     void onDeliver(const nic::Delivery &d);
+
+    /**
+     * Schedule a pollCheck for every parked poller, in parking order,
+     * each where wake() would have scheduled that process's resume.
+     */
+    void wakePollers();
+
+    /** Re-check @p w's predicate, then resume it or poll again. */
+    void pollCheck(Poller &w);
+
+    /** After a poll's cost: park @p w again unless a delivery came. */
+    void pollTimed(Poller &w);
 
     Cluster &_cluster;
     node::Node &_node;
@@ -358,7 +388,7 @@ class Endpoint
     std::vector<Import> imports;
     std::map<node::Frame, ExportRecord *> exportsByFrame;
     std::vector<std::unique_ptr<ExportRecord>> exports;
-    WaitQueue deliveryWait;
+    std::deque<Poller *> pollers; //!< parked waitUntil()s, FIFO
     std::uint64_t _deliveries = 0;
 };
 

@@ -64,6 +64,24 @@ class Cpu
     }
 
     /**
+     * The bookkeeping half of sync(): books accumulated computation on
+     * the CPU timeline without blocking, so event-context code can
+     * time the wait itself. @return the tick sync() would block until;
+     * now() when nothing is pending and the CPU is free.
+     */
+    Tick
+    book()
+    {
+        if (pending == 0 && busyUntil <= sim.now())
+            return sim.now();
+        Tick start = busyUntil > sim.now() ? busyUntil : sim.now();
+        busyUntil = start + pending;
+        stBusyPs.inc(pending);
+        pending = 0;
+        return busyUntil;
+    }
+
+    /**
      * Flush accumulated computation: books it on the CPU timeline and
      * blocks the calling process until it completes. Must be called
      * from a process (fiber) context whenever pending work is nonzero.
@@ -71,14 +89,9 @@ class Cpu
     void
     sync()
     {
-        if (pending == 0 && busyUntil <= sim.now())
-            return;
-        Tick work = pending;
-        pending = 0;
-        Tick start = busyUntil > sim.now() ? busyUntil : sim.now();
-        busyUntil = start + work;
-        stBusyPs.inc(work);
-        sim.delay(busyUntil - sim.now());
+        Tick until = book();
+        if (until > sim.now())
+            sim.delay(until - sim.now());
     }
 
     /**

@@ -5,9 +5,10 @@
  * JSON of a fault-plane run (plain and with lifecycle histograms),
  * that run's causal log, the flight-recorder metrics JSONL of a
  * fault-free run, the RunReports of NX runs (Barnes-NX under DU and
- * AU, Ocean-NX on a lossy backplane, Barnes-NX on 96 ranks), and the
- * receive order and elapsed time of raw NX ring traffic. Any datapath
- * "optimization" that perturbs one of
+ * AU, Ocean-NX on a lossy backplane, Barnes-NX on 96 ranks), the
+ * receive order and elapsed time of raw NX ring traffic, and the
+ * RunReports of Radix-SVM on the baseline and modern adapters. Any
+ * datapath "optimization" that perturbs one of
  * these files changed simulated behaviour, not just host speed; a
  * recorder change that perturbs one changed an output format.
  *
@@ -342,4 +343,64 @@ TEST(Golden, NxRingTrafficDuIsByteStable)
 TEST(Golden, NxRingTrafficAuIsByteStable)
 {
     checkGolden("nx_ring_au.txt", ringTraffic(true));
+}
+
+// ----------------------------------------------------------------------
+// The baseline and modern adapters
+// ----------------------------------------------------------------------
+
+namespace
+{
+
+/** Radix-SVM HLRC on 4 ranks, 16,384 keys, on adapter @p kind. */
+apps::AppResult
+pinnedRadixSvm(nic::NicKind kind)
+{
+    core::ClusterConfig cc;
+    cc.nicKind = kind;
+    apps::RadixConfig cfg;
+    cfg.keys = 16 * 1024;
+    return apps::runRadixSvm(cc, svm::Protocol::HLRC, 4, cfg);
+}
+
+/** Sum of the per-node counter "node<i>.<suffix>" over a 4x4 mesh. */
+std::uint64_t
+nodeSum(const apps::AppResult &r, const std::string &suffix)
+{
+    std::uint64_t total = 0;
+    for (int i = 0; i < 16; ++i)
+        total += r.stats.counterValue("node" + std::to_string(i) + "." +
+                                      suffix);
+    return total;
+}
+
+} // anonymous namespace
+
+/**
+ * BaselineNic's timing: firmware send and receive costs, its send
+ * queue and its notification bit. The counts guard the shape of the
+ * run before the bytes are compared.
+ */
+TEST(Golden, BaselineNicRadixSvmReportIsByteStable)
+{
+    auto r = pinnedRadixSvm(nic::NicKind::Baseline);
+    ASSERT_EQ(nodeSum(r, "bnic.sends"), 906u);
+    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 378u);
+    checkGolden("baseline_radix_svm_report.json",
+                apps::makeReport(r).toJson(true));
+}
+
+/**
+ * ModernNic's timing: doorbell posting, its send queue, notifiable
+ * writes and the coalescing completion queue.
+ */
+TEST(Golden, ModernNicRadixSvmReportIsByteStable)
+{
+    auto r = pinnedRadixSvm(nic::NicKind::Modern);
+    ASSERT_EQ(nodeSum(r, "mnic.sends"), 906u);
+    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 378u);
+    ASSERT_EQ(nodeSum(r, "mnic.cq_interrupts"), 378u);
+    ASSERT_EQ(nodeSum(r, "mnic.notify_writes"), 336u);
+    checkGolden("modern_radix_svm_report.json",
+                apps::makeReport(r).toJson(true));
 }

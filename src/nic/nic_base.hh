@@ -12,10 +12,18 @@
  * The contract is capability-queried: upper layers ask caps() what
  * the adapter can do (automatic update, doorbell posting, batched
  * notification) and pick mechanisms from those bits — there is no
- * dynamic_cast or kind switch anywhere above this interface. Data
- * moves through post(); receivers poll, take per-page notification
- * upcalls, or (batchedNotify adapters) wait on notification-id
- * counters via notifyWait().
+ * dynamic_cast or kind switch anywhere above this interface. The bits
+ * come from one table, nicKindCaps(). Data moves through post();
+ * receivers poll, take per-page notification upcalls, or
+ * (batchedNotify adapters) wait on notification-id counters via
+ * notifyWait().
+ *
+ * The base class owns what every adapter shares: the send request
+ * queue and the engine process that drains it, the common half of
+ * post(), drainSends(), the mesh-packet build of an injection, and
+ * the landing of a deliberate-update packet in memory. An adapter
+ * states its issue cost and queue depth, its engine step
+ * (transmit()) and how it announces a landed packet.
  *
  * The base class also owns the link-level reliability protocol used
  * when the mesh fault plane is active (mesh/fault.hh): per-(src,dst)
@@ -33,6 +41,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "mesh/network.hh"
@@ -172,7 +181,6 @@ class NicBase
 {
   public:
     using DeliverHook = std::function<void(const Delivery &)>;
-    using NotifyHook = std::function<void(node::Frame)>;
     using PeerDeadHook = std::function<void(NodeId)>;
 
     /**
@@ -180,9 +188,12 @@ class NicBase
      *          memory and raises interrupts at its OS).
      * @param net The backplane; the NIC attaches itself as the
      *            receiver for the node.
+     * @param kind Which adapter this is; caps() reads its row of the
+     *             capability table.
      * @param cfg Shared construction-time configuration.
      */
-    NicBase(node::Node &n, mesh::Network &net, const Config &cfg = {});
+    NicBase(node::Node &n, mesh::Network &net, NicKind kind,
+            const Config &cfg = {});
 
     virtual ~NicBase() = default;
 
@@ -196,7 +207,7 @@ class NicBase
     node::Node &owner() { return _node; }
 
     /** What this adapter can do; upper layers branch on these bits. */
-    virtual NicCaps caps() const = 0;
+    NicCaps caps() const { return nicKindCaps(_kind); }
 
     /** Convenience capability read. */
     bool supportsAutomaticUpdate() const { return caps().autoUpdate; }
@@ -282,13 +293,13 @@ class NicBase
     // ------------------------------------------------------------------
 
     /**
-     * Post a send. Process context; blocks while the adapter's
-     * request queue is full. Returns once the request is accepted
-     * (sends are asynchronous). On doorbell adapters acceptance is a
-     * cheap user-level MMIO write; elsewhere it carries the
-     * adapter's per-send initiation cost.
+     * Post a send. Process context; charges the adapter's issue cost,
+     * then blocks while its request queue is full. Returns once the
+     * request is accepted (sends are asynchronous). On doorbell
+     * adapters acceptance is a cheap user-level MMIO write; elsewhere
+     * it carries the adapter's per-send initiation cost.
      */
-    virtual void post(const SendDesc &desc) = 0;
+    virtual void post(const SendDesc &desc);
 
     /**
      * A write to AU-bound memory, as snooped off the memory bus.
@@ -310,17 +321,18 @@ class NicBase
     virtual void auFence();
 
     /** Block until all posted sends have left the adapter. */
-    virtual void drainSends() = 0;
+    void drainSends();
 
     // ------------------------------------------------------------------
     // Receive side
     // ------------------------------------------------------------------
 
-    /** Hook invoked (event context) when data lands in memory. */
+    /**
+     * Hook invoked (event context) when data lands in memory, and
+     * again for a notification the adapter delivers later (a
+     * completion-queue event); Delivery::notify marks notifications.
+     */
     void setDeliverHook(DeliverHook h) { deliverHook = std::move(h); }
-
-    /** Hook invoked when a notification interrupt fires. */
-    void setNotifyHook(NotifyHook h) { notifyHook = std::move(h); }
 
     /**
      * Arrival count of notifiable writes carrying @p id (0 if none
@@ -336,6 +348,42 @@ class NicBase
     virtual void notifyWait(std::uint32_t id, std::uint64_t target);
 
   protected:
+    /** Host cost of issuing one send, charged before the queue wait. */
+    virtual Tick issueCost() const = 0;
+
+    /** Requests the queue holds, counting the one in service. */
+    virtual int queueDepth() const = 0;
+
+    /**
+     * Spawn the send engine as process @p name; it hands each queued
+     * request to transmit(). post() counts every accepted request in
+     * counter @p sends and its bytes in counter @p bytes. Each
+     * adapter calls this once, from its constructor.
+     */
+    void startEngine(const std::string &name, const std::string &sends,
+                     const std::string &bytes);
+
+    /**
+     * The engine step: move @p pkt out to node @p dst. Runs in the
+     * engine process, which may block in it; the next request starts
+     * when it returns.
+     */
+    virtual void transmit(DuPacket &&pkt, NodeId dst) = 0;
+
+    /**
+     * Build the mesh packet that carries @p payload to @p dst as
+     * @p wire bytes in @p hw_packets hardware packets, stamp its
+     * injection time, and send it (netSend).
+     */
+    void inject(std::shared_ptr<NicPayload> payload, NodeId dst,
+                std::uint32_t wire, std::uint32_t hw_packets = 1);
+
+    /**
+     * Write an arrived deliberate-update packet into node memory.
+     * @return its Delivery, with notify still unset.
+     */
+    Delivery landDu(const DuPacket &du);
+
     /**
      * Inject @p pkt into the backplane. With reliability on, stamps
      * the per-destination sequence number and checksum, keeps a copy
@@ -352,14 +400,29 @@ class NicBase
     virtual void receive(const mesh::Packet &pkt) = 0;
 
     node::Node &_node;
+    Simulation &sim;
     mesh::Network &_net;
     OutgoingPageTable _opt;
     IncomingPageTable _ipt;
     DeliverHook deliverHook;
-    NotifyHook notifyHook;
     PeerDeadHook peerDeadHook;
 
   private:
+    /** The send engine process: drains the request queue. */
+    void engineBody();
+
+    NicKind _kind;
+
+    // Send request queue, drained by the engine process.
+    std::deque<DuPacket> sendQueue;
+    std::deque<NodeId> sendQueueDst;
+    WaitQueue slotWait;
+    WaitQueue workWait;
+    WaitQueue idleWait;
+    bool engineBusy = false;
+    CounterHandle stSends;
+    CounterHandle stSendBytes;
+
     /** Sender-side per-destination reliability state. */
     struct RelChannel
     {

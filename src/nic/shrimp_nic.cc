@@ -25,10 +25,8 @@ auStorePackets(std::uint32_t bytes)
 
 ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
                      const ShrimpNicParams &params, const Config &cfg)
-    : NicBase(n, net, cfg), sim(n.simulation()), _params(params),
+    : NicBase(n, net, NicKind::Shrimp, cfg), _params(params),
       statPrefix(n.name() + ".nic"),
-      stDuTransfers(sim.stats(), statPrefix + ".du_transfers"),
-      stDuBytes(sim.stats(), statPrefix + ".du_bytes"),
       stEisaBusyPs(sim.stats(), statPrefix + ".eisa_busy_ps"),
       stAuStores(sim.stats(), statPrefix + ".au_stores"),
       stAuBytes(sim.stats(), statPrefix + ".au_bytes"),
@@ -39,7 +37,8 @@ ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
       stPacketsIn(sim.stats(), statPrefix + ".packets_in"),
       stBytesIn(sim.stats(), statPrefix + ".bytes_in")
 {
-    sim.spawn(statPrefix + ".du_engine", [this] { duEngineBody(); });
+    startEngine(statPrefix + ".du_engine", statPrefix + ".du_transfers",
+                statPrefix + ".du_bytes");
 }
 
 int
@@ -72,123 +71,53 @@ ShrimpNic::unbindAu(node::Frame local)
 void
 ShrimpNic::post(const SendDesc &req)
 {
-    auto &cpu = _node.cpu();
-    const OptEntry entry = _opt.proxy(req.proxy);
-
-    if (req.dstOffset + req.bytes > node::kPageBytes)
-        panic("deliberate update crosses destination page boundary");
-    if (req.bytes == 0 || req.bytes > node::kPageBytes)
-        panic("deliberate update size %u invalid", req.bytes);
-
     // The two-instruction UDMA initiation sequence plus the library's
-    // protection bookkeeping. The span also covers any queue-full wait
-    // below, so the trace shows true per-send initiation cost.
+    // protection bookkeeping. The span also covers any queue-full
+    // wait, so the trace shows true per-send initiation cost.
     ChromeSpan span(sim.recorder(), traceTrack(), "du_submit");
-    PacketLife life = sim.recorder().sendStamp();
-    cpu.compute(_params.udmaIssueCost);
-    cpu.sync();
-
-    // Without a request queue the library spins until the engine is
-    // free; with a queue it blocks only when the queue is full.
-    while (int(duQueue.size()) + (duEngineBusy ? 1 : 0) >=
-           std::max(1, _params.duQueueDepth))
-        duSlotWait.wait(sim);
-
-    DuPacket pkt;
-    pkt.srcNode = nodeId();
-    pkt.dstFrame = entry.dstFrame;
-    pkt.dstOffset = req.dstOffset;
-    pkt.data.resize(req.bytes);
-    std::memcpy(pkt.data.data(), req.src, req.bytes);
-    pkt.notify = req.notify;
-    pkt.notifyId = req.notifyId;
-    pkt.endOfMessage = req.endOfMessage;
-    pkt.life = life;
-    pkt.life.queued = sim.now(); // after any queue-full wait
-
-    duQueue.push_back(std::move(pkt));
-    duQueueDst.push_back(entry.dstNode);
-    stDuTransfers.inc();
-    stDuBytes.inc(req.bytes);
-    duWorkWait.wakeAll(sim);
+    NicBase::post(req);
 }
 
 void
-ShrimpNic::duEngineBody()
+ShrimpNic::transmit(DuPacket &&pkt, NodeId dst)
 {
     const auto &mp = _node.params();
-    double link_bw = _net.params().linkBytesPerSec;
 
-    for (;;) {
-        while (duQueue.empty())
-            duWorkWait.wait(sim);
+    // EISA DMA read of the source block from main memory. The
+    // memory bus cannot cycle-share, so the burst stalls the CPU.
+    std::uint64_t bytes = pkt.data.size();
+    Tick start = std::max(sim.now(), eisaBusyUntil);
+    Tick dma_done = start + _params.duSetupCost + mp.eisaDmaSetup +
+                    transferTime(bytes, mp.eisaDmaBytesPerSec);
+    eisaBusyUntil = dma_done;
+    // The Xpress bus cannot cycle-share: the burst's memory-bus
+    // grants stall the CPU outright (Sec 2.1 — the reason DU
+    // queueing buys nothing, Sec 4.5.3).
+    Tick bus_time = transferTime(bytes, mp.memBusBytesPerSec);
+    _node.bus().reserve(bus_time);
+    _node.cpu().reserveKernel(bus_time);
+    stEisaBusyPs.inc(dma_done - start);
+    sim.delay(dma_done - sim.now());
 
-        duEngineBusy = true;
-        DuPacket pkt = std::move(duQueue.front());
-        duQueue.pop_front();
-        NodeId dst = duQueueDst.front();
-        duQueueDst.pop_front();
-        duSlotWait.wakeAll(sim);
+    // Inject through the NI chip (shared with the AU FIFO drain;
+    // incoming packets can push chipBusyUntil out). Injection is
+    // pipelined: the engine starts the next DMA while the packet
+    // streams out of the NI buffers.
+    std::uint32_t wire = std::uint32_t(bytes) + kPacketHeaderBytes;
+    Tick inj = std::max(sim.now(), chipBusyUntil) +
+               transferTime(wire, _net.params().linkBytesPerSec);
+    chipBusyUntil = inj;
 
-        // EISA DMA read of the source block from main memory. The
-        // memory bus cannot cycle-share, so the burst stalls the CPU.
-        std::uint64_t bytes = pkt.data.size();
-        Tick start = std::max(sim.now(), eisaBusyUntil);
-        Tick dma_done = start + _params.duSetupCost + mp.eisaDmaSetup +
-                        transferTime(bytes, mp.eisaDmaBytesPerSec);
-        eisaBusyUntil = dma_done;
-        // The Xpress bus cannot cycle-share: the burst's memory-bus
-        // grants stall the CPU outright (Sec 2.1 — the reason DU
-        // queueing buys nothing, Sec 4.5.3).
-        Tick bus_time = transferTime(bytes, mp.memBusBytesPerSec);
-        _node.bus().reserve(bus_time);
-        _node.cpu().reserveKernel(bus_time);
-        stEisaBusyPs.inc(dma_done - start);
-        sim.delay(dma_done - sim.now());
+    if (sim.recorder().chromeOn())
+        sim.recorder().complete(
+            traceTrack(), "du_xfer", start, inj,
+            strfmt("{\"bytes\":%llu,\"dst\":%u}",
+                   (unsigned long long)bytes, dst));
 
-        // Inject through the NI chip (shared with the AU FIFO drain;
-        // incoming packets can push chipBusyUntil out). Injection is
-        // pipelined: the engine starts the next DMA while the packet
-        // streams out of the NI buffers.
-        std::uint32_t wire =
-            std::uint32_t(bytes) + kPacketHeaderBytes;
-        Tick inj = std::max(sim.now(), chipBusyUntil) +
-                   transferTime(wire, link_bw);
-        chipBusyUntil = inj;
-
-        if (sim.recorder().chromeOn())
-            sim.recorder().complete(
-                traceTrack(), "du_xfer", start, inj,
-                strfmt("{\"bytes\":%llu,\"dst\":%u}",
-                       (unsigned long long)bytes, dst));
-
-        auto payload = std::make_shared<NicPayload>();
-        payload->body = std::move(pkt);
-        NodeId src = nodeId();
-        sim.schedule(inj - sim.now(), [this, payload, dst, src, wire] {
-            mesh::Packet mp2;
-            mp2.src = src;
-            mp2.dst = dst;
-            mp2.wireBytes = wire;
-            mp2.life = std::get<DuPacket>(payload->body).life;
-            mp2.life.injected = sim.now();
-            mp2.payload = payload;
-            netSend(std::move(mp2));
-        });
-
-        duEngineBusy = false;
-        duSlotWait.wakeAll(sim);
-        if (duQueue.empty())
-            duIdleWait.wakeAll(sim);
-    }
-}
-
-void
-ShrimpNic::drainSends()
-{
-    _node.cpu().sync();
-    while (!duQueue.empty() || duEngineBusy)
-        duIdleWait.wait(sim);
+    auto payload = std::make_shared<NicPayload>();
+    payload->body = std::move(pkt);
+    sim.schedule(inj - sim.now(),
+                 [this, payload, dst, wire] { inject(payload, dst, wire); });
 }
 
 void
@@ -359,21 +288,12 @@ ShrimpNic::flushTrain(AuTrain &train)
     std::uint32_t hw = pkt.packetCount;
     payload->body = std::move(pkt);
     NodeId dst = train.dstNode;
-    NodeId src = nodeId();
 
     std::uint32_t credit_bytes = contribution;
     sim.schedule(inj - sim.now(),
-                 [this, payload, wire, dst, src, credit_bytes, hw] {
+                 [this, payload, wire, dst, credit_bytes, hw] {
         fifoCredit(credit_bytes);
-        mesh::Packet mp;
-        mp.src = src;
-        mp.dst = dst;
-        mp.wireBytes = wire;
-        mp.hwPackets = hw;
-        mp.life = std::get<AuTrainPacket>(payload->body).life;
-        mp.life.injected = sim.now();
-        mp.payload = payload;
-        netSend(std::move(mp));
+        inject(payload, dst, wire, hw);
     });
 
     train = AuTrain();
@@ -454,26 +374,15 @@ ShrimpNic::receive(const mesh::Packet &pkt)
             du ? du->life.cause
                : std::get<AuTrainPacket>(payload->body).life.cause);
 
-        auto &mem = _node.mem();
         Delivery d;
         bool want_notify = false;
 
         if (auto *du = std::get_if<DuPacket>(&payload->body)) {
-            if (du->dstFrame >= mem.frameCount())
-                panic("DU packet to invalid frame %u", du->dstFrame);
-            std::memcpy(static_cast<char *>(
-                            mem.ptrOf(du->dstFrame, du->dstOffset)),
-                        du->data.data(), du->data.size());
-            d.srcNode = du->srcNode;
-            d.frame = du->dstFrame;
-            d.offset = du->dstOffset;
-            d.bytes = std::uint32_t(du->data.size());
-            d.endOfMessage = du->endOfMessage;
-            d.automatic = false;
-            d.notifyId = du->notifyId;
+            d = landDu(*du);
             want_notify = du->notify &&
                           _ipt.interruptEnable(du->dstFrame);
         } else {
+            auto &mem = _node.mem();
             auto &au = std::get<AuTrainPacket>(payload->body);
             if (au.dstFrame >= mem.frameCount())
                 panic("AU packet to invalid frame %u", au.dstFrame);
@@ -516,16 +425,12 @@ ShrimpNic::finishDelivery(const Delivery &d, bool want_notify)
         Tick handler_done =
             _node.os().interrupt(_node.params().interruptCost);
         sim.schedule(handler_done - sim.now(), [this, copy] {
-            if (copy.notify && notifyHook)
-                notifyHook(copy.frame);
             if (deliverHook)
                 deliverHook(copy);
         });
         return;
     }
 
-    if (copy.notify && notifyHook)
-        notifyHook(copy.frame);
     if (deliverHook)
         deliverHook(copy);
 }

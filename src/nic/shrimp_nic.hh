@@ -18,8 +18,7 @@
 #ifndef SHRIMP_NIC_SHRIMP_NIC_HH
 #define SHRIMP_NIC_SHRIMP_NIC_HH
 
-#include <deque>
-#include <memory>
+#include <vector>
 
 #include "nic/nic_base.hh"
 #include "sim/simulation.hh"
@@ -94,19 +93,12 @@ class ShrimpNic : public NicBase
               const ShrimpNicParams &params = ShrimpNicParams(),
               const Config &cfg = {});
 
-    NicCaps
-    caps() const override
-    {
-        NicCaps c;
-        c.autoUpdate = true;
-        return c;
-    }
-
     void bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
                 bool combining, bool interrupt_request) override;
 
     void unbindAu(node::Frame local) override;
 
+    /** post(), inside a du_submit span on the NIC's trace track. */
     void post(const SendDesc &req) override;
 
     void auStore(const void *src, std::uint32_t bytes) override;
@@ -114,8 +106,6 @@ class ShrimpNic : public NicBase
     void auFlush() override;
 
     void auFence() override;
-
-    void drainSends() override;
 
     /** Current outgoing-FIFO fill, bytes. */
     std::uint32_t fifoFill() const { return _fifoFill; }
@@ -142,7 +132,9 @@ class ShrimpNic : public NicBase
         PacketLife life;
     };
 
-    void duEngineBody();
+    Tick issueCost() const override { return _params.udmaIssueCost; }
+    int queueDepth() const override { return _params.duQueueDepth; }
+    void transmit(DuPacket &&pkt, NodeId dst) override;
     void flushTrain(AuTrain &train);
     void fifoCredit(std::uint32_t wire_bytes);
     void receive(const mesh::Packet &pkt) override;
@@ -151,15 +143,12 @@ class ShrimpNic : public NicBase
     /** Cached trace track id ("<node>.nic"). */
     int traceTrack();
 
-    Simulation &sim;
     ShrimpNicParams _params;
     std::string statPrefix;
     int _traceTrack = -1;
     Tick fifoStallStart = 0;
 
     // Interned per-NIC statistics (lazy; see sim/stats.hh).
-    CounterHandle stDuTransfers;
-    CounterHandle stDuBytes;
     CounterHandle stEisaBusyPs;
     CounterHandle stAuStores;
     CounterHandle stAuBytes;
@@ -168,14 +157,6 @@ class ShrimpNic : public NicBase
     CounterHandle stFifoThresholdIrqs;
     CounterHandle stPacketsIn;
     CounterHandle stBytesIn;
-
-    // Deliberate update engine.
-    std::deque<DuPacket> duQueue;
-    std::deque<NodeId> duQueueDst;
-    WaitQueue duSlotWait;
-    WaitQueue duWorkWait;
-    WaitQueue duIdleWait;
-    bool duEngineBusy = false;
 
     // Automatic update. Trains flush in first-write order so that
     // multi-page write sequences arrive in program order. trainIndex

@@ -334,8 +334,11 @@ TEST(ShrimpNic, NotificationRequiresBothBits)
 
     int notified = 0;
     int delivered = 0;
-    h.nic1.setNotifyHook([&](node::Frame) { ++notified; });
-    h.nic1.setDeliverHook([&](const Delivery &) { ++delivered; });
+    h.nic1.setDeliverHook([&](const Delivery &d) {
+        ++delivered;
+        if (d.notify)
+            ++notified;
+    });
 
     // The IPT bit is sampled at packet *arrival*, so each step waits
     // for the delivery before flipping receiver state.

@@ -78,9 +78,6 @@ struct ClusterConfig
      */
     bool udmaSends = true;
 
-    /** Cost of one receive-poll check (flag load + compare). */
-    Tick pollCheckCost = nanoseconds(300);
-
     /** RNG seed for workloads. */
     std::uint64_t seed = 42;
 

@@ -8,6 +8,14 @@
 namespace shrimp::core
 {
 
+namespace
+{
+
+/** Cost of one receive-poll check (flag load + compare). */
+constexpr Tick kPollCheckCost = nanoseconds(300);
+
+} // anonymous namespace
+
 Endpoint::Endpoint(Cluster &cluster, node::Node &n, nic::NicBase &nic)
     : _cluster(cluster), _node(n), _nic(nic),
       stExports(n.simulation().stats(), n.name() + ".vmmc.exports"),
@@ -286,25 +294,17 @@ Endpoint::waitUntil(const std::function<bool()> &cond)
     // flushing our AU trains keeps sender ordering at blocking points.
     _nic.auFlush();
     _node.cpu().sync();
+    if (cond())
+        return;
 
-    std::uint64_t seen = _deliveries;
-    while (!cond()) {
-        _node.cpu().compute(_cluster.config().pollCheckCost);
-        _node.cpu().sync();
-        if (_deliveries == seen) {
-            // Nothing arrived during the poll: park until a delivery.
-            // pollCheck and pollTimed carry on the loop from event
-            // context, each step at the tick and in the order this
-            // fiber would have run it, and resume us once cond holds.
-            Poller w{&cond, sim.current(), seen};
-            pollers.push_back(&w);
-            sim.suspend();
-            if (w.proc)
-                panic("waitUntil: resumed while its poll is parked");
-            return;
-        }
-        seen = _deliveries;
-    }
+    // Park and poll from event context: poll, pollTimed and pollCheck
+    // run each step at the tick and in the order this fiber would
+    // have run it, and resume us once cond holds.
+    Poller w{&cond, sim.current(), _deliveries};
+    poll(w);
+    sim.suspend();
+    if (w.proc)
+        panic("waitUntil: resumed while its poll is parked");
 }
 
 void
@@ -319,29 +319,32 @@ Endpoint::wakePollers()
 }
 
 void
+Endpoint::poll(Poller &w)
+{
+    // The poll's cost, timed as the fiber's sync() would time it. It
+    // always ends after now, so pollTimed runs after a timer.
+    Simulation &sim = _node.simulation();
+    auto &cpu = _node.cpu();
+    cpu.compute(kPollCheckCost);
+    Tick until = cpu.book();
+    Poller *pw = &w;
+    sim.schedule(until - sim.now(), [this, pw] {
+        _node.simulation().runNext([this, pw] { pollTimed(*pw); });
+    });
+}
+
+void
 Endpoint::pollCheck(Poller &w)
 {
-    Simulation &sim = _node.simulation();
     w.seen = _deliveries;
     if ((*w.cond)()) {
         Process *p = w.proc;
         w.proc = nullptr;
         // w dies with waitUntil's frame once the process runs on.
-        sim.resumeNow(p);
+        _node.simulation().resumeNow(p);
         return;
     }
-    // The poll's cost, timed as the fiber's sync() would time it.
-    auto &cpu = _node.cpu();
-    cpu.compute(_cluster.config().pollCheckCost);
-    Tick until = cpu.book();
-    if (until == sim.now()) {
-        pollTimed(w);
-        return;
-    }
-    Poller *pw = &w;
-    sim.schedule(until - sim.now(), [this, pw] {
-        _node.simulation().runNext([this, pw] { pollTimed(*pw); });
-    });
+    poll(w);
 }
 
 void

@@ -293,10 +293,10 @@ class Endpoint
      * Poll until @p cond becomes true. Charges a per-check poll cost
      * and sleeps between deliveries to this node. Process context.
      *
-     * Once a poll finds no new delivery, the re-checks run in event
-     * context and the process resumes only when @p cond holds, so
-     * @p cond must be a pure read of simulation state (it may fatal)
-     * and must not rely on Simulation::current().
+     * The first check runs in the process; every poll after it runs
+     * in event context and the process resumes only when @p cond
+     * holds, so @p cond must be a pure read of simulation state (it
+     * may fatal) and must not rely on Simulation::current().
      */
     void waitUntil(const std::function<bool()> &cond);
 
@@ -339,9 +339,9 @@ class Endpoint
     friend class Cluster;
 
     /**
-     * A waitUntil() parked until the next delivery. It lives on the
-     * waiting process's stack, which stays suspended until the
-     * predicate holds.
+     * A parked waitUntil(): polling, or waiting for the next delivery.
+     * It lives on the waiting process's stack, which stays suspended
+     * until the predicate holds.
      */
     struct Poller
     {
@@ -357,6 +357,9 @@ class Endpoint
      * each where wake() would have scheduled that process's resume.
      */
     void wakePollers();
+
+    /** Charge one poll's CPU cost; pollTimed runs when it ends. */
+    void poll(Poller &w);
 
     /** Re-check @p w's predicate, then resume it or poll again. */
     void pollCheck(Poller &w);

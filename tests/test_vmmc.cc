@@ -343,6 +343,10 @@ TEST(Vmmc, PolledWaitResumesItsFiberOnce)
     PolledWait eight = polledWaitUnderTraffic(8);
     PolledWait sixteen = polledWaitUnderTraffic(16);
     EXPECT_EQ(eight.switches, sixteen.switches);
+    // The first poll runs in event context too: the wait parks once
+    // and resumes once. Start, the export's sync (out and in), the
+    // wait (out and in) and the finish make six.
+    EXPECT_EQ(eight.switches, 6u);
     EXPECT_EQ(eight.busyPs, 12700000u);
     EXPECT_EQ(sixteen.busyPs, 15100000u);
 }

@@ -14,7 +14,6 @@
 #ifndef SHRIMP_BENCH_BENCH_COMMON_HH
 #define SHRIMP_BENCH_BENCH_COMMON_HH
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -185,21 +184,13 @@ renderConfig()
 // Machine-readable reports
 // ----------------------------------------------------------------------
 
-/** True when SHRIMP_REPORT_HOST=1 asks for host-perf in reports. */
-inline bool
-reportHostPerf()
-{
-    const char *v = std::getenv("SHRIMP_REPORT_HOST");
-    return v && *v && std::strcmp(v, "0") != 0;
-}
-
 /**
  * If SHRIMP_REPORT_JSONL names a file, append @p r as one compact
  * RunReport line (through the sweep-safe sink; see bench/sweep.hh).
  * Lets any bench binary double as a data producer for plotting
  * scripts without changing its table output. With SHRIMP_REPORT_HOST=1
- * the line also carries host wall time and events/sec, tracking the
- * simulator's own performance across PRs.
+ * the line also carries the run's host block (apps::hostPerf),
+ * tracking the simulator's own performance across PRs.
  */
 inline void
 maybeEmitReport(const apps::AppResult &r)
@@ -225,32 +216,9 @@ maybeEmitReport(const apps::AppResult &r)
     if ((mw != 4 || mh != 4) && !rep.params.count("mesh"))
         rep.params["mesh"] =
             std::to_string(mw) + "x" + std::to_string(mh);
-    if (reportHostPerf()) {
-        rep.host.enabled = true;
-        rep.host.wallSeconds = r.hostWallSeconds;
-        rep.host.events = r.hostEvents;
-        rep.host.eventsPerSec = r.hostWallSeconds > 0
-                                    ? double(r.hostEvents) /
-                                          r.hostWallSeconds
-                                    : 0;
-        rep.host.fiberSwitches = r.hostFiberSwitches;
-        fillHostRusage(rep.host);
-    }
+    if (apps::reportHostPerf())
+        rep.host = apps::hostPerf(r);
     emitReport(rep);
-}
-
-/** Host wall-clock duration of @p fn's run, recorded into the result. */
-template <class F>
-inline apps::AppResult
-timedRun(F &&fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    apps::AppResult r = fn();
-    r.hostWallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    return r;
 }
 
 // ----------------------------------------------------------------------
@@ -359,7 +327,7 @@ standardApps(int barnes_nx_procs = 16)
     for (auto &s : specs) {
         auto run = s.run;
         s.run = [run](const core::ClusterConfig &cc) {
-            auto r = timedRun([&] { return run(cc); });
+            auto r = apps::timedRun([&] { return run(cc); });
             r.param("nic", nic::nicKindName(cc.nicKind));
             maybeEmitReport(r);
             return r;
@@ -367,7 +335,7 @@ standardApps(int barnes_nx_procs = 16)
         if (s.runAt) {
             auto run_at = s.runAt;
             s.runAt = [run_at](const core::ClusterConfig &cc, int p) {
-                auto r = timedRun([&] { return run_at(cc, p); });
+                auto r = apps::timedRun([&] { return run_at(cc, p); });
                 r.param("nic", nic::nicKindName(cc.nicKind));
                 maybeEmitReport(r);
                 return r;

@@ -118,7 +118,8 @@ main()
             cc.meshWidth = g.w;
             cc.meshHeight = g.h;
 
-            auto r = timedRun([&] { return cell.run(cc, nodes); });
+            auto r =
+                apps::timedRun([&] { return cell.run(cc, nodes); });
             r.param("nic", nic::nicKindName(cc.nicKind));
             r.param("mesh", g.name());
             maybeEmitReport(r);

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -137,25 +136,6 @@ Fiber::run()
     ASAN_START_SWITCH(nullptr, retStackBottom, retStackSize);
     shrimp_fctx_jump(retCtx, this);
     panic("finished fiber resumed");
-}
-
-double
-Fiber::measureSwitchNs()
-{
-    constexpr int kRounds = 2000;
-    Fiber f(FiberBody([] {
-        for (;;)
-            Fiber::current()->yield();
-    }));
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kRounds; ++i)
-        f.resume();
-    auto t1 = std::chrono::steady_clock::now();
-    double ns = double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           t1 - t0)
-                           .count());
-    // Each resume is one transfer in and one back out.
-    return ns / (2.0 * kRounds);
 }
 
 // ----------------------------------------------------------------------

@@ -307,13 +307,6 @@ class Fiber
         return stack.highWaterBytes();
     }
 
-    /**
-     * Host-side calibration: ns per one-way switch, measured with a
-     * short resume/yield ping-pong on a scratch fiber. Used by
-     * host-perf reports; never touches simulated time.
-     */
-    static double measureSwitchNs();
-
   private:
     /*
      * current_fiber is a per-OS-thread scheduling pointer; like any

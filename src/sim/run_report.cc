@@ -3,43 +3,11 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
-#include "sim/fiber.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace shrimp
 {
-
-void
-fillHostRusage(RunReport::HostPerf &h)
-{
-#if defined(__unix__) || defined(__APPLE__)
-    struct rusage ru;
-    if (getrusage(RUSAGE_SELF, &ru) != 0)
-        return;
-    auto secs = [](const timeval &tv) {
-        return double(tv.tv_sec) + double(tv.tv_usec) * 1e-6;
-    };
-    h.userSeconds = secs(ru.ru_utime);
-    h.sysSeconds = secs(ru.ru_stime);
-    // ru_maxrss is kilobytes on Linux, bytes on macOS.
-#if defined(__APPLE__)
-    h.maxRssKb = std::uint64_t(ru.ru_maxrss) / 1024;
-#else
-    h.maxRssKb = std::uint64_t(ru.ru_maxrss);
-#endif
-#else
-    (void)h;
-#endif
-    // Probe the stack registry before the calibration ping-pong so
-    // the scratch fiber's pages cannot contribute to the mark.
-    h.fiberStackHwmBytes = FiberStack::globalHighWaterBytes();
-    h.fiberSwitchNs = Fiber::measureSwitchNs();
-}
 
 namespace
 {
@@ -89,7 +57,6 @@ RunReport::writeJson(std::ostream &os, bool pretty) const
         w.field("sys_seconds", host.sysSeconds);
         w.field("max_rss_kb", host.maxRssKb);
         w.field("fiber_switches", host.fiberSwitches);
-        w.field("fiber_switch_ns", host.fiberSwitchNs);
         w.field("fiber_stack_hwm_bytes", host.fiberStackHwmBytes);
         w.endObject();
     }

@@ -70,9 +70,9 @@ struct RunReport
         double wallSeconds = 0;       //!< host wall time of the run
         std::uint64_t events = 0;     //!< events executed by the run
         double eventsPerSec = 0;      //!< events / wallSeconds
-        double userSeconds = 0;       //!< getrusage: user CPU time
-        double sysSeconds = 0;        //!< getrusage: system CPU time
-        std::uint64_t maxRssKb = 0;   //!< getrusage: peak RSS
+        double userSeconds = 0;       //!< the run's user CPU time
+        double sysSeconds = 0;        //!< the run's system CPU time
+        std::uint64_t maxRssKb = 0;   //!< the process's peak RSS
 
         /**
          * Fiber context transfers performed by the run's processes
@@ -80,13 +80,6 @@ struct RunReport
          * metadata, so it lives here.
          */
         std::uint64_t fiberSwitches = 0;
-
-        /**
-         * Calibrated cost of one fiber transfer on this host in
-         * nanoseconds (Fiber::measureSwitchNs ping-pong at report
-         * time); with fiberSwitches it bounds the run's switch bill.
-         */
-        double fiberSwitchNs = 0;
 
         /**
          * Deepest fiber-stack use observed process-wide
@@ -158,17 +151,6 @@ struct RunReport
     /** Write a pretty report to @p path (fatal on I/O error). */
     void writeFile(const std::string &path) const;
 };
-
-/**
- * Fill @p h's process-wide fields: CPU time and memory from
- * getrusage(RUSAGE_SELF) (no-op where unavailable), the fiber-stack
- * high-water mark, and the calibrated per-switch cost. Wall time,
- * events and switch counts stay the caller's job —
- * those are per-run, while rusage and the stack registry cover the
- * whole process, which is the right scope for the soak/perf
- * trajectory the host block tracks.
- */
-void fillHostRusage(RunReport::HostPerf &h);
 
 } // namespace shrimp
 

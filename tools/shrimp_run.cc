@@ -16,7 +16,6 @@
  * --trace records a Chrome trace_event timeline (see README).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -389,11 +388,7 @@ main(int argc, char **argv)
     if (!o.causalFile.empty())
         causal::open(o.causalFile);
 
-    auto t0 = std::chrono::steady_clock::now();
-    AppResult r = runApp(o);
-    r.hostWallSeconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+    AppResult r = timedRun([&] { return runApp(o); });
 
     trace_json::close();
     causal::close();
@@ -448,18 +443,8 @@ main(int argc, char **argv)
         RunReport rep = makeReport(r);
         // Host-side timing is non-deterministic, so it rides in the
         // report only on request — same gate the bench harness uses.
-        if (const char *e = std::getenv("SHRIMP_REPORT_HOST");
-            e && *e && std::strcmp(e, "0") != 0) {
-            rep.host.enabled = true;
-            rep.host.wallSeconds = r.hostWallSeconds;
-            rep.host.events = r.hostEvents;
-            rep.host.eventsPerSec =
-                r.hostWallSeconds > 0
-                    ? double(r.hostEvents) / r.hostWallSeconds
-                    : 0;
-            rep.host.fiberSwitches = r.hostFiberSwitches;
-            fillHostRusage(rep.host);
-        }
+        if (reportHostPerf())
+            rep.host = hostPerf(r);
         rep.writeFile(o.statsJson);
         std::printf("report:         %s\n", o.statsJson.c_str());
     }

@@ -26,7 +26,7 @@ namespace
 double
 smallMessageLatency(double link_bw)
 {
-    core::ClusterConfig cfg;
+    core::ClusterConfig cfg = shrimpCluster();
     cfg.network.linkBytesPerSec = link_bw;
     core::Cluster c(cfg);
     core::ExportId exp = core::kInvalidExport;
@@ -86,12 +86,12 @@ main()
         double bw = net.bw;
         lat_jobs.push_back([bw] { return smallMessageLatency(bw); });
         app_jobs.push_back([bw] {
-            core::ClusterConfig cc;
+            core::ClusterConfig cc = shrimpCluster();
             cc.network.linkBytesPerSec = bw;
             return runRadixVmmc(cc, true, 16, radixConfig());
         });
         app_jobs.push_back([bw] {
-            core::ClusterConfig cc;
+            core::ClusterConfig cc = shrimpCluster();
             cc.network.linkBytesPerSec = bw;
             return runOceanNx(cc, false, 16, oceanConfig());
         });

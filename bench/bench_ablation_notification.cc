@@ -34,12 +34,12 @@ main()
     std::vector<std::function<apps::AppResult()>> jobs;
     for (double us : costs_us) {
         jobs.push_back([us] {
-            core::ClusterConfig cc;
+            core::ClusterConfig cc = shrimpCluster();
             cc.machine.notificationCost = microseconds(us);
             return runRadixSvm(cc, Protocol::AURC, 16, radixConfig());
         });
         jobs.push_back([us] {
-            core::ClusterConfig cc;
+            core::ClusterConfig cc = shrimpCluster();
             cc.machine.notificationCost = microseconds(us);
             auto bcfg = barnesSvmConfig();
             bcfg.bodies = std::min(bcfg.bodies, 2048);

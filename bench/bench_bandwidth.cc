@@ -25,7 +25,7 @@ namespace
 double
 measureBandwidth(bool use_au, bool combining, std::size_t bytes)
 {
-    ClusterConfig cfg;
+    ClusterConfig cfg = bench::shrimpCluster();
     cfg.shrimpNic.combiningEnabled = combining;
     Cluster c(cfg);
 

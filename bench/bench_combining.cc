@@ -23,7 +23,7 @@ namespace
 AppResult
 runWithCombining(const char *app, bool combining)
 {
-    core::ClusterConfig cc;
+    core::ClusterConfig cc = shrimpCluster();
     if (std::string(app) == "Radix-VMMC") {
         cc.shrimpNic.combiningEnabled = combining;
         return runRadixVmmc(cc, true, 16, radixConfig());

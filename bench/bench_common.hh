@@ -34,43 +34,16 @@ namespace shrimp::bench
 {
 
 /**
- * Base cluster config for a bench binary, with the SHRIMP_NIC
- * environment override (shrimp | baseline | modern) applied — every
- * table can be re-run on an alternate adapter without new flags.
- * Benches that compare NICs explicitly set ClusterConfig::nicKind on
- * their own configs instead, which this helper never touches.
+ * The environment's run settings (core::envClusterConfig()) on the
+ * SHRIMP NI: the base config of every bench that reproduces a
+ * SHRIMP-NI figure or what-if, so SHRIMP_NIC does not reach it.
  */
 inline core::ClusterConfig
-benchCluster()
+shrimpCluster()
 {
-    core::ClusterConfig cc;
-    cc.nicKind = nic::nicKindFromEnv(cc.nicKind);
-    // The topology sweep axis rides along the same way: SHRIMP_MESH
-    // re-runs any table on a bigger mesh (the paper's tables assume
-    // its 16-node procs fit, which every geometry >= 4x4 satisfies).
-    core::meshFromEnv(cc.meshWidth, cc.meshHeight);
+    core::ClusterConfig cc = core::envClusterConfig();
+    cc.nicKind = nic::NicKind::Shrimp;
     return cc;
-}
-
-/**
- * Capability-adaptive variant selection: the registry runs each app's
- * best-performing variant *for the configured NIC*. AU-dependent
- * choices (AURC, AU bulk transfer) degrade to their deliberate-update
- * equivalents on adapters without automatic update.
- */
-inline svm::Protocol
-bestProtocol(const core::ClusterConfig &cc)
-{
-    return nic::nicKindCaps(cc.nicKind).autoUpdate
-               ? svm::Protocol::AURC
-               : svm::Protocol::HLRC;
-}
-
-/** AU when the adapter supports it, else deliberate update. */
-inline bool
-bestAu(const core::ClusterConfig &cc)
-{
-    return nic::nicKindCaps(cc.nicKind).autoUpdate;
 }
 
 /** True when SHRIMP_SCALE=full is set. */
@@ -211,11 +184,11 @@ maybeEmitReport(const apps::AppResult &r)
     // default-mesh lines stay byte-identical to reports from before
     // the knob existed, SHRIMP_MESH runs identify their geometry
     // (unless the bench already stamped one itself).
-    int mw = 4, mh = 4;
-    core::meshFromEnv(mw, mh);
-    if ((mw != 4 || mh != 4) && !rep.params.count("mesh"))
-        rep.params["mesh"] =
-            std::to_string(mw) + "x" + std::to_string(mh);
+    core::ClusterConfig env = core::envClusterConfig();
+    if ((env.meshWidth != 4 || env.meshHeight != 4) &&
+        !rep.params.count("mesh"))
+        rep.params["mesh"] = std::to_string(env.meshWidth) + "x" +
+                             std::to_string(env.meshHeight);
     if (apps::reportHostPerf())
         rep.host = apps::hostPerf(r);
     emitReport(rep);
@@ -232,12 +205,19 @@ struct AppSpec
     std::string api;   //!< SVM / VMMC / NX / Sockets
     int nprocs;        //!< standard node count for the tables
 
-    /** Run under the given cluster config at @p nprocs. */
-    std::function<apps::AppResult(const core::ClusterConfig &)> run;
-
-    /** Run at an arbitrary processor count (speedup curves). */
+    /**
+     * Run at an arbitrary processor count (speedup curves). DFS and
+     * Render size themselves from their configs and ignore it.
+     */
     std::function<apps::AppResult(const core::ClusterConfig &, int)>
         runAt;
+
+    /** Run under the given cluster config at @p nprocs. */
+    apps::AppResult
+    run(const core::ClusterConfig &cc) const
+    {
+        return runAt(cc, nprocs);
+    }
 };
 
 /**
@@ -257,90 +237,55 @@ standardApps(int barnes_nx_procs = 16)
     // so the same registry covers AU-less adapters.
     specs.push_back(
         {"Barnes-SVM", "SVM", 16,
-         [](const core::ClusterConfig &cc) {
-             return runBarnesSvm(cc, bestProtocol(cc), 16,
-                                 barnesSvmConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
              return runBarnesSvm(cc, bestProtocol(cc), p,
                                  barnesSvmConfig());
          }});
     specs.push_back(
         {"Ocean-SVM", "SVM", 16,
-         [](const core::ClusterConfig &cc) {
-             return runOceanSvm(cc, bestProtocol(cc), 16,
-                                oceanConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
              return runOceanSvm(cc, bestProtocol(cc), p, oceanConfig());
          }});
     specs.push_back(
         {"Radix-SVM", "SVM", 16,
-         [](const core::ClusterConfig &cc) {
-             return runRadixSvm(cc, bestProtocol(cc), 16,
-                                radixConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
              return runRadixSvm(cc, bestProtocol(cc), p, radixConfig());
          }});
     specs.push_back(
         {"Radix-VMMC", "VMMC", 16,
-         [](const core::ClusterConfig &cc) {
-             return runRadixVmmc(cc, bestAu(cc), 16, radixConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
              return runRadixVmmc(cc, bestAu(cc), p, radixConfig());
          }});
     specs.push_back(
         {"Barnes-NX", "NX", barnes_nx_procs,
-         [barnes_nx_procs](const core::ClusterConfig &cc) {
-             return runBarnesNx(cc, /*au=*/false, barnes_nx_procs,
-                                barnesNxConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
-             return runBarnesNx(cc, false, p, barnesNxConfig());
+             return runBarnesNx(cc, /*au=*/false, p, barnesNxConfig());
          }});
     specs.push_back(
         {"Ocean-NX", "NX", 16,
-         [](const core::ClusterConfig &cc) {
-             return runOceanNx(cc, bestAu(cc), 16, oceanConfig());
-         },
          [](const core::ClusterConfig &cc, int p) {
              return runOceanNx(cc, bestAu(cc), p, oceanConfig());
          }});
-    specs.push_back(
-        {"DFS-sockets", "Sockets", 12,
-         [](const core::ClusterConfig &cc) {
-             return runDfs(cc, dfsConfig());
-         },
-         nullptr});
-    specs.push_back(
-        {"Render-sockets", "Sockets", 16,
-         [](const core::ClusterConfig &cc) {
-             return runRender(cc, renderConfig());
-         },
-         nullptr});
+    specs.push_back({"DFS-sockets", "Sockets", 12,
+                     [](const core::ClusterConfig &cc, int) {
+                         return runDfs(cc, dfsConfig());
+                     }});
+    specs.push_back({"Render-sockets", "Sockets", 16,
+                     [](const core::ClusterConfig &cc, int) {
+                         return runRender(cc, renderConfig());
+                     }});
 
     // Every registry run feeds the JSONL report sink when enabled,
     // stamped with its host wall time for the perf-trajectory report
     // and the NIC kind it ran on (the three-NIC matrix relies on it).
     for (auto &s : specs) {
-        auto run = s.run;
-        s.run = [run](const core::ClusterConfig &cc) {
-            auto r = apps::timedRun([&] { return run(cc); });
+        s.runAt = [run_at = s.runAt](const core::ClusterConfig &cc,
+                                     int p) {
+            auto r = apps::timedRun([&] { return run_at(cc, p); });
             r.param("nic", nic::nicKindName(cc.nicKind));
             maybeEmitReport(r);
             return r;
         };
-        if (s.runAt) {
-            auto run_at = s.runAt;
-            s.runAt = [run_at](const core::ClusterConfig &cc, int p) {
-                auto r = apps::timedRun([&] { return run_at(cc, p); });
-                r.param("nic", nic::nicKindName(cc.nicKind));
-                maybeEmitReport(r);
-                return r;
-            };
-        }
     }
     return specs;
 }

@@ -161,7 +161,7 @@ main()
             auto run = fa.run;
             jobs.push_back([run, rate] {
                 auto r = timedRun(
-                    [&] { return run(withFaults({}, rate)); });
+                    [&] { return run(withFaults(shrimpCluster(), rate)); });
                 r.param("fault_drop_rate", rate);
                 maybeEmitReport(r);
                 return r;
@@ -179,7 +179,7 @@ main()
             repeatIdx[a * kRates + ri] = jobs.size();
             jobs.push_back([run, rate] {
                 return timedRun(
-                    [&] { return run(withFaults({}, rate)); });
+                    [&] { return run(withFaults(shrimpCluster(), rate)); });
             });
         }
     }

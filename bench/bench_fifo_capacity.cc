@@ -39,7 +39,7 @@ struct StressResult
 StressResult
 manyToOneStress(std::uint32_t fifo_bytes)
 {
-    core::ClusterConfig cc;
+    core::ClusterConfig cc = shrimpCluster();
     cc.shrimpNic.outFifoBytes = fifo_bytes;
     cc.network.linkBytesPerSec = 2.0e6; // starved injection link
     core::Cluster c(cc);
@@ -115,12 +115,11 @@ main()
         if (!spec)
             continue;
         job_names.push_back(name);
-        auto run = spec->run;
         for (std::uint32_t fifo : {32u * 1024, 1024u}) {
-            jobs.push_back([run, fifo] {
-                core::ClusterConfig cc;
+            jobs.push_back([spec, fifo] {
+                core::ClusterConfig cc = shrimpCluster();
                 cc.shrimpNic.outFifoBytes = fifo;
-                return run(cc);
+                return spec->run(cc);
             });
         }
     }

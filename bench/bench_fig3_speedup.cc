@@ -52,15 +52,12 @@ main()
         for (const auto &s : specs)
             if (s.name == name)
                 spec = &s;
-        if (!spec || !spec->runAt)
+        if (!spec)
             continue;
         for (int p : procs) {
             cells.push_back({name, p});
-            auto run_at = spec->runAt;
-            jobs.push_back([run_at, p] {
-                core::ClusterConfig cc;
-                return run_at(cc, p);
-            });
+            jobs.push_back(
+                [spec, p] { return spec->runAt(shrimpCluster(), p); });
         }
     }
     auto results = runSweep(std::move(jobs));

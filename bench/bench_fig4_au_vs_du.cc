@@ -24,7 +24,7 @@ main()
     banner("automatic vs deliberate update", "Figure 4 (right)");
 
     const int kProcs = 16;
-    core::ClusterConfig cc;
+    core::ClusterConfig cc = shrimpCluster();
 
     struct Row
     {

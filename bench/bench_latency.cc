@@ -35,7 +35,7 @@ struct LatencyResult
 LatencyResult
 measureOneWay(NicKind kind, bool use_au, const char *name)
 {
-    ClusterConfig cfg;
+    ClusterConfig cfg = envClusterConfig();
     cfg.nicKind = kind;
     Cluster c(cfg);
 
@@ -113,7 +113,7 @@ measureOneWay(NicKind kind, bool use_au, const char *name)
 double
 measureSendOverhead(NicKind kind)
 {
-    ClusterConfig cfg;
+    ClusterConfig cfg = envClusterConfig();
     cfg.nicKind = kind;
     Cluster c(cfg);
 

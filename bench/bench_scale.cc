@@ -92,8 +92,8 @@ main()
         rcfg.iterations = 2;
         cells.push_back({"Radix-VMMC",
                          [rcfg](const core::ClusterConfig &cc, int p) {
-                             return apps::runRadixVmmc(cc, bestAu(cc), p,
-                                                       rcfg);
+                             return apps::runRadixVmmc(
+                                 cc, apps::bestAu(cc), p, rcfg);
                          }});
 
         apps::OceanConfig ocfg;
@@ -101,8 +101,8 @@ main()
         ocfg.iterations = 2;
         cells.push_back({"Ocean-NX",
                          [ocfg](const core::ClusterConfig &cc, int p) {
-                             return apps::runOceanNx(cc, bestAu(cc), p,
-                                                     ocfg);
+                             return apps::runOceanNx(
+                                 cc, apps::bestAu(cc), p, ocfg);
                          }});
 
         apps::BarnesConfig bcfg;
@@ -114,7 +114,7 @@ main()
                          }});
 
         for (const Cell &cell : cells) {
-            core::ClusterConfig cc = benchCluster();
+            core::ClusterConfig cc = core::envClusterConfig();
             cc.meshWidth = g.w;
             cc.meshHeight = g.h;
 

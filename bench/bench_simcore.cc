@@ -298,8 +298,11 @@ BENCHMARK(BM_MeshRouting);
 void
 BM_VmmcSmallMessages(benchmark::State &state)
 {
+    // The run settings apply, on the SHRIMP NI's message path.
+    core::ClusterConfig cc = core::envClusterConfig();
+    cc.nicKind = core::NicKind::Shrimp;
     for (auto _ : state) {
-        core::Cluster c;
+        core::Cluster c(cc);
         core::ExportId exp = core::kInvalidExport;
         char *rbuf = nullptr;
         c.spawnOn(1, "recv", [&] {

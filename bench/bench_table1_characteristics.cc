@@ -49,7 +49,7 @@ main()
 {
     banner("application characteristics", "Table 1 + 3-NIC matrix");
 
-    core::ClusterConfig cc = benchCluster();
+    core::ClusterConfig cc = core::envClusterConfig();
     bool full = fullScale();
 
     struct Row

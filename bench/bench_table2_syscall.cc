@@ -48,12 +48,11 @@ main()
         if (!spec)
             continue;
         rows.push_back(row);
-        auto run = spec->run;
         for (bool udma_sends : {true, false}) {
-            jobs.push_back([run, udma_sends] {
-                core::ClusterConfig cc;
+            jobs.push_back([spec, udma_sends] {
+                core::ClusterConfig cc = shrimpCluster();
                 cc.udmaSends = udma_sends;
-                return run(cc);
+                return spec->run(cc);
             });
         }
     }

@@ -55,11 +55,7 @@ main()
         if (!spec)
             continue;
         rows.push_back(row);
-        auto run = spec->run;
-        jobs.push_back([run] {
-            core::ClusterConfig cc;
-            return run(cc);
-        });
+        jobs.push_back([spec] { return spec->run(shrimpCluster()); });
     }
     auto results = runSweep(std::move(jobs));
 

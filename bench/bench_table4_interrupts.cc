@@ -49,12 +49,11 @@ main()
         if (!spec)
             continue;
         rows.push_back(row);
-        auto run = spec->run;
         for (bool forced : {false, true}) {
-            jobs.push_back([run, forced] {
-                core::ClusterConfig cc;
+            jobs.push_back([spec, forced] {
+                core::ClusterConfig cc = shrimpCluster();
                 cc.shrimpNic.interruptPerMessage = forced;
-                return run(cc);
+                return spec->run(cc);
             });
         }
     }

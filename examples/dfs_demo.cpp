@@ -20,7 +20,7 @@ using namespace shrimp::sock;
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::envClusterConfig());
     SocketDomain dom(cluster);
 
     const std::size_t kBlock = 8192;

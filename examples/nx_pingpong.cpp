@@ -20,7 +20,7 @@ using namespace shrimp;
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::envClusterConfig());
     msg::NxConfig cfg;
     cfg.nprocs = 2;
     cfg.ringBytes = 512 * 1024; // room for the largest streamed size

@@ -26,7 +26,12 @@ using namespace shrimp::core;
 int
 main()
 {
-    Cluster cluster; // 4x4 mesh of 60 MHz Pentium nodes, SHRIMP NIs
+    // A 4x4 mesh of 60 MHz Pentium nodes unless the SHRIMP_* run
+    // settings say otherwise; the walkthrough binds automatic update,
+    // so it keeps the SHRIMP NIs.
+    ClusterConfig config = envClusterConfig();
+    config.nicKind = NicKind::Shrimp;
+    Cluster cluster(config);
 
     // Plumbing the two sides share.
     ExportHandle exported;

@@ -47,7 +47,7 @@ struct KvReply
 int
 main()
 {
-    core::Cluster cluster;
+    core::Cluster cluster(core::envClusterConfig());
     RpcDomain rpc(cluster);
     BspConfig bcfg;
     bcfg.nprocs = 5;

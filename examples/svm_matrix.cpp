@@ -29,7 +29,10 @@ struct Outcome
 Outcome
 runOnce(Protocol protocol)
 {
-    core::Cluster cluster;
+    // HLRC-AU and AURC use automatic update: keep the SHRIMP NIs.
+    core::ClusterConfig config = core::envClusterConfig();
+    config.nicKind = core::NicKind::Shrimp;
+    core::Cluster cluster(config);
     const int kProcs = 8;
     const int kN = 128;
     const int kIters = 10;

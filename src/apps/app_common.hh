@@ -20,6 +20,7 @@
 #include <sys/resource.h>
 
 #include "core/cluster.hh"
+#include "nic/nic_kind.hh"
 #include "sim/fiber.hh"
 #include "sim/recorder.hh"
 #include "sim/logging.hh"
@@ -27,6 +28,7 @@
 #include "sim/run_report.hh"
 #include "sim/stats.hh"
 #include "sim/time_account.hh"
+#include "svm/svm.hh"
 
 namespace shrimp::apps
 {
@@ -106,6 +108,27 @@ struct AppResult
         return elapsed ? double(seq) / double(elapsed) : 0.0;
     }
 };
+
+/**
+ * Capability-adaptive variant choice: each app's best-performing
+ * variant *for the configured NIC*. AU-dependent choices (AURC, AU
+ * bulk transfer) degrade to their deliberate-update equivalents,
+ * HLRC and DU, on adapters without automatic update.
+ */
+inline svm::Protocol
+bestProtocol(const core::ClusterConfig &cc)
+{
+    return nic::nicKindCaps(cc.nicKind).autoUpdate
+               ? svm::Protocol::AURC
+               : svm::Protocol::HLRC;
+}
+
+/** AU when the adapter supports it, else deliberate update. */
+inline bool
+bestAu(const core::ClusterConfig &cc)
+{
+    return nic::nicKindCaps(cc.nicKind).autoUpdate;
+}
 
 /**
  * Copy the cluster's statistics registry into @p result. Call after

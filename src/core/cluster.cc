@@ -1,8 +1,9 @@
 #include "core/cluster.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "core/vmmc.hh"
 #include "sim/logging.hh"
@@ -30,16 +31,82 @@ parseMesh(const char *spec, int &width, int &height)
     return true;
 }
 
-void
-meshFromEnv(int &width, int &height)
+namespace
 {
-    const char *e = std::getenv("SHRIMP_MESH");
-    if (!e || !*e)
+
+/** The value of environment variable @p name; nullptr if unset or empty. */
+const char *
+envValue(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v && *v ? v : nullptr;
+}
+
+/** Apply the SHRIMP_FAULT_* variables to @p f. */
+void
+faultsFromEnv(mesh::FaultParams &f)
+{
+    if (const char *v = envValue("SHRIMP_FAULT_DROP_RATE"))
+        f.dropRate = std::atof(v);
+    if (const char *v = envValue("SHRIMP_FAULT_CORRUPT_RATE"))
+        f.corruptRate = std::atof(v);
+    if (const char *v = envValue("SHRIMP_FAULT_JITTER_RATE"))
+        f.jitterRate = std::atof(v);
+    if (const char *v = envValue("SHRIMP_FAULT_MAX_JITTER_NS"))
+        f.maxJitter = nanoseconds(std::atof(v));
+    if (const char *v = envValue("SHRIMP_FAULT_SEED"))
+        f.seed = std::strtoull(v, nullptr, 10);
+    if (const char *v = envValue("SHRIMP_FAULT_RELIABILITY"))
+        f.forceReliability = std::strcmp(v, "0") != 0;
+    const char *v = envValue("SHRIMP_FAULT_LINK_DOWN");
+    if (!v)
         return;
-    if (!parseMesh(e, width, height))
+    // Comma-separated "link:t0us:t1us" specs.
+    std::string specs(v);
+    std::size_t pos = 0;
+    while (true) {
+        std::size_t comma = specs.find(',', pos);
+        std::string one = specs.substr(
+            pos, comma == std::string::npos ? comma : comma - pos);
+        mesh::LinkOutage o;
+        if (!mesh::parseLinkOutage(one, o))
+            fatal("SHRIMP_FAULT_LINK_DOWN: bad spec '%s' "
+                  "(want link:t0us:t1us)",
+                  one.c_str());
+        f.outages.push_back(o);
+        if (comma == std::string::npos)
+            return;
+        pos = comma + 1;
+    }
+}
+
+} // anonymous namespace
+
+ClusterConfig
+envClusterConfig()
+{
+    ClusterConfig cc;
+    if (const char *v = envValue("SHRIMP_MESH");
+        v && !parseMesh(v, cc.meshWidth, cc.meshHeight))
         fatal("SHRIMP_MESH='%s' is not a valid WxH mesh spec "
               "(product limit %d nodes)",
-              e, mesh::kMaxMeshNodes);
+              v, mesh::kMaxMeshNodes);
+    if (const char *v = envValue("SHRIMP_NIC");
+        v && !nic::parseNicKind(v, cc.nicKind))
+        fatal("SHRIMP_NIC=%s: unknown NIC kind (want "
+              "shrimp|baseline|modern)", v);
+    faultsFromEnv(cc.network.fault);
+    if (const char *v = envValue("SHRIMP_LIFECYCLE"))
+        cc.lifecycleTracing = *v != '0';
+    if (const char *v = envValue("SHRIMP_METRICS_INTERVAL_US"))
+        cc.metricsInterval = microseconds(std::atof(v));
+    // SHRIMP_METRICS names the series' file (the benches write it);
+    // naming one implies the default 10 us cadence.
+    if (cc.metricsInterval == 0 && std::getenv("SHRIMP_METRICS"))
+        cc.metricsInterval = microseconds(10);
+    if (const char *v = envValue("SHRIMP_WATCHDOG_SECS"))
+        cc.watchdogSecs = std::atoi(v);
+    return cc;
 }
 
 Cluster::Cluster(const ClusterConfig &config) : _config(config)
@@ -48,50 +115,13 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         fatal("ClusterConfig::threads = %d: a simulation runs on one "
               "host thread, so 1 is the only valid value",
               _config.threads);
-    // Environment fault knobs (SHRIMP_FAULT_*) layer on top of the
-    // programmatic config, so any tool or benchmark can be run against
-    // a lossy backplane without changing code.
-    _config.network.fault = mesh::faultParamsFromEnv(_config.network.fault);
-    // Flight-recorder knobs follow the same pattern: SHRIMP_METRICS
-    // names the sink (consumed by the benchmarks/tools), and setting
-    // it implies a default 10 us sampling cadence here.
-    if (const char *e = std::getenv("SHRIMP_LIFECYCLE");
-        e && *e && *e != '0')
-        _config.lifecycleTracing = true;
-    if (const char *e = std::getenv("SHRIMP_METRICS_INTERVAL_US");
-        e && *e)
-        _config.metricsInterval = microseconds(std::atof(e));
-    if (_config.metricsInterval == 0 && std::getenv("SHRIMP_METRICS"))
-        _config.metricsInterval = microseconds(10);
-    // The soak watchdog layers the same way: the environment fills in
-    // the default only, an explicit config value wins.
-    if (_config.watchdogSecs <= 0) {
-        if (const char *e = std::getenv("SHRIMP_WATCHDOG_SECS");
-            e && *e)
-            _config.watchdogSecs = std::atoi(e);
-    }
-    // SHRIMP_MESH follows the same layering: it overrides the 4x4
-    // default, never an explicitly-configured geometry.
-    if (_config.meshWidth == 4 && _config.meshHeight == 4)
-        meshFromEnv(_config.meshWidth, _config.meshHeight);
     _network = std::make_unique<mesh::Network>(
         _sim, _config.meshWidth, _config.meshHeight, _config.network);
 
     if (_config.lifecycleTracing)
         _sim.recorder().enableLifecycle();
 
-    // Every NIC kind takes the same construction-time configuration,
-    // wired before any traffic can flow.
-    nic::Config nic_cfg;
-    nic_cfg.reliability = _config.reliability;
-
     int n = _config.meshWidth * _config.meshHeight;
-    // Past the per-destination-stats ceiling the "rel.dst<D>.*"
-    // scalar mirror would put O(nodes^2) entries in every fault-mode
-    // RunReport; big meshes keep the aggregate counters and per-node
-    // RTT histograms only.
-    if (n > nic::kPerDestStatsMaxNodes)
-        nic_cfg.reliability.perDestStats = false;
     nodes.reserve(n);
     nics.reserve(n);
     endpoints.reserve(n);
@@ -101,15 +131,18 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         switch (config.nicKind) {
           case NicKind::Shrimp:
             nics.push_back(std::make_unique<nic::ShrimpNic>(
-                *nodes.back(), *_network, config.shrimpNic, nic_cfg));
+                *nodes.back(), *_network, config.shrimpNic,
+                config.reliability));
             break;
           case NicKind::Baseline:
             nics.push_back(std::make_unique<nic::BaselineNic>(
-                *nodes.back(), *_network, config.baselineNic, nic_cfg));
+                *nodes.back(), *_network, config.baselineNic,
+                config.reliability));
             break;
           case NicKind::Modern:
             nics.push_back(std::make_unique<nic::ModernNic>(
-                *nodes.back(), *_network, config.modernNic, nic_cfg));
+                *nodes.back(), *_network, config.modernNic,
+                config.reliability));
             break;
         }
         endpoints.push_back(std::make_unique<Endpoint>(

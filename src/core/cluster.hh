@@ -35,14 +35,6 @@ class Endpoint;
  */
 bool parseMesh(const char *spec, int &width, int &height);
 
-/**
- * SHRIMP_MESH resolved against programmatic defaults: when the
- * variable is set and non-empty it overrides (@p width, @p height).
- * A malformed spec is fatal — a bad mesh must fail loudly, not run
- * 4x4 silently.
- */
-void meshFromEnv(int &width, int &height);
-
 /** Which network interface the cluster is built with (nic/nic_kind.hh). */
 using NicKind = nic::NicKind;
 
@@ -50,10 +42,8 @@ using NicKind = nic::NicKind;
 struct ClusterConfig
 {
     /**
-     * Mesh geometry. The 4x4 Paragon default matches the paper; the
-     * SHRIMP_MESH environment variable ("WxH") layers onto the
-     * default only, like SHRIMP_WATCHDOG_SECS, so configs that name a
-     * geometry explicitly keep it.
+     * Mesh geometry. The 4x4 Paragon default matches the paper;
+     * SHRIMP_MESH ("WxH") sets it through envClusterConfig().
      */
     int meshWidth = 4;
     int meshHeight = 4;
@@ -83,8 +73,8 @@ struct ClusterConfig
 
     /**
      * Flight-recorder sampling cadence (simulated time); 0 disables
-     * the metrics sampler. Also settable via SHRIMP_METRICS_INTERVAL_US
-     * (setting SHRIMP_METRICS alone defaults the cadence to 10 us).
+     * the metrics sampler. envClusterConfig() takes it from
+     * SHRIMP_METRICS_INTERVAL_US (SHRIMP_METRICS alone means 10 us).
      */
     Tick metricsInterval = 0;
 
@@ -92,7 +82,7 @@ struct ClusterConfig
      * Per-packet lifecycle latency attribution. Adds per-stage
      * histograms and a latency_breakdown report block; sampling is
      * read-only, so simulated timing and checksums are unchanged.
-     * Also settable via SHRIMP_LIFECYCLE=1.
+     * envClusterConfig() turns it on for SHRIMP_LIFECYCLE=1.
      */
     bool lifecycleTracing = false;
 
@@ -107,11 +97,22 @@ struct ClusterConfig
      * Soak watchdog (sim/watchdog.hh): when > 0, run() starts a
      * wall-clock thread that dumps progress state to stderr if
      * simulated time stops advancing for this many real seconds (or
-     * on SIGUSR1). Read-only observation; 0 disables. Also settable
-     * via SHRIMP_WATCHDOG_SECS (layers onto the default only).
+     * on SIGUSR1). Read-only observation; 0 disables.
+     * envClusterConfig() takes it from SHRIMP_WATCHDOG_SECS.
      */
     int watchdogSecs = 0;
 };
+
+/**
+ * The default config with the environment's run settings applied:
+ * SHRIMP_MESH, SHRIMP_NIC, SHRIMP_FAULT_*, SHRIMP_LIFECYCLE,
+ * SHRIMP_METRICS / SHRIMP_METRICS_INTERVAL_US and
+ * SHRIMP_WATCHDOG_SECS. This is the only reader of those variables:
+ * binaries start from it and assign their own settings afterwards,
+ * so an explicit setting always wins, and a Cluster uses the config
+ * it is given. A malformed mesh, NIC or outage spec is fatal.
+ */
+ClusterConfig envClusterConfig();
 
 /**
  * A SHRIMP cluster instance.

@@ -84,16 +84,6 @@ struct FaultParams
  */
 bool parseLinkOutage(const std::string &spec, LinkOutage &out);
 
-/**
- * Overlay SHRIMP_FAULT_* environment variables on @p base:
- * SHRIMP_FAULT_DROP_RATE, SHRIMP_FAULT_CORRUPT_RATE,
- * SHRIMP_FAULT_JITTER_RATE, SHRIMP_FAULT_MAX_JITTER_NS,
- * SHRIMP_FAULT_SEED, SHRIMP_FAULT_RELIABILITY, and
- * SHRIMP_FAULT_LINK_DOWN (comma-separated "link:t0us:t1us" specs).
- * Unset variables leave the corresponding field untouched.
- */
-FaultParams faultParamsFromEnv(FaultParams base);
-
 /** What the fault plane did to one packet at one link crossing. */
 struct FaultVerdict
 {

@@ -9,17 +9,17 @@ namespace shrimp::nic
 
 BaselineNic::BaselineNic(node::Node &n, mesh::Network &net,
                          const BaselineNicParams &params,
-                         const Config &cfg)
+                         const ReliabilityParams &rel)
     : BaselineNic(n, net, NicKind::Baseline, "bnic", "fw_engine", params,
-                  cfg)
+                  rel)
 {
 }
 
 BaselineNic::BaselineNic(node::Node &n, mesh::Network &net, NicKind kind,
                          const std::string &name, const char *engine,
                          const BaselineNicParams &params,
-                         const Config &cfg)
-    : NicBase(n, net, kind, cfg), _params(params),
+                         const ReliabilityParams &rel)
+    : NicBase(n, net, kind, rel), _params(params),
       stPacketsIn(sim.stats(), n.name() + "." + name + ".packets_in"),
       stBytesIn(sim.stats(), n.name() + "." + name + ".bytes_in")
 {

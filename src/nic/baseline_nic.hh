@@ -54,11 +54,11 @@ class BaselineNic : public NicBase
      * @param n Owning node.
      * @param net The backplane.
      * @param params Adapter tunables.
-     * @param cfg Shared construction-time configuration.
+     * @param rel Reliability-protocol tunables.
      */
     BaselineNic(node::Node &n, mesh::Network &net,
                 const BaselineNicParams &params = BaselineNicParams(),
-                const Config &cfg = {});
+                const ReliabilityParams &rel = {});
 
     /** Parameters access. */
     const BaselineNicParams &params() const { return _params; }
@@ -71,7 +71,8 @@ class BaselineNic : public NicBase
      */
     BaselineNic(node::Node &n, mesh::Network &net, NicKind kind,
                 const std::string &name, const char *engine,
-                const BaselineNicParams &params, const Config &cfg);
+                const BaselineNicParams &params,
+                const ReliabilityParams &rel);
 
     /**
      * Announce a packet that has landed as @p d: set the notification

@@ -6,9 +6,10 @@ namespace shrimp::nic
 {
 
 ModernNic::ModernNic(node::Node &n, mesh::Network &net,
-                     const ModernNicParams &params, const Config &cfg)
+                     const ModernNicParams &params,
+                     const ReliabilityParams &rel)
     : BaselineNic(n, net, NicKind::Modern, "mnic", "sq_engine", params,
-                  cfg),
+                  rel),
       _params(params),
       stCqInterrupts(sim.stats(), n.name() + ".mnic.cq_interrupts"),
       stCqEvents(sim.stats(), n.name() + ".mnic.cq_events"),

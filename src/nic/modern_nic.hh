@@ -76,11 +76,11 @@ class ModernNic : public BaselineNic
      * @param n Owning node.
      * @param net The backplane.
      * @param params Adapter tunables.
-     * @param cfg Shared construction-time configuration.
+     * @param rel Reliability-protocol tunables.
      */
     ModernNic(node::Node &n, mesh::Network &net,
               const ModernNicParams &params = ModernNicParams(),
-              const Config &cfg = {});
+              const ReliabilityParams &rel = {});
 
     std::uint64_t notifyCount(std::uint32_t id) const override;
 

@@ -10,9 +10,9 @@ namespace shrimp::nic
 {
 
 NicBase::NicBase(node::Node &n, mesh::Network &net, NicKind kind,
-                 const Config &cfg)
+                 const ReliabilityParams &rel)
     : _node(n), sim(n.simulation()), _net(net), _kind(kind),
-      _reliable(net.reliabilityEnabled()), _rel(cfg.reliability),
+      _reliable(net.reliabilityEnabled()), _rel(rel),
       stCorruptRx(n.simulation().stats(), "mesh.corrupt_rx"),
       stDupRx(n.simulation().stats(), "mesh.dup_rx"),
       stRetransmits(n.simulation().stats(), "mesh.retransmits"),
@@ -213,12 +213,12 @@ NicBase::channelFor(NodeId dst)
     RelChannel &ch = it->second;
     if (inserted) {
         auto &stats = sim.stats();
-        if (_rel.perDestStats) {
+        if (_net.topology().nodeCount() <= kPerDestStatsMaxNodes) {
             // Bind the per-channel observability surface once; map
             // entries are address-stable so the pointers stay valid.
-            // Past kPerDestStatsMaxNodes the Cluster turns this
-            // mirror off (nodes^2 scalars would swamp every report);
-            // the node-wide histogram below still aggregates RTTs.
+            // Big meshes skip this mirror (nodes^2 scalars would
+            // swamp every report); the node-wide histogram below
+            // still aggregates RTTs.
             std::string prefix =
                 _node.name() + ".rel.dst" + std::to_string(dst) + ".";
             ch.stOutstanding = &stats.scalar(prefix + "outstanding");

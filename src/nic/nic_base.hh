@@ -97,35 +97,15 @@ struct ReliabilityParams
 
     /** On-wire size of an ACK/NACK packet (header only). */
     std::uint32_t ctrlWireBytes = 16;
-
-    /**
-     * Publish the per-destination "rel.dst<D>.*" scalar mirror of
-     * each channel's state. On by default for paper-scale meshes;
-     * the Cluster turns it off past kPerDestStatsMaxNodes nodes,
-     * where the mirror would put O(nodes^2) scalars in every
-     * RunReport. Channel state itself (and peerHealth()) is
-     * unaffected — only the observability mirror is gated.
-     */
-    bool perDestStats = true;
 };
 
 /**
- * Largest cluster that still gets the per-destination reliability
- * scalars by default (see ReliabilityParams::perDestStats).
+ * Largest mesh whose NICs publish the per-destination "rel.dst<D>.*"
+ * scalar mirror of each reliability channel. Past it the mirror
+ * would put O(nodes^2) scalars in every RunReport; channel state
+ * itself (and peerHealth()) is unaffected.
  */
 inline constexpr int kPerDestStatsMaxNodes = 64;
-
-/**
- * Construction-time configuration shared by every NIC kind: the
- * cluster passes reliability tunables here instead of through
- * post-hoc setters, so a NIC is fully wired the moment it attaches
- * to the mesh.
- */
-struct Config
-{
-    /** Reliability-protocol tunables (used only in fault mode). */
-    ReliabilityParams reliability;
-};
 
 /**
  * A posted send descriptor: one remote write, as issued by the VMMC
@@ -190,10 +170,11 @@ class NicBase
      *            receiver for the node.
      * @param kind Which adapter this is; caps() reads its row of the
      *             capability table.
-     * @param cfg Shared construction-time configuration.
+     * @param rel Reliability-protocol tunables (used only in fault
+     *            mode).
      */
     NicBase(node::Node &n, mesh::Network &net, NicKind kind,
-            const Config &cfg = {});
+            const ReliabilityParams &rel = {});
 
     virtual ~NicBase() = default;
 

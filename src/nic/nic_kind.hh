@@ -56,14 +56,6 @@ const char *nicKindName(NicKind kind);
 bool parseNicKind(std::string_view name, NicKind &out);
 
 /**
- * The kind named by the SHRIMP_NIC environment variable, or
- * @p fallback when unset. Dies on an unparseable value so a typo in
- * a bench sweep fails loudly instead of silently testing the wrong
- * adapter.
- */
-NicKind nicKindFromEnv(NicKind fallback);
-
-/**
  * Capability table by kind: what a cluster built with @p kind will
  * report from NicBase::caps(). Lets benches pick app variants (AU vs
  * DU, SVM protocol) before constructing a cluster.

@@ -24,8 +24,9 @@ auStorePackets(std::uint32_t bytes)
 } // anonymous namespace
 
 ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
-                     const ShrimpNicParams &params, const Config &cfg)
-    : NicBase(n, net, NicKind::Shrimp, cfg), _params(params),
+                     const ShrimpNicParams &params,
+                     const ReliabilityParams &rel)
+    : NicBase(n, net, NicKind::Shrimp, rel), _params(params),
       statPrefix(n.name() + ".nic"),
       stEisaBusyPs(sim.stats(), statPrefix + ".eisa_busy_ps"),
       stAuStores(sim.stats(), statPrefix + ".au_stores"),

@@ -87,11 +87,11 @@ class ShrimpNic : public NicBase
      * @param net The backplane; the NIC attaches itself as the
      *            receiver for the node.
      * @param params NIC tunables.
-     * @param cfg Shared construction-time configuration.
+     * @param rel Reliability-protocol tunables.
      */
     ShrimpNic(node::Node &n, mesh::Network &net,
               const ShrimpNicParams &params = ShrimpNicParams(),
-              const Config &cfg = {});
+              const ReliabilityParams &rel = {});
 
     void bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
                 bool combining, bool interrupt_request) override;

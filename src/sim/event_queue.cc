@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include "sim/logging.hh"
-#include "sim/recorder.hh"
 
 namespace shrimp
 {
@@ -116,10 +115,6 @@ EventQueue::step()
         }
         _now = key.when;
         ++_executed;
-        // Periodic queue-depth samples give the trace a load track
-        // without a per-event cost.
-        if (depthRecorder && (_executed & 0x3ff) == 0)
-            depthRecorder->counter("events.pending", double(heap.size()));
         // Invoke in place: the record's slab address is stable even if
         // the callback schedules (slabs only grow), and the slot stays
         // live — hence un-reusable — until recycled below.

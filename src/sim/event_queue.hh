@@ -40,8 +40,6 @@
 namespace shrimp
 {
 
-class Recorder;
-
 class EventQueue;
 
 /**
@@ -222,12 +220,6 @@ class EventQueue
     /** Total events executed (for reporting/debug). */
     std::uint64_t executed() const { return _executed; }
 
-    /**
-     * Sample the queue depth into @p rec's Chrome timeline every 1024
-     * events; nullptr (the default) samples nothing.
-     */
-    void sampleDepthInto(Recorder *rec) { depthRecorder = rec; }
-
     /** Cancel the event named by (@p slot, @p gen); stale = no-op. */
     void
     cancel(std::uint32_t slot, std::uint32_t gen)
@@ -292,7 +284,6 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t _executed = 0;
-    Recorder *depthRecorder = nullptr;
 };
 
 void

@@ -480,19 +480,6 @@ Recorder::instant(int track, const char *name,
     chromeLine(line);
 }
 
-void
-Recorder::counter(const char *name, double value)
-{
-    if (!_chromeOn)
-        return;
-    std::string line =
-        strfmt("{\"ph\":\"C\",\"pid\":%d,\"tid\":0,\"ts\":", pid);
-    appendUs(line, sim.now());
-    line += strfmt(",\"name\":\"%s\",\"args\":{\"value\":%.0f}}",
-                   JsonWriter::escaped(name).c_str(), value);
-    chromeLine(line);
-}
-
 // --- causal spans ---
 
 void

@@ -4,7 +4,7 @@
  * object behind a run's three observability outputs.
  *
  *  - the Chrome timeline (sim/trace_json.hh): process proc/blocked
- *    spans, NIC, SVM and mesh spans and instants, queue-depth counters;
+ *    spans, NIC, SVM and mesh spans and instants;
  *  - the causal log (sim/causal.hh): OpSpan operation spans, the pkt.*
  *    spans of every delivered packet, nic.retx;
  *  - the lifecycle.*_us stage histograms behind the RunReport's
@@ -166,9 +166,6 @@ class Recorder
     /** Emit an instant event at the current simulated time. */
     void instant(int track, const char *name,
                  const std::string &args_json = std::string());
-
-    /** Emit a counter sample at the current simulated time. */
-    void counter(const char *name, double value);
 
     // --- causal context and packets ---
 

@@ -54,8 +54,6 @@ WaitQueue::wakeAll(Simulation &sim)
 
 Simulation::Simulation() : _recorder(*this)
 {
-    if (_recorder.chromeOn())
-        queue.sampleDepthInto(&_recorder);
     live_simulations.push_back(this);
 }
 

@@ -3,8 +3,8 @@
  * The Chrome trace_event JSON output, loadable in chrome://tracing
  * and Perfetto.
  *
- * Each run's Recorder (sim/recorder.hh) writes span, instant and
- * counter events on named *tracks* — one per simulated process, plus
+ * Each run's Recorder (sim/recorder.hh) writes span and instant
+ * events on named *tracks* — one per simulated process, plus
  * per-node NIC/SVM tracks, per-link mesh tracks and, with the causal
  * log also open, one causal.node<N> mirror track per node. Events
  * carry simulated time (microsecond ts/dur with picosecond

@@ -129,7 +129,7 @@ TEST(FaultParsing, EnvOverlay)
     ::setenv("SHRIMP_FAULT_DROP_RATE", "0.125", 1);
     ::setenv("SHRIMP_FAULT_SEED", "99", 1);
     ::setenv("SHRIMP_FAULT_LINK_DOWN", "1:5:10,2:20:30", 1);
-    FaultParams p = faultParamsFromEnv(FaultParams());
+    FaultParams p = core::envClusterConfig().network.fault;
     ::unsetenv("SHRIMP_FAULT_DROP_RATE");
     ::unsetenv("SHRIMP_FAULT_SEED");
     ::unsetenv("SHRIMP_FAULT_LINK_DOWN");
@@ -141,8 +141,8 @@ TEST(FaultParsing, EnvOverlay)
     EXPECT_EQ(p.outages[1].from, microseconds(20));
     EXPECT_TRUE(p.reliabilityEnabled());
 
-    // No variables set: the base config passes through untouched.
-    FaultParams clean = faultParamsFromEnv(FaultParams());
+    // No variables set: the default config passes through untouched.
+    FaultParams clean = core::envClusterConfig().network.fault;
     EXPECT_FALSE(clean.reliabilityEnabled());
 }
 
@@ -620,10 +620,10 @@ TEST(PeerHealth, NonFatalGiveUpMarksChannelDeadAndCompletes)
                 }());
     node::Node n0(sim, 0, node::MachineParams(), 1 << 22);
     node::Node n1(sim, 1, node::MachineParams(), 1 << 22);
-    nic::Config cfg;
-    cfg.reliability.fatalOnGiveUp = false;
-    nic::ShrimpNic nic0(n0, net, nic::ShrimpNicParams(), cfg);
-    nic::ShrimpNic nic1(n1, net, nic::ShrimpNicParams(), cfg);
+    nic::ReliabilityParams rel;
+    rel.fatalOnGiveUp = false;
+    nic::ShrimpNic nic0(n0, net, nic::ShrimpNicParams(), rel);
+    nic::ShrimpNic nic1(n1, net, nic::ShrimpNicParams(), rel);
 
     NodeId dead_peer = kInvalidNode;
     nic0.setPeerDeadHook([&](NodeId d) { dead_peer = d; });

@@ -48,14 +48,6 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-void
-clearRecorderEnv()
-{
-    ::unsetenv("SHRIMP_METRICS");
-    ::unsetenv("SHRIMP_METRICS_INTERVAL_US");
-    ::unsetenv("SHRIMP_LIFECYCLE");
-}
-
 } // anonymous namespace
 
 // ----------------------------------------------------------------------
@@ -152,7 +144,6 @@ TEST(MetricsSampler, SamplesOnCadenceAndStopsWithTheRun)
 
 TEST(MetricsSampler, ClusterRunCapturesSeriesIntoResult)
 {
-    clearRecorderEnv();
     core::ClusterConfig cc;
     cc.metricsInterval = microseconds(20);
     auto r = smallRadix(cc);
@@ -181,7 +172,6 @@ TEST(MetricsSampler, ClusterRunCapturesSeriesIntoResult)
 
 TEST(FlightRecorder, SamplingAndLifecycleLeaveTheRunBitIdentical)
 {
-    clearRecorderEnv();
     core::ClusterConfig off;
     auto a = smallRadix(off);
 
@@ -207,7 +197,6 @@ TEST(FlightRecorder, SamplingAndLifecycleLeaveTheRunBitIdentical)
 
 TEST(FlightRecorder, LifecycleFillsLatencyBreakdown)
 {
-    clearRecorderEnv();
     core::ClusterConfig cc;
     cc.lifecycleTracing = true;
     auto r = smallRadix(cc);
@@ -244,18 +233,19 @@ TEST(FlightRecorder, MetricsSinkIsByteIdenticalSerialVsParallel)
                          const char *jobs) {
         std::remove(metrics.c_str());
         ::setenv("SHRIMP_METRICS", metrics.c_str(), 1);
-        ::setenv("SHRIMP_METRICS_INTERVAL_US", "20", 1);
         ::setenv("SHRIMP_JOBS", jobs, 1);
         std::vector<std::function<apps::AppResult()>> jobs_v;
         for (int p : {1, 2, 4}) {
             jobs_v.push_back([p] {
-                auto r = smallRadix(core::ClusterConfig(), p);
+                core::ClusterConfig cc;
+                cc.metricsInterval = microseconds(20);
+                auto r = smallRadix(cc, p);
                 bench::maybeEmitReport(r);
                 return r;
             });
         }
         auto results = bench::runSweep(std::move(jobs_v));
-        clearRecorderEnv();
+        ::unsetenv("SHRIMP_METRICS");
         ::unsetenv("SHRIMP_JOBS");
         return results;
     };
@@ -289,7 +279,6 @@ TEST(FlightRecorder, MetricsSinkIsByteIdenticalSerialVsParallel)
 
 TEST(FlightRecorder, AckRttSamplesAppearUnderFaultMode)
 {
-    clearRecorderEnv();
     core::ClusterConfig cc;
     cc.network.fault.forceReliability = true;
     auto r = smallRadix(cc, 2);

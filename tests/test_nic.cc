@@ -11,6 +11,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/cluster.hh"
 #include "mesh/network.hh"
 #include "nic/modern_nic.hh"
 #include "nic/nic_kind.hh"
@@ -524,9 +525,10 @@ TEST(NicKind, ParseNamesAndCapsTable)
 TEST(NicKind, EnvOverride)
 {
     ::setenv("SHRIMP_NIC", "modern", 1);
-    EXPECT_EQ(nicKindFromEnv(NicKind::Shrimp), NicKind::Modern);
+    EXPECT_EQ(core::envClusterConfig().nicKind, NicKind::Modern);
     ::unsetenv("SHRIMP_NIC");
-    EXPECT_EQ(nicKindFromEnv(NicKind::Baseline), NicKind::Baseline);
+    EXPECT_EQ(core::envClusterConfig().nicKind,
+              core::ClusterConfig().nicKind);
 }
 
 // ---------------------------------------------------------------------

@@ -75,7 +75,7 @@ TEST(ClusterConfigDeathTest, ThreadsOtherThanOneIsFatal)
 }
 
 // ---------------------------------------------------------------------
-// SHRIMP_MESH parsing and default-only layering.
+// SHRIMP_MESH parsing, and explicit settings beating the environment.
 // ---------------------------------------------------------------------
 
 TEST(MeshEnv, ParseMeshAcceptsWxH)
@@ -100,13 +100,11 @@ TEST(MeshEnv, ParseMeshRejectsJunk)
 TEST(MeshEnv, LayersOntoDefaultGeometryOnly)
 {
     ::setenv("SHRIMP_MESH", "8x8", 1);
-    int w = 4, h = 4;
-    core::meshFromEnv(w, h);
-    EXPECT_EQ(w, 8);
-    EXPECT_EQ(h, 8);
+    core::ClusterConfig cc = core::envClusterConfig();
+    EXPECT_EQ(cc.meshWidth, 8);
+    EXPECT_EQ(cc.meshHeight, 8);
 
     // An explicit programmatic geometry survives the environment.
-    core::ClusterConfig cc;
     cc.meshWidth = 2;
     cc.meshHeight = 4;
     core::Cluster c(cc);
@@ -114,19 +112,54 @@ TEST(MeshEnv, LayersOntoDefaultGeometryOnly)
     EXPECT_EQ(c.config().meshHeight, 4);
     ::unsetenv("SHRIMP_MESH");
 
-    w = 4;
-    h = 4;
-    core::meshFromEnv(w, h);
-    EXPECT_EQ(w, 4);
-    EXPECT_EQ(h, 4);
+    cc = core::envClusterConfig();
+    EXPECT_EQ(cc.meshWidth, 4);
+    EXPECT_EQ(cc.meshHeight, 4);
 }
 
 TEST(MeshEnvDeathTest, MalformedEnvIsFatal)
 {
     ::setenv("SHRIMP_MESH", "banana", 1);
-    int w = 4, h = 4;
-    EXPECT_DEATH(core::meshFromEnv(w, h), "not a valid");
+    EXPECT_DEATH(core::envClusterConfig(), "not a valid");
     ::unsetenv("SHRIMP_MESH");
+}
+
+/**
+ * The run settings reach a run only through envClusterConfig(): a
+ * Cluster built from a plain config, default or explicitly 4x4,
+ * keeps it whatever the environment says.
+ */
+TEST(ClusterConfig, ClusterIgnoresTheEnvironment)
+{
+    const char *const settings[][2] = {
+        {"SHRIMP_MESH", "8x8"},
+        {"SHRIMP_FAULT_DROP_RATE", "0.5"},
+        {"SHRIMP_LIFECYCLE", "1"},
+        {"SHRIMP_METRICS_INTERVAL_US", "50"},
+        {"SHRIMP_WATCHDOG_SECS", "7"},
+    };
+    for (const auto &s : settings)
+        ::setenv(s[0], s[1], 1);
+
+    core::ClusterConfig explicit4x4;
+    explicit4x4.meshWidth = 4;
+    explicit4x4.meshHeight = 4;
+    for (const core::ClusterConfig &cc :
+         {core::ClusterConfig(), explicit4x4}) {
+        core::Cluster c(cc);
+        EXPECT_EQ(c.nodeCount(), 16);
+        EXPECT_EQ(c.config().meshWidth, 4);
+        EXPECT_EQ(c.config().meshHeight, 4);
+        EXPECT_FALSE(c.network().faultsEnabled());
+        EXPECT_EQ(c.config().network.fault.dropRate, 0.0);
+        EXPECT_FALSE(c.config().lifecycleTracing);
+        EXPECT_FALSE(c.metrics().running());
+        EXPECT_EQ(c.config().metricsInterval, 0u);
+        EXPECT_EQ(c.config().watchdogSecs, 0);
+    }
+
+    for (const auto &s : settings)
+        ::unsetenv(s[0]);
 }
 
 // ---------------------------------------------------------------------
@@ -251,7 +284,6 @@ runRadixOnMesh(int edge)
  */
 TEST(ScaleIdentity, SerialVsParallelOn8x8And16x16)
 {
-    ::unsetenv("SHRIMP_MESH");
     for (int edge : {8, 16}) {
         SCOPED_TRACE(testing::Message() << "mesh " << edge << "x"
                                         << edge);
@@ -331,7 +363,6 @@ gateRadixSvm(const core::ClusterConfig &cc, int p)
  */
 TEST(Fig3Gate, NxAndVmmcBeatSvmTwinsAt16Procs)
 {
-    ::unsetenv("SHRIMP_MESH");
     double ocean_nx = speedup16(gateOceanNx);
     double ocean_svm = speedup16(gateOceanSvm);
     double radix_vmmc = speedup16(gateRadixVmmc);

@@ -38,9 +38,9 @@ namespace
 
 /** A small, fast Radix-VMMC run; fully deterministic per (cfg, p). */
 apps::AppResult
-smallRadix(int procs, int keys)
+smallRadix(int procs, int keys,
+           const core::ClusterConfig &cc = core::ClusterConfig())
 {
-    core::ClusterConfig cc;
     apps::RadixConfig cfg;
     cfg.keys = keys;
     cfg.iterations = 1;
@@ -233,7 +233,6 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
         std::remove(jsonl_path.c_str()); // the report sink appends
         ::setenv("SHRIMP_CAUSAL", causal_path.c_str(), 1);
         ::setenv("SHRIMP_TRACE", chrome_path.c_str(), 1);
-        ::setenv("SHRIMP_LIFECYCLE", "1", 1);
         ::setenv("SHRIMP_REPORT_JSONL", jsonl_path.c_str(), 1);
         ::setenv("SHRIMP_JOBS", jobs_env, 1);
 
@@ -260,7 +259,9 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
                             gave_up = true;
                     }
                 }
-                auto r = smallRadix(p, 8 * 1024);
+                core::ClusterConfig cc;
+                cc.lifecycleTracing = true;
+                auto r = smallRadix(p, 8 * 1024, cc);
                 maybeEmitReport(r);
                 std::lock_guard<std::mutex> lock(mu);
                 --in_flight;
@@ -271,8 +272,7 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
         causal::close();
         trace_json::close();
         for (const char *v : {"SHRIMP_CAUSAL", "SHRIMP_TRACE",
-                              "SHRIMP_LIFECYCLE", "SHRIMP_REPORT_JSONL",
-                              "SHRIMP_JOBS"})
+                              "SHRIMP_REPORT_JSONL", "SHRIMP_JOBS"})
             ::unsetenv(v);
 
         causal_read::Log log;

@@ -53,6 +53,9 @@ usage(const char *argv0)
     std::printf(
         "usage: %s --app <name> [options]\n"
         "\n"
+        "A flag overrides the SHRIMP_* environment variable that sets\n"
+        "the same knob.\n"
+        "\n"
         "apps: radix-svm radix-vmmc ocean-svm ocean-nx barnes-svm\n"
         "      barnes-nx dfs render   (--list-apps prints one per line)\n"
         "\n"
@@ -73,7 +76,8 @@ usage(const char *argv0)
         "                     the same knob)\n"
         "  --nic KIND         shrimp (default) | baseline (Myrinet-\n"
         "                     style) | modern (RDMA-style: doorbells,\n"
-        "                     completion queues, notifiable writes)\n"
+        "                     completion queues, notifiable writes;\n"
+        "                     SHRIMP_NIC sets the same knob)\n"
         "  --no-udma          system call before every send (Table 2)\n"
         "  --interrupt-per-message   forced interrupts (Table 4)\n"
         "  --no-combining     disable AU combining (Sec 4.5.1)\n"
@@ -133,8 +137,9 @@ struct Options
     std::string traceFile; //!< --trace destination, empty = off
     std::string causalFile; //!< --causal destination, empty = off
     std::string metricsFile; //!< --metrics destination, empty = off
-    bool meshGiven = false; //!< --mesh appeared explicitly
-    core::ClusterConfig cluster;
+
+    /** The environment's run settings, then the flags on top. */
+    core::ClusterConfig cluster = core::envClusterConfig();
 
     /** The single command-line entry point. Exits on bad input. */
     static Options parse(int argc, char **argv);
@@ -213,7 +218,6 @@ Options::parse(int argc, char **argv)
                              argv[0], spec, mesh::kMaxMeshNodes);
                 usage(argv[0]);
             }
-            o.meshGiven = true;
         } else if (a == "--nic") {
             const char *n = need(i);
             if (!nic::parseNicKind(n, o.cluster.nicKind)) {
@@ -344,15 +348,6 @@ main(int argc, char **argv)
 {
     Options o = Options::parse(argc, argv);
 
-    // Resolve the mesh geometry here rather than inside the Cluster:
-    // the processor-count validation and the report params must see
-    // the geometry the run will actually use. An explicit --mesh
-    // beats the environment, so drop the variable in that case (the
-    // Cluster would otherwise re-layer it over an explicit 4x4).
-    if (o.meshGiven)
-        ::unsetenv("SHRIMP_MESH");
-    else
-        core::meshFromEnv(o.cluster.meshWidth, o.cluster.meshHeight);
     int mesh_nodes = o.cluster.meshWidth * o.cluster.meshHeight;
     if (o.app != "dfs" && o.procs > mesh_nodes) {
         std::fprintf(stderr,
@@ -363,21 +358,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // DFS/render default to DU like the paper's runs; the flag must
-    // be given explicitly to force AU.
-    if ((o.app == "dfs" || o.app == "render") && !o.auGiven)
-        o.useAu = false;
-
-    // Capability-adaptive defaults: on a NIC without automatic
-    // update, the AU-defaulting paths fall back to DU/HLRC unless
-    // forced explicitly (an explicit --au or AU protocol still fatals
-    // downstream with a capability diagnosis).
-    if (!nic::nicKindCaps(o.cluster.nicKind).autoUpdate) {
-        if (!o.auGiven)
-            o.useAu = false;
-        if (!o.protocolGiven)
-            o.protocol = Protocol::HLRC;
-    }
+    // Unless a flag names the variant, run the best one for the NIC
+    // (apps::bestProtocol/bestAu); DFS and render default to DU like
+    // the paper's runs. An explicit --au or AU protocol on an AU-less
+    // NIC still fatals downstream with a capability diagnosis.
+    if (!o.protocolGiven)
+        o.protocol = bestProtocol(o.cluster);
+    if (!o.auGiven)
+        o.useAu = o.app != "dfs" && o.app != "render" &&
+                  bestAu(o.cluster);
 
     // --metrics alone implies the default sampling cadence.
     if (!o.metricsFile.empty() && o.cluster.metricsInterval == 0)

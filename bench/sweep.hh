@@ -17,9 +17,9 @@
  *    SHRIMP_JOBS=N.
  *  - Job i's Simulations take slot i of a block of the run order
  *    the sweep reserves (sim/recorder.hh), so traced sweeps run in
- *    parallel too: the SHRIMP_CAUSAL log is byte-identical for any
- *    SHRIMP_JOBS, and the SHRIMP_TRACE file holds the same events,
- *    one trace process per run.
+ *    parallel too: the SHRIMP_CAUSAL log, and so the Chrome timeline
+ *    shrimp_analyze --chrome draws from it, is byte-identical for any
+ *    SHRIMP_JOBS.
  */
 
 #ifndef SHRIMP_BENCH_SWEEP_HH

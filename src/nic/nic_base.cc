@@ -198,14 +198,6 @@ NicBase::notifyWait(std::uint32_t, std::uint64_t)
 // Link-level reliability protocol (fault mode only)
 // ----------------------------------------------------------------------
 
-int
-NicBase::relTrack()
-{
-    if (_relTrack < 0)
-        _relTrack = sim.recorder().track(_node.name() + ".rel");
-    return _relTrack;
-}
-
 NicBase::RelChannel &
 NicBase::channelFor(NodeId dst)
 {
@@ -455,24 +447,17 @@ NicBase::handleNack(const mesh::Packet &pkt)
 void
 NicBase::retransmit(RelChannel &ch, NodeId dst)
 {
-    Tick oldest = ch.sentAt.front();
     ch.retxMaxSeq = std::max(ch.retxMaxSeq, ch.unacked.back()->seq);
     for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
         stRetransmits.inc();
         // The buffered copy still carries the original send's causal
         // context, so the resend — and the eventual delivery — stay
         // parented on the operation that first sent the packet.
-        sim.recorder().emitRetx(ch.unacked[i]->life.cause,
-                                int(nodeId()));
+        sim.recorder().leaf(ch.unacked[i]->life.cause, int(nodeId()),
+                            "nic.retx", sim.now(), sim.now());
         mesh::Packet copy = *ch.unacked[i];
         _net.send(std::move(copy));
     }
-    if (sim.recorder().chromeOn())
-        sim.recorder().complete(
-            relTrack(), "retx", oldest, sim.now(),
-            strfmt("{\"dst\":%u,\"packets\":%zu,\"first_seq\":%llu}",
-                   dst, ch.unacked.size(),
-                   (unsigned long long)ch.unacked.front()->seq));
 
     ch.rto.cancel();
     armRto(ch, dst);

@@ -280,7 +280,7 @@ class NicBase
      * adapters acceptance is a cheap user-level MMIO write; elsewhere
      * it carries the adapter's per-send initiation cost.
      */
-    virtual void post(const SendDesc &desc);
+    void post(const SendDesc &desc);
 
     /**
      * A write to AU-bound memory, as snooped off the memory bus.
@@ -470,14 +470,10 @@ class NicBase
     void rtoFire(NodeId dst);
     void retransmit(RelChannel &ch, NodeId dst);
 
-    /** Cached trace track id ("<node>.rel"), fault mode only. */
-    int relTrack();
-
     bool _reliable = false;
     ReliabilityParams _rel;
     std::unordered_map<NodeId, RelChannel> channels;
     std::unordered_map<NodeId, RelReceiver> rxStreams;
-    int _relTrack = -1;
 
     // Interned protocol counters (lazy; see sim/stats.hh).
     CounterHandle stCorruptRx;

@@ -42,14 +42,6 @@ ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
                 statPrefix + ".du_bytes");
 }
 
-int
-ShrimpNic::traceTrack()
-{
-    if (_traceTrack < 0)
-        _traceTrack = sim.recorder().track(statPrefix);
-    return _traceTrack;
-}
-
 void
 ShrimpNic::bindAu(node::Frame local, NodeId dst_node,
                   node::Frame dst_frame, bool combining,
@@ -67,16 +59,6 @@ ShrimpNic::unbindAu(node::Frame local)
     if (local < trainIndex.size() && trainIndex[local] != kNoTrain)
         flushTrain(trainOrder[trainIndex[local]]);
     _opt.unbindAu(local);
-}
-
-void
-ShrimpNic::post(const SendDesc &req)
-{
-    // The two-instruction UDMA initiation sequence plus the library's
-    // protection bookkeeping. The span also covers any queue-full
-    // wait, so the trace shows true per-send initiation cost.
-    ChromeSpan span(sim.recorder(), traceTrack(), "du_submit");
-    NicBase::post(req);
 }
 
 void
@@ -108,12 +90,6 @@ ShrimpNic::transmit(DuPacket &&pkt, NodeId dst)
     Tick inj = std::max(sim.now(), chipBusyUntil) +
                transferTime(wire, _net.params().linkBytesPerSec);
     chipBusyUntil = inj;
-
-    if (sim.recorder().chromeOn())
-        sim.recorder().complete(
-            traceTrack(), "du_xfer", start, inj,
-            strfmt("{\"bytes\":%llu,\"dst\":%u}",
-                   (unsigned long long)bytes, dst));
 
     auto payload = std::make_shared<NicPayload>();
     payload->body = std::move(pkt);
@@ -252,9 +228,8 @@ ShrimpNic::flushTrain(AuTrain &train)
     if (_fifoFill > threshold && !fifoStalled) {
         fifoStalled = true;
         fifoStallStart = sim.now();
+        fifoStallCause = sim.recorder().current();
         stFifoThresholdIrqs.inc();
-        if (sim.recorder().chromeOn())
-            sim.recorder().instant(traceTrack(), "fifo_threshold_irq");
         _node.os().interrupt(_params.fifoInterruptCost);
     }
 
@@ -262,12 +237,6 @@ ShrimpNic::flushTrain(AuTrain &train)
                         chipBusyUntil) +
                transferTime(wire, link_bw);
     chipBusyUntil = inj;
-
-    if (sim.recorder().chromeOn())
-        sim.recorder().complete(
-            traceTrack(), "au_train", sim.now(), inj,
-            strfmt("{\"packets\":%u,\"bytes\":%u}", train.packetCount,
-                   data_bytes));
 
     AuTrainPacket pkt;
     pkt.srcNode = nodeId();
@@ -317,9 +286,8 @@ ShrimpNic::fifoCredit(std::uint32_t wire_bytes)
                                 double(_params.outFifoBytes));
     if (fifoStalled && _fifoFill <= resume) {
         fifoStalled = false;
-        if (sim.recorder().chromeOn())
-            sim.recorder().complete(traceTrack(), "fifo_stall",
-                                    fifoStallStart, sim.now());
+        sim.recorder().leaf(fifoStallCause, int(nodeId()),
+                            "nic.fifo_stall", fifoStallStart, sim.now());
         fifoWait.wakeAll(sim);
     }
 }
@@ -358,12 +326,6 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     stBytesIn.inc(data_bytes);
     stEisaBusyPs.inc(done - start);
     sim.recorder().packetDelivered(pkt.life, int(nodeId()), start, done);
-
-    if (sim.recorder().chromeOn())
-        sim.recorder().complete(
-            traceTrack(), "rx", start, done,
-            strfmt("{\"packets\":%u,\"bytes\":%u,\"src\":%u}", packets,
-                   data_bytes, pkt.src));
 
     sim.schedule(done - sim.now(), [this, payload] {
         // Sends issued from inside the delivery chain (notification
@@ -416,11 +378,6 @@ ShrimpNic::finishDelivery(const Delivery &d, bool want_notify)
     // application once the handler has run.
     Delivery copy = d;
     copy.notify = want_notify;
-
-    if (want_notify && sim.recorder().chromeOn())
-        sim.recorder().instant(
-            traceTrack(), "notify",
-            strfmt("{\"src\":%u,\"bytes\":%u}", d.srcNode, d.bytes));
 
     if (_params.interruptPerMessage && d.endOfMessage) {
         Tick handler_done =

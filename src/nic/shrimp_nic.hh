@@ -98,9 +98,6 @@ class ShrimpNic : public NicBase
 
     void unbindAu(node::Frame local) override;
 
-    /** post(), inside a du_submit span on the NIC's trace track. */
-    void post(const SendDesc &req) override;
-
     void auStore(const void *src, std::uint32_t bytes) override;
 
     void auFlush() override;
@@ -140,13 +137,13 @@ class ShrimpNic : public NicBase
     void receive(const mesh::Packet &pkt) override;
     void finishDelivery(const Delivery &d, bool want_notify);
 
-    /** Cached trace track id ("<node>.nic"). */
-    int traceTrack();
-
     ShrimpNicParams _params;
     std::string statPrefix;
-    int _traceTrack = -1;
+
+    // The open FIFO stall: when the threshold interrupt fired and the
+    // causal context of the store that crossed it.
     Tick fifoStallStart = 0;
+    causal::CauseCtx fifoStallCause;
 
     // Interned per-NIC statistics (lazy; see sim/stats.hh).
     CounterHandle stEisaBusyPs;

@@ -22,9 +22,11 @@
  * of a bit-identical workload, whatever the sweep's job count.
  * `parent == 0` marks a trace root; `trace` is the root span's id.
  *
- * Enable with causal::open(path) (shrimp_run --causal FILE, or the
- * SHRIMP_CAUSAL environment variable) and finish with close().
- * tools/shrimp_analyze --critical-path consumes the log.
+ * This log is the only trace a run writes. Enable it with
+ * causal::open(path) (shrimp_run --causal FILE, or the SHRIMP_CAUSAL
+ * environment variable) and finish with close(). tools/shrimp_analyze
+ * --critical-path analyzes it, and --chrome draws it as a Chrome
+ * trace_event timeline, one event per span (causal_read::writeChrome).
  */
 
 #ifndef SHRIMP_SIM_CAUSAL_HH

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <map>
 
+#include "sim/json.hh"
 #include "sim/json_in.hh"
 #include "sim/logging.hh"
 
@@ -27,6 +28,14 @@ u64Of(const JsonValue &v, const char *key)
 {
     const JsonValue *f = v.find(key);
     return f && f->isNumber() ? std::uint64_t(f->number) : 0;
+}
+
+/** @p ps as microseconds to the picosecond ("123.456789"). */
+std::string
+usText(std::uint64_t ps)
+{
+    return strfmt("%llu.%06llu", (unsigned long long)(ps / 1000000),
+                  (unsigned long long)(ps % 1000000));
 }
 
 } // anonymous namespace
@@ -275,6 +284,42 @@ packetStageStats(const Log &log)
                                kv.second.second /
                                    double(kv.second.first)});
     return out;
+}
+
+void
+writeChrome(const Log &log, std::ostream &out)
+{
+    // Number the tracks in (node, layer) order, so the timeline lists
+    // each node's layers together.
+    std::map<std::pair<int, std::string>, int> tracks;
+    for (const Span &s : log.spans)
+        tracks.emplace(std::make_pair(s.node, s.layer()), 0);
+    int tid = 0;
+    for (auto &kv : tracks)
+        kv.second = tid++;
+
+    out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+           "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+           "\"args\":{\"name\":\"shrimp\"}}";
+    for (const auto &[key, id] : tracks)
+        out << strfmt(",\n{\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
+                      "\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"node%d %s\"}}",
+                      id, key.first,
+                      JsonWriter::escaped(key.second).c_str());
+    for (const Span &s : log.spans)
+        out << strfmt(",\n{\"ph\":\"X\",\"pid\":0,\"tid\":%d,"
+                      "\"ts\":%s,\"dur\":%s,\"name\":\"%s\","
+                      "\"args\":{\"span\":%llu,\"parent\":%llu,"
+                      "\"trace\":%llu}}",
+                      tracks.at({s.node, s.layer()}),
+                      usText(s.startPs).c_str(),
+                      usText(s.durationPs()).c_str(),
+                      JsonWriter::escaped(s.name).c_str(),
+                      (unsigned long long)s.id,
+                      (unsigned long long)s.parent,
+                      (unsigned long long)s.trace);
+    out << "\n]}\n";
 }
 
 } // namespace shrimp::causal_read

@@ -1,15 +1,17 @@
 /**
  * @file
  * Reader side of the causal trace log (sim/causal.hh): loads the
- * JSONL span file, checks the span-DAG invariants, and reconstructs
- * per-operation critical paths. Shared by tools/shrimp_analyze
- * (--critical-path) and the causal-tracing tests.
+ * JSONL span file, checks the span-DAG invariants, reconstructs
+ * per-operation critical paths, and draws the log as a Chrome
+ * timeline. Shared by tools/shrimp_analyze (--critical-path,
+ * --chrome) and the causal-tracing tests.
  */
 
 #ifndef SHRIMP_SIM_CAUSAL_READ_HH
 #define SHRIMP_SIM_CAUSAL_READ_HH
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -123,6 +125,16 @@ struct NameStat
  * the lifecycle histograms.
  */
 std::vector<NameStat> packetStageStats(const Log &log);
+
+/**
+ * Draw @p log on @p out as a Chrome trace_event document (load it in
+ * Perfetto or chrome://tracing): one complete ("X") event per span,
+ * on a track per node and layer prefix ("node3 svm", "node3 pkt"),
+ * with the span's ids as args {span, parent, trace}. Timestamps are
+ * simulated microseconds printed to the picosecond. Every run a log
+ * holds is drawn on the same tracks.
+ */
+void writeChrome(const Log &log, std::ostream &out);
 
 } // namespace shrimp::causal_read
 

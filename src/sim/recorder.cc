@@ -6,11 +6,9 @@
 #include <cstdlib>
 #include <mutex>
 
-#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "sim/trace_json.hh"
 
 namespace shrimp
 {
@@ -54,76 +52,20 @@ constexpr double kLoUs = 0.01;
 constexpr double kHiUs = 1e4;
 constexpr std::size_t kBuckets = 384;
 
-/** A run's Chrome chunk is written out once it grows past this. */
-constexpr std::size_t kChunkBytes = 64 * 1024;
-
 std::atomic<std::uint64_t> nextRunSlot{0};
 thread_local RunSlotScope *tl_slot = nullptr;
 
 /**
- * One output file. Its mutex guards the handle and the list of runs
- * recording into it; `generation` tells a run whether the file it
- * armed is still the open one.
+ * The causal log file plus the spans of every run that has finished.
+ * Its mutex guards the handle and the runs; `generation` tells a run
+ * whether the file it armed is still the open one.
  */
-struct Sink
+struct CausalSink
 {
-    explicit Sink(const char *env_var) : envVar(env_var) {}
-
-    const char *envVar;
     std::mutex mu;
     std::FILE *out = nullptr;
     std::uint64_t generation = 0;
     bool atexitRegistered = false;
-
-    /**
-     * Open the file the environment names, unless one is open.
-     * Binaries that record through the environment (examples,
-     * benches) never close the file themselves, so the first open
-     * registers @p close_fn with atexit.
-     */
-    void
-    openFromEnvLocked(void (*open_fn)(const std::string &),
-                      void (*close_fn)())
-    {
-        if (out)
-            return;
-        const char *path = std::getenv(envVar);
-        if (!path || !*path)
-            return;
-        open_fn(path);
-        if (!atexitRegistered) {
-            atexitRegistered = true;
-            std::atexit(close_fn);
-        }
-    }
-};
-
-/** The Chrome trace file plus the runs streaming into it. */
-struct ChromeSink : Sink
-{
-    ChromeSink() : Sink("SHRIMP_TRACE") {}
-
-    bool empty = true; //!< no event written yet (no leading comma)
-    std::vector<std::pair<RunKey, int>> runs; //!< run key, pid
-
-    void
-    write(const std::string &lines)
-    {
-        // Every line carries a leading ",\n" separator; the document's
-        // first one must not.
-        const char *p = lines.c_str();
-        if (empty) {
-            p += 2;
-            empty = false;
-        }
-        std::fputs(p, out);
-    }
-};
-
-/** The causal log plus the spans of every run that has finished. */
-struct CausalSink : Sink
-{
-    CausalSink() : Sink("SHRIMP_CAUSAL") {}
 
     struct Run
     {
@@ -134,55 +76,11 @@ struct CausalSink : Sink
     std::vector<Run> runs;
 };
 
-ChromeSink &
-chromeSink()
-{
-    static ChromeSink s;
-    return s;
-}
-
 CausalSink &
 causalSink()
 {
     static CausalSink s;
     return s;
-}
-
-void
-closeChromeLocked()
-{
-    ChromeSink &s = chromeSink();
-    if (!s.out)
-        return;
-    // Name each run's trace process by its place in the run order.
-    std::sort(s.runs.begin(), s.runs.end());
-    for (std::size_t k = 0; k < s.runs.size(); ++k) {
-        std::string name = s.runs.size() == 1
-                               ? std::string("shrimp")
-                               : strfmt("shrimp run %zu", k);
-        s.write(strfmt(",\n{\"ph\":\"M\",\"pid\":%d,"
-                       "\"name\":\"process_name\","
-                       "\"args\":{\"name\":\"%s\"}}",
-                       s.runs[k].second, name.c_str()));
-    }
-    s.runs.clear();
-    std::fputs("\n]}\n", s.out);
-    std::fclose(s.out);
-    s.out = nullptr;
-    ++s.generation;
-}
-
-void
-openChromeLocked(const std::string &path)
-{
-    ChromeSink &s = chromeSink();
-    closeChromeLocked();
-    s.out = std::fopen(path.c_str(), "w");
-    if (!s.out)
-        fatal("trace_json: cannot open '%s' for writing", path.c_str());
-    std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n", s.out);
-    s.empty = true;
-    ++s.generation;
 }
 
 void
@@ -259,32 +157,6 @@ openCausalLocked(const std::string &path)
     ++s.generation;
 }
 
-/**
- * Print @p t as a microsecond value with full picosecond precision
- * ("123.456789"), the unit the trace_event format expects.
- */
-void
-appendUs(std::string &into, Tick t)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%llu.%06llu",
-                  (unsigned long long)(t / kPsPerUs),
-                  (unsigned long long)(t % kPsPerUs));
-    into += buf;
-}
-
-void
-appendNameArgs(std::string &line, const char *name,
-               const std::string &args_json)
-{
-    line += strfmt(",\"name\":\"%s\"", JsonWriter::escaped(name).c_str());
-    if (!args_json.empty()) {
-        line += ",\"args\":";
-        line += args_json;
-    }
-    line += '}';
-}
-
 } // anonymous namespace
 
 const char *
@@ -300,22 +172,8 @@ lifeStageHistName(LifeStage s)
 }
 
 // ----------------------------------------------------------------------
-// The output files
+// The causal log file
 // ----------------------------------------------------------------------
-
-void
-trace_json::open(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(chromeSink().mu);
-    openChromeLocked(path);
-}
-
-void
-trace_json::close()
-{
-    std::lock_guard<std::mutex> lock(chromeSink().mu);
-    closeChromeLocked();
-}
 
 void
 causal::open(const std::string &path)
@@ -362,32 +220,29 @@ Recorder::Recorder(Simulation &sim) : sim(sim)
     else
         key = {reserveRunSlots(1), 0};
 
-    {
-        ChromeSink &s = chromeSink();
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.openFromEnvLocked(openChromeLocked, trace_json::close);
-        if (s.out) {
-            _chromeOn = true;
-            chromeGeneration = s.generation;
-            pid = int(s.runs.size());
-            s.runs.emplace_back(key, pid);
+    // Binaries that record through the environment (examples,
+    // benches) never close the log themselves, so the first open from
+    // the environment registers causal::close with atexit.
+    CausalSink &s = causalSink();
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (!s.out) {
+        const char *path = std::getenv("SHRIMP_CAUSAL");
+        if (path && *path) {
+            openCausalLocked(path);
+            if (!s.atexitRegistered) {
+                s.atexitRegistered = true;
+                std::atexit(causal::close);
+            }
         }
     }
-    {
-        CausalSink &s = causalSink();
-        std::lock_guard<std::mutex> lock(s.mu);
-        s.openFromEnvLocked(openCausalLocked, causal::close);
-        if (s.out) {
-            _causalOn = true;
-            causalGeneration = s.generation;
-        }
+    if (s.out) {
+        _causalOn = true;
+        causalGeneration = s.generation;
     }
 }
 
 Recorder::~Recorder()
 {
-    if (_chromeOn)
-        flushChrome();
     if (_causalOn) {
         CausalSink &s = causalSink();
         std::lock_guard<std::mutex> lock(s.mu);
@@ -409,75 +264,6 @@ Tick
 Recorder::now() const
 {
     return sim.now();
-}
-
-// --- Chrome timeline ---
-
-void
-Recorder::chromeLine(const std::string &body)
-{
-    chunk += ",\n";
-    chunk += body;
-    if (chunk.size() >= kChunkBytes)
-        flushChrome();
-}
-
-void
-Recorder::flushChrome()
-{
-    if (chunk.empty())
-        return;
-    ChromeSink &s = chromeSink();
-    {
-        std::lock_guard<std::mutex> lock(s.mu);
-        if (s.out && s.generation == chromeGeneration)
-            s.write(chunk);
-    }
-    chunk.clear();
-}
-
-int
-Recorder::track(const std::string &name)
-{
-    auto [it, inserted] = tracks.try_emplace(name, int(tracks.size()));
-    if (inserted && _chromeOn)
-        chromeLine(strfmt("{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,"
-                          "\"name\":\"thread_name\","
-                          "\"args\":{\"name\":\"%s\"}}",
-                          pid, it->second,
-                          JsonWriter::escaped(name).c_str()));
-    return it->second;
-}
-
-void
-Recorder::complete(int track, const char *name, Tick start, Tick end,
-                   const std::string &args_json)
-{
-    if (!_chromeOn)
-        return;
-    if (end < start)
-        end = start;
-    std::string line =
-        strfmt("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":", pid, track);
-    appendUs(line, start);
-    line += ",\"dur\":";
-    appendUs(line, end - start);
-    appendNameArgs(line, name, args_json);
-    chromeLine(line);
-}
-
-void
-Recorder::instant(int track, const char *name,
-                  const std::string &args_json)
-{
-    if (!_chromeOn)
-        return;
-    std::string line = strfmt(
-        "{\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":", pid,
-        track);
-    appendUs(line, sim.now());
-    appendNameArgs(line, name, args_json);
-    chromeLine(line);
 }
 
 // --- causal spans ---
@@ -518,22 +304,6 @@ Recorder::emitSpan(std::uint64_t id, const causal::CauseCtx &parent,
     r.start = start;
     r.end = end;
     spans.push_back(r);
-
-    // Mirror the span (with its causal links as args) into the Chrome
-    // trace when both outputs are on, one track per node. The ids are
-    // run-local: the log renumbers them at close.
-    if (_chromeOn) {
-        std::size_t idx = std::size_t(node + 1);
-        if (mirrorTracks.size() <= idx)
-            mirrorTracks.resize(idx + 1, -1);
-        if (mirrorTracks[idx] < 0)
-            mirrorTracks[idx] = track(strfmt("causal.node%d", node));
-        complete(mirrorTracks[idx], name, start, end,
-                 strfmt("{\"span\":%llu,\"parent\":%llu,\"trace\":%llu}",
-                        (unsigned long long)r.id,
-                        (unsigned long long)r.parent,
-                        (unsigned long long)r.trace));
-    }
 }
 
 PacketLife
@@ -578,15 +348,6 @@ Recorder::recordPacket(const PacketLife &l, int dst_node, Tick rx_start,
             emitSpan(mintId(dst_node), in, dst_node, stages[s].span,
                      stages[s].from, stages[s].to);
     }
-}
-
-void
-Recorder::emitRetx(const causal::CauseCtx &cause, int src_node)
-{
-    if (!_causalOn)
-        return;
-    Tick when = sim.now();
-    emitSpan(mintId(src_node), cause, src_node, "nic.retx", when, when);
 }
 
 // --- RAII scopes ---

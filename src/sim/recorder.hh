@@ -1,24 +1,23 @@
 /**
  * @file
  * The span recorder: one per Simulation, the only instrumentation
- * object behind a run's three observability outputs.
+ * object behind a run's two observability outputs.
  *
- *  - the Chrome timeline (sim/trace_json.hh): process proc/blocked
- *    spans, NIC, SVM and mesh spans and instants;
  *  - the causal log (sim/causal.hh): OpSpan operation spans, the pkt.*
- *    spans of every delivered packet, nic.retx;
+ *    spans of every delivered packet, and leaf spans (nic.retx,
+ *    nic.fifo_stall, mesh.drop, svm.twin, ...). shrimp_analyze
+ *    --chrome draws the log as a Chrome timeline;
  *  - the lifecycle.*_us stage histograms behind the RunReport's
  *    latency_breakdown block (ClusterConfig::lifecycleTracing).
  *
  * What a run records is fixed as it starts: the Simulation constructor
- * builds its recorder, which opens the SHRIMP_TRACE / SHRIMP_CAUSAL
- * files if the environment names them and arms whichever outputs are
- * open; the cluster turns the histograms on before any traffic. All
- * recording state — track registry, span buffer, per-node id
- * counters, the event-context slot — belongs to the run, so runs on
- * different host threads share nothing but the two output files.
- * Every instrumentation site guards on chromeOn()/causalOn(), so a
- * run with nothing armed pays a bool load per site.
+ * builds its recorder, which opens the SHRIMP_CAUSAL file if the
+ * environment names it and arms the log if it is open; the cluster
+ * turns the histograms on before any traffic. All recording state —
+ * span buffer, per-node id counters, the event-context slot — belongs
+ * to the run, so runs on different host threads share nothing but the
+ * log file. Every instrumentation site guards on causalOn(), so a run
+ * with nothing armed pays a bool load per site.
  *
  * Packets: a NIC stamps each packet once at send (sendStamp(): the
  * birth time and the sending operation's context), the pipeline adds
@@ -41,8 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,41 +128,19 @@ class EventCtxScope;
 class Recorder
 {
   public:
-    /** Take a run key and arm whichever outputs are open. */
+    /** Take a run key and arm the causal log if it is open. */
     explicit Recorder(Simulation &sim);
 
-    /** Flush the Chrome chunk; hand the spans to the causal log. */
+    /** Hand the spans to the causal log. */
     ~Recorder();
 
     Recorder(const Recorder &) = delete;
     Recorder &operator=(const Recorder &) = delete;
 
-    bool chromeOn() const { return _chromeOn; }
     bool causalOn() const { return _causalOn; }
 
     /** Sample the lifecycle.*_us histograms from now on. */
     void enableLifecycle();
-
-    // --- Chrome timeline (events are no-ops unless chromeOn()) ---
-
-    /**
-     * Get (or create) this run's track named @p name. Ids are stable
-     * for the run, so call sites may cache them.
-     */
-    int track(const std::string &name);
-
-    /**
-     * Emit a completed span [@p start, @p end] on @p track.
-     *
-     * @param args_json Optional preformatted JSON object ("{...}") for
-     *                  the event's args field.
-     */
-    void complete(int track, const char *name, Tick start, Tick end,
-                  const std::string &args_json = std::string());
-
-    /** Emit an instant event at the current simulated time. */
-    void instant(int track, const char *name,
-                 const std::string &args_json = std::string());
 
     // --- causal context and packets ---
 
@@ -204,16 +179,23 @@ class Recorder
     }
 
     /**
-     * Record a retransmission as a zero-length "nic.retx" span at now,
-     * parented on the *original* packet's context (go-back-N resends
-     * the buffered copy, which still carries it).
+     * Record a leaf span [@p start, @p end] on @p node, parented on
+     * @p parent: current() for work done inside an operation, or a
+     * packet's carried context for what happens to that packet (a
+     * go-back-N resend, a drop). A leaf is never installed as a
+     * context, so no span is ever its child.
      */
-    void emitRetx(const causal::CauseCtx &cause, int src_node);
+    void
+    leaf(const causal::CauseCtx &parent, int node, const char *name,
+         Tick start, Tick end)
+    {
+        if (_causalOn)
+            emitSpan(mintId(node), parent, node, name, start, end);
+    }
 
   private:
     friend class causal::OpSpan;
     friend class causal::EventCtxScope;
-    friend class ChromeSpan;
 
     Tick now() const;
 
@@ -226,63 +208,20 @@ class Recorder
     void recordPacket(const PacketLife &life, int dst_node,
                       Tick rx_start, Tick rx_done);
 
-    void chromeLine(const std::string &body);
-    void flushChrome();
-
     Simulation &sim;
     std::pair<std::uint64_t, std::uint32_t> key; //!< run order: slot, sub
 
-    bool _chromeOn = false;
     bool _causalOn = false;
     bool _lifecycleOn = false;
 
-    // Chrome: this run's trace process, tracks and pending chunk.
-    std::uint64_t chromeGeneration = 0;
-    int pid = 0;
-    std::unordered_map<std::string, int> tracks;
-    std::string chunk;
-
     // Causal: generation armed, per-node mint counters (index
-    // node + 1), buffered spans, the event slot, mirror tracks.
+    // node + 1), buffered spans, the event slot.
     std::uint64_t causalGeneration = 0;
     std::vector<std::uint32_t> minted;
     std::vector<SpanRecord> spans;
     causal::CauseCtx eventCtx;
-    std::vector<int> mirrorTracks;
 
     Histogram *lifeHist[std::size_t(LifeStage::kCount)] = {};
-};
-
-/**
- * RAII Chrome span on @p track covering [construction, destruction]
- * in simulated time; both ends are a bool check when Chrome is off.
- */
-class ChromeSpan
-{
-  public:
-    ChromeSpan(Recorder &rec, int track, const char *name)
-        : tr(track), _name(name)
-    {
-        if (rec.chromeOn()) {
-            _rec = &rec;
-            start = rec.now();
-        }
-    }
-
-    ~ChromeSpan()
-    {
-        if (_rec)
-            _rec->complete(tr, _name, start, _rec->now());
-    }
-
-    ChromeSpan(const ChromeSpan &) = delete;
-    ChromeSpan &operator=(const ChromeSpan &) = delete;
-
-  private:
-    Recorder *_rec = nullptr;
-    int tr;
-    const char *_name;
-    Tick start = 0;
 };
 
 namespace causal

@@ -99,7 +99,6 @@ Simulation::spawnImpl(std::string name, FiberBody body,
         new Process(*this, std::move(name), std::move(body), stack_bytes));
     Process *p = proc.get();
     processes.push_back(std::move(proc));
-    p->traceSpawnAt = now();
     p->state = Process::State::Suspended;
     p->resumeScheduled = true;
     queue.schedule(0, [this, p] {
@@ -138,21 +137,11 @@ Simulation::suspend()
         p->wakePending = false;
         return;
     }
-    if (_recorder.chromeOn())
-        p->traceSuspendAt = now();
     p->state = Process::State::Suspended;
     _current = nullptr;
     p->fiber.yield();
     _current = p;
     p->state = Process::State::Running;
-    if (_recorder.chromeOn() && p->traceSuspendAt != kTickNever &&
-        now() > p->traceSuspendAt) {
-        if (p->traceTrack < 0)
-            p->traceTrack = _recorder.track(p->_name);
-        _recorder.complete(p->traceTrack, "blocked", p->traceSuspendAt,
-                           now());
-    }
-    p->traceSuspendAt = kTickNever;
 }
 
 void
@@ -192,15 +181,8 @@ Simulation::resumeProcess(Process *p)
     p->fiber.resume();
     // The fiber either yielded (suspend updated the state already) or
     // finished.
-    if (p->fiber.finished()) {
+    if (p->fiber.finished())
         p->state = Process::State::Finished;
-        if (_recorder.chromeOn()) {
-            if (p->traceTrack < 0)
-                p->traceTrack = _recorder.track(p->_name);
-            _recorder.complete(p->traceTrack, "proc", p->traceSpawnAt,
-                               now());
-        }
-    }
     _current = nullptr;
 }
 

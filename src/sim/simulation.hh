@@ -71,12 +71,6 @@ class Process
     State state = State::Created;
     bool wakePending = false;
     bool resumeScheduled = false;
-
-    // Chrome timeline: spawn time, start of the current blocked
-    // interval, and the process's lazily created track.
-    Tick traceSpawnAt = 0;
-    Tick traceSuspendAt = kTickNever;
-    int traceTrack = -1;
 };
 
 /**
@@ -220,7 +214,7 @@ class Simulation
     /** Statistics registry. */
     StatsRegistry &stats() { return _stats; }
 
-    /** This run's span recorder (trace, causal log, histograms). */
+    /** This run's span recorder (causal log, histograms). */
     Recorder &recorder() { return _recorder; }
 
     /** Raw queue access (tests and models needing cancellation). */

@@ -179,7 +179,6 @@ struct SvmRuntime::RankState
     // Debug: last blocking operation entered.
     const char *lastOp = "init";
     int lastArg = -1;
-    int traceTrack = -1; //!< cached "<node>.svm" trace track
     std::uint32_t handlerActive = 0; //!< kind being handled, 0 = idle
     std::uint64_t handlersRun = 0;
 };
@@ -531,16 +530,6 @@ SvmRuntime::writeStruct(int rank, void *caddr, const void *src,
     writeRange(rank, caddr, src, bytes);
 }
 
-int
-SvmRuntime::traceTrack(int rank)
-{
-    RankState &rs = *ranks[rank];
-    if (rs.traceTrack < 0)
-        rs.traceTrack = cluster.sim().recorder().track(
-            cluster.node(rank).name() + ".svm");
-    return rs.traceTrack;
-}
-
 void
 SvmRuntime::fetchPage(int rank, PageId page)
 {
@@ -564,7 +553,6 @@ SvmRuntime::fetchPage(int rank, PageId page)
     CtlHeader h{kPageReq, std::uint32_t(rank), page, stamp, 0, 0, 0};
     sendCtl(rank, home, &h, sizeof(h));
 
-    Tick fetch_start = cluster.sim().now();
     if (useNotify) {
         // The stamp reply carries kNotifyFetch; stamps are sequential
         // with exactly one reply each, so the arrival counter equals
@@ -574,11 +562,6 @@ SvmRuntime::fetchPage(int rank, PageId page)
         volatile std::uint64_t *fs = &rs.ctl->fetchStamp;
         ep.waitUntil([fs, stamp] { return *fs >= stamp; });
     }
-
-    if (cluster.sim().recorder().chromeOn())
-        cluster.sim().recorder().complete(
-            traceTrack(rank), "fetch", fetch_start,
-            cluster.sim().now(), strfmt("{\"page\":%u}", page));
 
     rs.pages[page].valid = true;
 }
@@ -592,7 +575,8 @@ SvmRuntime::makeTwin(int rank, PageId page)
         return;
     cluster.node(rank).cpu().sync();
     ScopedCategory cat(&rs.account, TimeCategory::Overhead);
-    ChromeSpan span(cluster.sim().recorder(), traceTrack(rank), "twin");
+    Recorder &rec = cluster.sim().recorder();
+    Tick start = cluster.sim().now();
     char *local = replicas[rank] +
                   std::size_t(page) * node::kPageBytes;
     twin = std::make_unique<std::vector<char>>(
@@ -602,6 +586,7 @@ SvmRuntime::makeTwin(int rank, PageId page)
     cpu.chargeCopy(node::kPageBytes);
     cpu.sync();
     rs.stTwins.inc();
+    rec.leaf(rec.current(), rank, "svm.twin", start, cluster.sim().now());
 }
 
 // ---------------------------------------------------------------------
@@ -644,11 +629,9 @@ SvmRuntime::capturePendingDiff(int rank, PageId page)
     cpu.compute(cfg.diffBaseCost);
     cpu.chargeCopy(2 * node::kPageBytes); // the scan reads both copies
     cpu.sync();
-
-    if (cluster.sim().recorder().chromeOn())
-        cluster.sim().recorder().complete(
-            traceTrack(rank), "diff", diff_start, cluster.sim().now(),
-            strfmt("{\"page\":%u,\"bytes\":%zu}", page, blob.size()));
+    Recorder &rec = cluster.sim().recorder();
+    rec.leaf(rec.current(), rank, "svm.diff", diff_start,
+             cluster.sim().now());
 
     ++rs.diffCount;
     rs.stDiffs.inc();
@@ -1115,7 +1098,6 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
     // Parented on the requesting packet's context (handleCtl runs
     // from the notification dispatcher under its EventCtxScope).
     causal::OpSpan span(cluster.sim().recorder(), rank, "svm.serve");
-    Tick handler_start = cluster.sim().now();
     cpu.compute(cfg.handlerCost);
     cpu.sync();
 
@@ -1203,11 +1185,6 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
     if (h.cursorAfter > rs.ctlProcessed[sender])
         rs.ctlProcessed[sender] = h.cursorAfter;
     rs.handlerActive = 0;
-
-    if (cluster.sim().recorder().chromeOn())
-        cluster.sim().recorder().complete(
-            traceTrack(rank), "handler", handler_start,
-            cluster.sim().now(), strfmt("{\"kind\":%u}", h.kind));
 }
 
 } // namespace shrimp::svm

@@ -228,9 +228,6 @@ class SvmRuntime
     void fetchPage(int rank, PageId page);
     void makeTwin(int rank, PageId page);
 
-    /** Cached trace track id ("<node>.svm") for @p rank. */
-    int traceTrack(int rank);
-
     // Release/acquire machinery.
     void releaseInterval(int rank);
     void flushPendingDiffs(int rank);

@@ -1,16 +1,21 @@
 /**
  * @file
- * The offline-analysis foundations: the JSON parser (sim/json_in.hh)
- * and the schema validators shrimp_analyze --validate is built on.
+ * The offline-analysis foundations: the JSON parser (sim/json_in.hh),
+ * the schema validators shrimp_analyze --validate is built on, and
+ * the Chrome timeline shrimp_analyze --chrome draws from a causal log.
  * The writers' output must round-trip through the parser and pass
  * validation; targeted mutations must be rejected.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "sim/causal_read.hh"
 #include "sim/json_in.hh"
 #include "sim/metrics.hh"
 #include "sim/report_schema.hh"
@@ -242,4 +247,69 @@ TEST(MetricsSchema, CsvWriterEmitsHeaderAndRows)
     for (char c : csv)
         lines += c == '\n';
     EXPECT_EQ(lines, 4); // header + 3 rows
+}
+
+// ----------------------------------------------------------------------
+// The Chrome timeline drawn from a causal log
+// ----------------------------------------------------------------------
+
+TEST(ChromeFromLog, OneEventPerSpanOnItsNodeAndLayerTrack)
+{
+    // Two nodes, four layers, and a root leaf span of zero length.
+    std::string path = testing::TempDir() + "analyze_chrome.jsonl";
+    {
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << R"({"causal_schema":1}
+{"id":4294967297,"parent":0,"trace":4294967297,"node":0,"name":"nx.csend","start_ps":1000000,"end_ps":5500000}
+{"id":4294967298,"parent":4294967297,"trace":4294967297,"node":0,"name":"vmmc.send","start_ps":1200000,"end_ps":2000123}
+{"id":8589934593,"parent":4294967298,"trace":4294967297,"node":1,"name":"pkt.total","start_ps":1200000,"end_ps":4000001}
+{"id":8589934594,"parent":8589934593,"trace":4294967297,"node":1,"name":"pkt.wire","start_ps":2000000,"end_ps":3000000}
+{"id":8589934595,"parent":0,"trace":8589934595,"node":1,"name":"svm.twin","start_ps":7000000,"end_ps":7000000}
+)";
+    }
+    causal_read::Log log;
+    std::string err;
+    ASSERT_TRUE(causal_read::load(path, log, &err)) << err;
+    ASSERT_EQ(log.spans.size(), 5u);
+
+    std::ostringstream out;
+    causal_read::writeChrome(log, out);
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(out.str(), doc, &err)) << err;
+    const JsonValue *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_TRUE(events->isArray());
+
+    std::map<double, std::string> trackNames;
+    for (const JsonValue &e : events->array)
+        if (e.find("ph")->str == "M" &&
+            e.find("name")->str == "thread_name")
+            trackNames[e.numberOr("tid", -1)] =
+                e.find("args")->find("name")->str;
+
+    std::map<std::uint64_t, int> drawn;
+    for (const JsonValue &e : events->array) {
+        if (e.find("ph")->str != "X")
+            continue;
+        const JsonValue *args = e.find("args");
+        ASSERT_NE(args, nullptr);
+        auto id = std::uint64_t(args->numberOr("span", 0));
+        const causal_read::Span *s = log.byId(id);
+        ASSERT_NE(s, nullptr) << id;
+        ++drawn[id];
+        EXPECT_EQ(e.find("name")->str, s->name);
+        EXPECT_EQ(std::uint64_t(args->numberOr("parent", -1)), s->parent);
+        EXPECT_EQ(std::uint64_t(args->numberOr("trace", -1)), s->trace);
+        EXPECT_EQ(trackNames[e.numberOr("tid", -1)],
+                  "node" + std::to_string(s->node) + " " + s->layer());
+        EXPECT_NEAR(e.numberOr("ts", -1), double(s->startPs) * 1e-6,
+                    1e-9);
+        EXPECT_NEAR(e.numberOr("dur", -1), double(s->durationPs()) * 1e-6,
+                    1e-9);
+    }
+    EXPECT_EQ(drawn.size(), log.spans.size());
+    for (const auto &[id, n] : drawn)
+        EXPECT_EQ(n, 1) << id;
+    EXPECT_EQ(trackNames.size(), 4u); // node0 nx/vmmc, node1 pkt/svm
+    std::remove(path.c_str());
 }

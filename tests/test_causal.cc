@@ -12,13 +12,16 @@
  *     chosen operation's interval;
  *   - per-stage packet span means equal the lifecycle histogram
  *     means (the receive hook feeds both outputs alike);
- *   - two runs of the same workload emit byte-identical causal logs.
+ *   - two runs of the same workload emit byte-identical causal logs;
+ *   - SVM twins and diffs are leaf spans of their node's operations;
+ *   - a run built before the log opens records nothing into it.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -26,8 +29,10 @@
 #include "apps/radix.hh"
 #include "sim/causal.hh"
 #include "sim/causal_read.hh"
+#include "sim/logging.hh"
 #include "sim/recorder.hh"
 #include "sim/run_report.hh"
+#include "sim/simulation.hh"
 
 using namespace shrimp;
 
@@ -232,4 +237,74 @@ TEST(Causal, ParallelRunEmitsIdenticalLog)
     std::string a = slurp(first), b = slurp(second);
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
+}
+
+/**
+ * Twins and diffs are leaf spans: each counts one twin or diff the
+ * SVM runtime made, and none is a parent. HLRC Radix-SVM takes every
+ * diff inside an operation on its own node (a release, or the serve
+ * or barrier that applies write notices). It makes every twin at the
+ * first write to a read-only copy, which Radix does outside any
+ * operation, so a twin roots its own trace unless an operation on
+ * its node is current.
+ */
+TEST(Causal, TwinsAndDiffsAreLeavesOfTheirNodesOperations)
+{
+    apps::RadixConfig cfg;
+    cfg.keys = 16 * 1024;
+    std::string path = tmpPath("causal_hlrc.jsonl");
+    causal::open(path);
+    auto r = apps::runRadixSvm(core::ClusterConfig{}, svm::Protocol::HLRC,
+                               /*procs=*/4, cfg);
+    causal::close();
+    causal_read::Log log = loadValid(path);
+
+    std::map<std::string, std::uint64_t> perNode;
+    for (const auto &s : log.spans) {
+        if (s.name != "svm.twin" && s.name != "svm.diff")
+            continue;
+        ++perNode[strfmt("node%d.svm.%ss", s.node, s.name.c_str() + 4)];
+        EXPECT_TRUE(log.childrenOf(s.id).empty())
+            << s.name << " " << s.id << " is a parent";
+        if (s.parent == 0 && s.name == "svm.twin")
+            continue;
+        const causal_read::Span *p = log.byId(s.parent);
+        ASSERT_NE(p, nullptr) << s.name << " " << s.id;
+        EXPECT_EQ(p->node, s.node) << s.name << " " << s.id;
+        EXPECT_EQ(p->layer(), "svm") << p->name;
+        EXPECT_NE(p->name, "svm.twin");
+        EXPECT_NE(p->name, "svm.diff");
+    }
+    for (int n = 0; n < 4; ++n)
+        for (const char *what : {"twins", "diffs"}) {
+            std::string c = strfmt("node%d.svm.%s", n, what);
+            EXPECT_EQ(perNode[c], r.stats.counterValue(c)) << c;
+        }
+    EXPECT_GT(perNode["node1.svm.twins"], 0u);
+    EXPECT_GT(perNode["node1.svm.diffs"], 0u);
+}
+
+/**
+ * What a run records is fixed as it starts: a run built while no log
+ * is open arms nothing, and its recording calls stay no-ops (and
+ * free) even once a log opens.
+ */
+TEST(Causal, RunBuiltBeforeOpenRecordsNothing)
+{
+    std::string path = tmpPath("causal_disabled.jsonl");
+    {
+        Simulation sim;
+        Recorder &rec = sim.recorder();
+        EXPECT_FALSE(rec.causalOn());
+        causal::open(path);
+        EXPECT_FALSE(rec.causalOn());
+        {
+            causal::OpSpan op(rec, 0, "test.op");
+            EXPECT_EQ(op.id(), 0u);
+            rec.leaf(rec.current(), 0, "test.leaf", 0, 1);
+        }
+        rec.packetDelivered(rec.sendStamp(), 0, 0, 1);
+    }
+    causal::close();
+    EXPECT_EQ(slurp(path), "{\"causal_schema\":1}\n");
 }

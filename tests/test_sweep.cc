@@ -8,14 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -26,9 +24,6 @@
 #include "bench/sweep.hh"
 #include "sim/causal.hh"
 #include "sim/causal_read.hh"
-#include "sim/json_in.hh"
-#include "sim/logging.hh"
-#include "sim/trace_json.hh"
 
 using namespace shrimp;
 using namespace shrimp::bench;
@@ -74,77 +69,6 @@ sweepInto(const std::string &jsonl, const char *jobs_env)
     ::unsetenv("SHRIMP_REPORT_JSONL");
     ::unsetenv("SHRIMP_JOBS");
     return results;
-}
-
-/** A JSON value as canonical text (object keys in written order). */
-std::string
-canon(const JsonValue &v)
-{
-    switch (v.kind) {
-      case JsonValue::Kind::Null:
-        return "null";
-      case JsonValue::Kind::Bool:
-        return v.boolean ? "true" : "false";
-      case JsonValue::Kind::Number:
-        return strfmt("%.17g", v.number);
-      case JsonValue::Kind::String:
-        return "\"" + v.str + "\"";
-      case JsonValue::Kind::Array: {
-        std::string s = "[";
-        for (const auto &e : v.array)
-            s += canon(e) + ",";
-        return s + "]";
-      }
-      case JsonValue::Kind::Object: {
-        std::string s = "{";
-        for (const auto &[k, e] : v.object)
-            s += k + ":" + canon(e) + ",";
-        return s + "}";
-      }
-    }
-    return "";
-}
-
-/**
- * A Chrome trace's events as sorted (process name, track name, ph,
- * name, ts, dur, args) tuples: the trace's content, independent of
- * line order and of pid/tid numbering.
- */
-std::vector<std::string>
-chromeEvents(const std::string &text)
-{
-    JsonValue doc;
-    std::string err;
-    EXPECT_TRUE(parseJson(text, doc, &err)) << err;
-    const JsonValue *events = doc.find("traceEvents");
-    if (!events)
-        return {};
-    auto str = [](const JsonValue &e, const char *key) {
-        const JsonValue *v = e.find(key);
-        return v ? canon(*v) : std::string("-");
-    };
-    std::map<std::string, std::string> procs, tracks;
-    for (const JsonValue &e : events->array) {
-        if (str(e, "ph") != "\"M\"")
-            continue;
-        std::string name = canon(*e.find("args")->find("name"));
-        if (str(e, "name") == "\"process_name\"")
-            procs[str(e, "pid")] = name;
-        else
-            tracks[str(e, "pid") + "/" + str(e, "tid")] = name;
-    }
-    std::vector<std::string> out;
-    for (const JsonValue &e : events->array) {
-        if (str(e, "name") == "\"process_name\"")
-            continue;
-        out.push_back(procs[str(e, "pid")] + "|" +
-                      tracks[str(e, "pid") + "/" + str(e, "tid")] + "|" +
-                      str(e, "ph") + "|" + str(e, "name") + "|" +
-                      str(e, "ts") + "|" + str(e, "dur") + "|" +
-                      str(e, "args"));
-    }
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 } // anonymous namespace
@@ -212,27 +136,23 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
 
 /**
  * Traced sweeps run in parallel. With every recorder output on — the
- * Chrome trace, the causal log, lifecycle histograms and the report
- * JSONL — SHRIMP_JOBS=4 must have two jobs in flight at once and
- * still write what SHRIMP_JOBS=1 writes: the causal log and the
- * report JSONL byte for byte, and the Chrome trace event for event
- * (its line order depends on which worker flushes first).
+ * causal log, lifecycle histograms and the report JSONL —
+ * SHRIMP_JOBS=4 must have two jobs in flight at once and still write
+ * what SHRIMP_JOBS=1 writes, byte for byte.
  */
 TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
 {
     struct Outputs
     {
-        std::string causal, jsonl, chrome;
+        std::string causal, jsonl;
         bool overlapped = false;
     };
     auto traced = [](const char *jobs_env) {
         std::string stem = testing::TempDir() + "sweep_traced_" + jobs_env;
         std::string causal_path = stem + ".causal.jsonl";
         std::string jsonl_path = stem + ".reports.jsonl";
-        std::string chrome_path = stem + ".trace.json";
         std::remove(jsonl_path.c_str()); // the report sink appends
         ::setenv("SHRIMP_CAUSAL", causal_path.c_str(), 1);
-        ::setenv("SHRIMP_TRACE", chrome_path.c_str(), 1);
         ::setenv("SHRIMP_REPORT_JSONL", jsonl_path.c_str(), 1);
         ::setenv("SHRIMP_JOBS", jobs_env, 1);
 
@@ -270,9 +190,8 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
         }
         runSweep(std::move(jobs));
         causal::close();
-        trace_json::close();
-        for (const char *v : {"SHRIMP_CAUSAL", "SHRIMP_TRACE",
-                              "SHRIMP_REPORT_JSONL", "SHRIMP_JOBS"})
+        for (const char *v : {"SHRIMP_CAUSAL", "SHRIMP_REPORT_JSONL",
+                              "SHRIMP_JOBS"})
             ::unsetenv(v);
 
         causal_read::Log log;
@@ -283,10 +202,8 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
         Outputs o;
         o.causal = slurp(causal_path);
         o.jsonl = slurp(jsonl_path);
-        o.chrome = slurp(chrome_path);
         o.overlapped = overlapped;
-        for (const std::string &path :
-             {causal_path, jsonl_path, chrome_path})
+        for (const std::string &path : {causal_path, jsonl_path})
             std::remove(path.c_str());
         return o;
     };
@@ -299,14 +216,6 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
     EXPECT_EQ(serial.causal, parallel.causal);
     ASSERT_NE(serial.jsonl.find("latency_breakdown"), std::string::npos);
     EXPECT_EQ(serial.jsonl, parallel.jsonl);
-
-    std::vector<std::string> a = chromeEvents(serial.chrome);
-    std::vector<std::string> b = chromeEvents(parallel.chrome);
-    ASSERT_FALSE(a.empty());
-    EXPECT_TRUE(a == b) << a.size() << " vs " << b.size() << " events";
-    // One trace process per run, named by run order.
-    for (const char *proc : {"shrimp run 0", "shrimp run 3"})
-        EXPECT_NE(parallel.chrome.find(proc), std::string::npos) << proc;
 }
 
 TEST(Sweep, RepeatedRunsAreDeterministic)

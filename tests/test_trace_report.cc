@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the observability layer: the Chrome trace_event recorder
- * (document validity, span nesting), the RunReport JSON serializer
+ * Tests for the observability layer: the RunReport JSON serializer
  * (byte-stability across identical seeded runs), the Histogram
  * statistic, and the export/import teardown API (stale proxies fault,
  * RAII handles clean up).
@@ -10,20 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "apps/radix.hh"
 #include "core/vmmc.hh"
-#include "sim/recorder.hh"
 #include "sim/run_report.hh"
-#include "sim/simulation.hh"
-#include "sim/trace_json.hh"
 
 using namespace shrimp;
 using namespace shrimp::core;
@@ -32,7 +23,7 @@ namespace
 {
 
 // ----------------------------------------------------------------------
-// A minimal JSON acceptance parser: enough to assert the trace is a
+// A minimal JSON acceptance parser: enough to assert a report is a
 // complete, well-formed document without pulling in a JSON library.
 // ----------------------------------------------------------------------
 
@@ -186,68 +177,6 @@ struct JsonChecker
     }
 };
 
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** One parsed complete ("X") event. */
-struct SpanEvent
-{
-    int tid = -1;
-    double ts = 0;
-    double dur = 0;
-    std::string name;
-};
-
-double
-numberAfter(const std::string &line, const char *key)
-{
-    auto pos = line.find(key);
-    if (pos == std::string::npos)
-        return -1;
-    return std::atof(line.c_str() + pos + std::strlen(key));
-}
-
-std::string
-stringAfter(const std::string &line, const char *key)
-{
-    auto pos = line.find(key);
-    if (pos == std::string::npos)
-        return "";
-    pos += std::strlen(key);
-    auto q = line.find('"', pos);
-    return line.substr(pos, q - pos);
-}
-
-/** Extract every ph:"X" event and the tid -> track-name metadata. */
-void
-parseTrace(const std::string &text, std::vector<SpanEvent> &spans,
-           std::map<int, std::string> &trackNames)
-{
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"ph\":\"M\"") != std::string::npos &&
-            line.find("thread_name") != std::string::npos) {
-            int tid = int(numberAfter(line, "\"tid\":"));
-            trackNames[tid] =
-                stringAfter(line, "\"args\":{\"name\":\"");
-        } else if (line.find("\"ph\":\"X\"") != std::string::npos) {
-            SpanEvent e;
-            e.tid = int(numberAfter(line, "\"tid\":"));
-            e.ts = numberAfter(line, "\"ts\":");
-            e.dur = numberAfter(line, "\"dur\":");
-            e.name = stringAfter(line, "\"name\":\"");
-            spans.push_back(e);
-        }
-    }
-}
-
 char *
 pageBuf(Cluster &c, int node, std::size_t bytes)
 {
@@ -257,119 +186,7 @@ pageBuf(Cluster &c, int node, std::size_t bytes)
     return p;
 }
 
-/** A small two-node conversation that exercises DU, AU and mesh. */
-void
-runTracedScenario()
-{
-    Cluster c;
-    char *rbuf = pageBuf(c, 1, 8192);
-    ExportId exp = kInvalidExport;
-
-    c.spawnOn(1, "receiver", [&] {
-        auto &ep = c.vmmc(1);
-        exp = ep.exportBuffer(rbuf, 8192);
-        ep.waitUntil([&] { return rbuf[0] == 3; });
-    });
-    c.spawnOn(0, "sender", [&] {
-        auto &ep = c.vmmc(0);
-        while (exp == kInvalidExport)
-            c.sim().delay(microseconds(10));
-        ProxyId p = ep.import(1, exp);
-        for (char i = 1; i <= 3; ++i) {
-            c.sim().delay(microseconds(50));
-            ep.send(p, &i, 1, 0);
-        }
-        ep.drainSends();
-    });
-    c.run();
-}
-
 } // anonymous namespace
-
-// ----------------------------------------------------------------------
-// Trace recorder
-// ----------------------------------------------------------------------
-
-TEST(TraceJson, DocumentParsesAndSpansNest)
-{
-    const std::string path = "test_trace_report.trace.json";
-    trace_json::open(path);
-    runTracedScenario();
-    trace_json::close();
-
-    std::string text = slurp(path);
-    ASSERT_FALSE(text.empty());
-    EXPECT_TRUE(JsonChecker(text).document())
-        << "trace is not a complete JSON document";
-
-    std::vector<SpanEvent> spans;
-    std::map<int, std::string> trackNames;
-    parseTrace(text, spans, trackNames);
-    ASSERT_FALSE(spans.empty());
-
-    // The scenario must have produced NIC, mesh, and process spans.
-    bool saw_du = false, saw_mesh = false, saw_proc = false,
-         saw_blocked = false;
-    for (const auto &e : spans) {
-        if (e.name == "du_xfer" || e.name == "du_submit")
-            saw_du = true;
-        if (e.name == "pkt")
-            saw_mesh = true;
-        if (e.name == "proc")
-            saw_proc = true;
-        if (e.name == "blocked")
-            saw_blocked = true;
-    }
-    EXPECT_TRUE(saw_du);
-    EXPECT_TRUE(saw_mesh);
-    EXPECT_TRUE(saw_proc);
-    EXPECT_TRUE(saw_blocked);
-
-    // On per-process tracks spans nest by construction: the "proc"
-    // lifetime span contains every "blocked" interval of that fiber.
-    std::map<int, SpanEvent> procOf;
-    for (const auto &e : spans)
-        if (e.name == "proc")
-            procOf[e.tid] = e;
-    int checked = 0;
-    const double eps = 1e-6;
-    for (const auto &e : spans) {
-        if (e.name != "blocked")
-            continue;
-        // NIC engine fibers block too but never terminate, so they
-        // have no "proc" lifetime span; only check app processes.
-        auto it = procOf.find(e.tid);
-        if (it == procOf.end())
-            continue;
-        const SpanEvent &proc = it->second;
-        EXPECT_GE(e.ts + eps, proc.ts);
-        EXPECT_LE(e.ts + e.dur, proc.ts + proc.dur + eps);
-        ++checked;
-    }
-    EXPECT_GT(checked, 0);
-
-    std::remove(path.c_str());
-}
-
-TEST(TraceJson, DisabledRecorderEmitsNothing)
-{
-    // A run built while no trace is open arms nothing; its timeline
-    // calls must be safe (and free), even once a trace opens later.
-    Simulation sim;
-    Recorder &rec = sim.recorder();
-    EXPECT_FALSE(rec.chromeOn());
-    EXPECT_FALSE(rec.causalOn());
-
-    const std::string path = "test_trace_report.disabled.trace.json";
-    trace_json::open(path);
-    rec.complete(rec.track("nowhere"), "x", 0, 1);
-    rec.instant(rec.track("nowhere"), "y");
-    trace_json::close();
-
-    EXPECT_EQ(slurp(path),
-              "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n");
-    std::remove(path.c_str());
-}
 
 // ----------------------------------------------------------------------
 // Run reports

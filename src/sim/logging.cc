@@ -2,54 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <set>
-
-#include "sim/simulation.hh"
 
 namespace shrimp
 {
-
-namespace
-{
-
-LogLevel
-levelFromEnv()
-{
-    const char *e = std::getenv("SHRIMP_LOG");
-    if (!e || !*e)
-        return LogLevel::Info;
-    if (std::strcmp(e, "quiet") == 0 || std::strcmp(e, "0") == 0)
-        return LogLevel::Quiet;
-    if (std::strcmp(e, "warn") == 0 || std::strcmp(e, "1") == 0)
-        return LogLevel::Warn;
-    if (std::strcmp(e, "info") == 0 || std::strcmp(e, "2") == 0)
-        return LogLevel::Info;
-    if (std::strcmp(e, "debug") == 0 || std::strcmp(e, "3") == 0)
-        return LogLevel::Debug;
-    std::fprintf(stderr,
-                 "warn: SHRIMP_LOG='%s' is not quiet|warn|info|debug; "
-                 "using info\n",
-                 e);
-    return LogLevel::Info;
-}
-
-// Resolved once; setLogLevel overrides.
-LogLevel g_level = levelFromEnv();
-
-} // anonymous namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
 
 std::string
 vstrfmt(const char *fmt, va_list ap)
@@ -100,93 +55,11 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (g_level < LogLevel::Warn)
-        return;
     va_list ap;
     va_start(ap, fmt);
     std::string msg = vstrfmt(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Info)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "debug: %s\n", msg.c_str());
-}
-
-namespace trace
-{
-
-namespace
-{
-
-std::set<std::string> enabled_components;
-bool all_enabled = false;
-
-} // anonymous namespace
-
-void
-enable(const std::string &component)
-{
-    enabled_components.insert(component);
-}
-
-void
-enableAll()
-{
-    all_enabled = true;
-}
-
-void
-disableAll()
-{
-    all_enabled = false;
-    enabled_components.clear();
-}
-
-bool
-enabled(const std::string &component)
-{
-    return all_enabled || enabled_components.count(component) > 0;
-}
-
-void
-printf(const char *component, const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrfmt(fmt, ap);
-    va_end(ap);
-
-    Simulation *sim = Simulation::currentOrNull();
-    if (sim) {
-        std::fprintf(stderr, "%12.3f us: %s: %s\n",
-                     toMicroseconds(sim->now()), component, msg.c_str());
-    } else {
-        std::fprintf(stderr, "      --    : %s: %s\n",
-                     component, msg.c_str());
-    }
-}
-
-} // namespace trace
 
 } // namespace shrimp

@@ -2,16 +2,11 @@
  * @file
  * Error and status reporting, following the gem5 fatal/panic split.
  *
- * panic()  - a simulator bug: something that must never happen did.
- * fatal()  - a user/configuration error; the simulation cannot continue.
- * warn()   - questionable behaviour that might still work.
- * inform() - plain status output.
- * debug()  - diagnostic detail, off by default.
+ * panic() - a simulator bug: something that must never happen did.
+ * fatal() - a user/configuration error; the simulation cannot continue.
+ * warn()  - questionable behaviour that might still work.
  *
- * warn/inform/debug are filtered by a process-wide log level, set
- * once from SHRIMP_LOG ("quiet", "warn", "info" (default), "debug",
- * or the matching 0-3) or programmatically via setLogLevel().
- * panic/fatal always print — errors are never filtered.
+ * All three always print to stderr.
  */
 
 #ifndef SHRIMP_SIM_LOGGING_HH
@@ -38,68 +33,9 @@ std::string strfmt(const char *fmt, ...)
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Verbosity of warn/inform/debug, in increasing order. */
-enum class LogLevel
-{
-    Quiet = 0, //!< errors only (panic/fatal)
-    Warn = 1,  //!< + warn()
-    Info = 2,  //!< + inform() — the default
-    Debug = 3, //!< + debug()
-};
-
-/** The active log level (first call resolves SHRIMP_LOG). */
-LogLevel logLevel();
-
-/** Override the log level (wins over SHRIMP_LOG). */
-void setLogLevel(LogLevel level);
-
-/** Report questionable-but-survivable behaviour (level >= Warn). */
+/** Report questionable-but-survivable behaviour. */
 void warn(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Report normal status (level >= Info). */
-void inform(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Report diagnostic detail (level >= Debug, i.e. off by default). */
-void debug(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/**
- * Debug tracing.
- *
- * Trace output is off by default; enable components by name via
- * Trace::enable("Nic") or enable all with Trace::enableAll(). The
- * trace line is prefixed with the current simulated time when a
- * simulation is active.
- */
-namespace trace
-{
-
-/** Enable tracing for one component name. */
-void enable(const std::string &component);
-
-/** Enable tracing for every component. */
-void enableAll();
-
-/** Disable all tracing. */
-void disableAll();
-
-/** @return true if the component's tracing is on. */
-bool enabled(const std::string &component);
-
-/** Emit one trace line for @p component. */
-void printf(const char *component, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-} // namespace trace
-
-/** Convenience macro so the argument evaluation is skipped when off. */
-#define SHRIMP_TRACE(component, ...)                                   \
-    do {                                                               \
-        if (::shrimp::trace::enabled(component))                       \
-            ::shrimp::trace::printf(component, __VA_ARGS__);           \
-    } while (0)
 
 } // namespace shrimp
 

@@ -52,10 +52,12 @@ runOnce(Protocol protocol)
 
     Outcome out{};
     std::vector<Tick> ends(kProcs, 0);
+    std::vector<Process *> procs(kProcs);
 
     for (int q = 0; q < kProcs; ++q) {
-        cluster.spawnOn(q, "relax", [&, q] {
+        procs[q] = cluster.spawnOn(q, "relax", [&, q] {
             rt.init(q);
+            procs[q]->account.start(cluster.sim().now());
             SvmView v(rt, q);
             const int first = q * rows_per;
             const int last = first + rows_per;
@@ -91,8 +93,8 @@ runOnce(Protocol protocol)
                 v.barrier();
                 std::swap(from, to);
             }
-            rt.account(q).stop();
             ends[q] = cluster.sim().now();
+            procs[q]->account.stop(ends[q]);
 
             if (q == 0) {
                 const auto *g = reinterpret_cast<const double *>(
@@ -107,7 +109,7 @@ runOnce(Protocol protocol)
 
     cluster.run();
     for (int q = 0; q < kProcs; ++q) {
-        out.combined.merge(rt.account(q));
+        out.combined.merge(procs[q]->account);
         out.elapsed = std::max(out.elapsed, ends[q]);
     }
     return out;

@@ -27,7 +27,6 @@
 #include "sim/metrics.hh"
 #include "sim/run_report.hh"
 #include "sim/stats.hh"
-#include "sim/time_account.hh"
 #include "svm/svm.hh"
 
 namespace shrimp::apps
@@ -42,7 +41,7 @@ struct AppResult
     /** Simulated wall time of the measured (parallel) region. */
     Tick elapsed = 0;
 
-    /** Sum of per-rank time accounts over the measured region. */
+    /** Sum of the perProcess time accounts. */
     TimeAccount combined;
 
     /** VMMC messages sent during the measured region. */
@@ -54,7 +53,10 @@ struct AppResult
     /** App-specific checksum for correctness verification. */
     std::uint64_t checksum = 0;
 
-    /** Per-rank time accounts over the measured region, rank order. */
+    /**
+     * Time accounts of the processes the app measures, in order: one
+     * per rank, DFS client or Render controller process.
+     */
     std::vector<TimeAccount> perProcess;
 
     /** Workload knobs (sizes, protocol choice, seed) for the report. */
@@ -108,6 +110,20 @@ struct AppResult
         return elapsed ? double(seq) / double(elapsed) : 0.0;
     }
 };
+
+/**
+ * Copy the time accounts of @p procs into @p result: one perProcess
+ * entry each, in order, and their sum as combined. Call while the
+ * Cluster that ran them is alive.
+ */
+inline void
+collectAccounts(AppResult &result, const std::vector<Process *> &procs)
+{
+    for (const Process *p : procs) {
+        result.combined.merge(p->account);
+        result.perProcess.push_back(p->account);
+    }
+}
 
 /**
  * Capability-adaptive variant choice: each app's best-performing

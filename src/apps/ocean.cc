@@ -79,10 +79,12 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
     result.nprocs = nprocs;
     RegionClock clock(nprocs);
     MessageSnapshot before;
+    std::vector<Process *> procs(nprocs);
 
     for (int q = 0; q < nprocs; ++q) {
-        cluster.spawnOn(q, "ocean", [&, q] {
+        procs[q] = cluster.spawnOn(q, "ocean", [&, q] {
             rt.init(q);
+            procs[q]->account.start(cluster.sim().now());
             svm::SvmView v(rt, q);
             auto &cpu = cluster.node(q).cpu();
             const int first = 1 + q * rows_per;
@@ -162,7 +164,7 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
             }
 
             clock.end[q] = cluster.sim().now();
-            rt.account(q).stop();
+            procs[q]->account.stop(clock.end[q]);
 
             if (q == 0) {
                 // Checksum over the whole final grid.
@@ -179,10 +181,7 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
     cluster.run();
     warnIfDeadlocked(cluster, result.name.c_str());
     result.elapsed = clock.elapsed();
-    for (int q = 0; q < nprocs; ++q) {
-        result.combined.merge(rt.account(q));
-        result.perProcess.push_back(rt.account(q));
-    }
+    collectAccounts(result, procs);
     recordMessages(result, before, MessageSnapshot::take(cluster));
     result.param("n", config.n);
     result.param("iterations", config.iterations);
@@ -217,7 +216,7 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
     result.nprocs = nprocs;
     RegionClock clock(nprocs);
     MessageSnapshot before;
-    std::vector<TimeAccount> accounts(nprocs);
+    std::vector<Process *> procs(nprocs);
     std::vector<double> final_checksums(nprocs, 0.0);
 
     enum MsgTypes
@@ -227,11 +226,10 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
     };
 
     for (int q = 0; q < nprocs; ++q) {
-        cluster.spawnOn(q, "ocean", [&, q] {
+        procs[q] = cluster.spawnOn(q, "ocean", [&, q] {
             dom.init(q);
             auto &nx = dom.process(q);
-            nx.setAccount(&accounts[q]);
-            accounts[q].start();
+            procs[q]->account.start(cluster.sim().now());
             auto &cpu = cluster.node(q).cpu();
 
             // Local block with ghost rows: rows 0..rows_per+1.
@@ -291,7 +289,7 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
             }
 
             clock.end[q] = cluster.sim().now();
-            accounts[q].stop();
+            procs[q]->account.stop(clock.end[q]);
 
             double sum = 0.0;
             for (int r = 1; r <= rows_per; ++r)
@@ -304,12 +302,10 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
     cluster.run();
     warnIfDeadlocked(cluster, result.name.c_str());
     result.elapsed = clock.elapsed();
+    collectAccounts(result, procs);
     double total = 0.0;
-    for (int q = 0; q < nprocs; ++q) {
-        result.combined.merge(accounts[q]);
-        result.perProcess.push_back(accounts[q]);
-        total += final_checksums[q];
-    }
+    for (double c : final_checksums)
+        total += c;
     result.checksum = std::uint64_t(total * 1000.0);
     recordMessages(result, before, MessageSnapshot::take(cluster));
     result.param("n", config.n);

@@ -64,12 +64,6 @@ Collective::init(int rank)
 }
 
 void
-Collective::setAccount(int rank, TimeAccount *account)
-{
-    ranks[rank].account = account;
-}
-
-void
 Collective::barrier(int rank)
 {
     reduce(rank, 0.0, Op::Barrier);
@@ -94,7 +88,7 @@ Collective::reduce(int rank, double value, Op op)
     if (!r.initialized)
         panic("Collective::reduce before init on rank %d", rank);
     Endpoint &ep = cluster.vmmc(rank);
-    ScopedCategory cat(r.account, TimeCategory::Barrier);
+    ScopedCategory cat(cluster.sim(), TimeCategory::Barrier);
     causal::OpSpan span(cluster.sim().recorder(), rank, "coll.reduce");
 
     std::uint64_t e = ++r.epoch;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/vmmc.hh"
-#include "sim/time_account.hh"
 
 namespace shrimp::core
 {
@@ -45,10 +44,7 @@ class Collective
      */
     void init(int rank);
 
-    /** Attach a time account so waits are charged to Barrier. */
-    void setAccount(int rank, TimeAccount *account);
-
-    /** Barrier across all ranks. */
+    /** Barrier across all ranks; the wait is charged to Barrier. */
     void barrier(int rank);
 
     /** Global sum; every rank receives the result. */
@@ -92,7 +88,6 @@ class Collective
         ProxyId toCoordinator = kInvalidProxy; //!< member -> coord page
         std::vector<ProxyId> toMembers;        //!< coord -> member pages
         std::uint64_t epoch = 0;
-        TimeAccount *account = nullptr;
         bool initialized = false;
     };
 

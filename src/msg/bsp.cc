@@ -103,8 +103,7 @@ BspDomain::put(int rank, int dst, int area, std::size_t offset,
 
     core::Endpoint &ep = cluster.vmmc(rank);
     ep.node().cpu().sync();
-    ScopedCategory cat(ranks[rank].account,
-                       TimeCategory::Communication);
+    ScopedCategory cat(cluster.sim(), TimeCategory::Communication);
     causal::OpSpan span(cluster.sim().recorder(), rank, "bsp.put");
     ep.send(a.proxies[rank][dst], src, bytes, offset);
     PerRank &pr = ranks[rank];
@@ -120,7 +119,7 @@ BspDomain::sync(int rank)
     PerRank &r = ranks[rank];
     core::Endpoint &ep = cluster.vmmc(rank);
     ep.node().cpu().sync();
-    ScopedCategory cat(r.account, TimeCategory::Barrier);
+    ScopedCategory cat(cluster.sim(), TimeCategory::Barrier);
     causal::OpSpan span(cluster.sim().recorder(), rank, "bsp.sync");
 
     std::uint64_t step = ++r.step;
@@ -148,12 +147,6 @@ std::uint64_t
 BspDomain::superstep(int rank) const
 {
     return ranks[rank].step;
-}
-
-void
-BspDomain::setAccount(int rank, TimeAccount *a)
-{
-    ranks[rank].account = a;
 }
 
 } // namespace shrimp::msg

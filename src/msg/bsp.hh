@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/vmmc.hh"
-#include "sim/time_account.hh"
 
 namespace shrimp::msg
 {
@@ -52,19 +51,19 @@ class BspDomain
     /**
      * Put @p bytes into rank @p dst's registered area @p area at
      * @p offset. One-sided; lands before the destination leaves the
-     * next sync.
+     * next sync. Charged to Communication.
      */
     void put(int rank, int dst, int area, std::size_t offset,
              const void *src, std::size_t bytes);
 
-    /** End the superstep (cBSP marker exchange, no central barrier). */
+    /**
+     * End the superstep (cBSP marker exchange, no central barrier).
+     * The wait is charged to Barrier.
+     */
     void sync(int rank);
 
     /** Supersteps completed by @p rank. */
     std::uint64_t superstep(int rank) const;
-
-    /** Attach a time account (sync waits charge Barrier). */
-    void setAccount(int rank, TimeAccount *a);
 
     int size() const { return nprocs; }
 
@@ -84,7 +83,6 @@ class BspDomain
         core::ExportId eosExp = core::kInvalidExport;
         std::vector<core::ProxyId> eosProxy;
         std::uint64_t step = 0;
-        TimeAccount *account = nullptr;
         std::vector<void *> pendingAreas; //!< registration order
 
         /** Interned ".bsp.puts", bound on first put (lazy). */

@@ -241,7 +241,7 @@ RpcDomain::Client::call(std::uint32_t proc, const void *args,
     core::Endpoint &ep = d.cluster.vmmc(rank);
     auto &cpu = ep.node().cpu();
     cpu.sync();
-    ScopedCategory cat(account, TimeCategory::Communication);
+    ScopedCategory cat(d.cluster.sim(), TimeCategory::Communication);
     causal::OpSpan span(d.cluster.sim().recorder(), rank, "rpc.call");
 
     ++seq;

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/vmmc.hh"
-#include "sim/time_account.hh"
 
 namespace shrimp::msg
 {
@@ -90,8 +89,8 @@ class RpcDomain
     {
       public:
         /**
-         * Synchronous call: marshal, send, wait for the reply.
-         * @return the reply bytes.
+         * Synchronous call: marshal, send, wait for the reply. The
+         * wait is charged to Communication. @return the reply bytes.
          */
         std::vector<char> call(std::uint32_t proc, const void *args,
                                std::size_t bytes);
@@ -109,9 +108,6 @@ class RpcDomain
             return r;
         }
 
-        /** Attach a time account (waits charge Communication). */
-        void setAccount(TimeAccount *a) { account = a; }
-
       private:
         friend class RpcDomain;
         RpcDomain *dom = nullptr;
@@ -123,7 +119,6 @@ class RpcDomain
         core::ProxyId serverReplyProxy = core::kInvalidProxy;
         char *replyBuf = nullptr;
         std::uint32_t seq = 0;
-        TimeAccount *account = nullptr;
     };
 
     /**

@@ -136,7 +136,7 @@ struct RunReport
     /** Sum of the per-process accounts. */
     TimeAccount combined;
 
-    /** Figure-4 categories for each accounted process, rank order. */
+    /** Figure-4 categories for each accounted process, in app order. */
     std::vector<TimeAccount> perProcess;
 
     /** Snapshot of every counter/accumulator/histogram of the run. */

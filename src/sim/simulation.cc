@@ -5,16 +5,6 @@
 namespace shrimp
 {
 
-namespace
-{
-
-/// Stack of live simulations; tests may nest construction. Per host
-/// thread, so the sweep runner can run one Simulation per worker
-/// without the stacks interleaving.
-thread_local std::vector<Simulation *> live_simulations;
-
-} // anonymous namespace
-
 Process::Process(Simulation &sim, std::string name, FiberBody body,
                  std::size_t stack_bytes)
     : sim(sim), _name(std::move(name)),
@@ -52,24 +42,7 @@ WaitQueue::wakeAll(Simulation &sim)
     return n;
 }
 
-Simulation::Simulation() : _recorder(*this)
-{
-    live_simulations.push_back(this);
-}
-
-Simulation::~Simulation()
-{
-    if (live_simulations.empty() || live_simulations.back() != this)
-        warn("simulations destroyed out of construction order");
-    else
-        live_simulations.pop_back();
-}
-
-Simulation *
-Simulation::currentOrNull()
-{
-    return live_simulations.empty() ? nullptr : live_simulations.back();
-}
+Simulation::Simulation() : _recorder(*this) {}
 
 std::vector<std::string>
 Simulation::unfinishedProcesses() const

@@ -21,6 +21,7 @@
 #include "sim/random.hh"
 #include "sim/recorder.hh"
 #include "sim/stats.hh"
+#include "sim/time_account.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -56,6 +57,13 @@ class Process
      */
     std::uint64_t causeTrace = 0;
     std::uint64_t causeSpan = 0;
+
+    /**
+     * Figure-4 time breakdown of this process. Libraries switch its
+     * category through ScopedCategory; the application that measures
+     * the process starts and stops it.
+     */
+    TimeAccount account;
 
   private:
     friend class Simulation;
@@ -103,7 +111,6 @@ class Simulation
 {
   public:
     Simulation();
-    ~Simulation();
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
@@ -220,9 +227,6 @@ class Simulation
     /** Raw queue access (tests and models needing cancellation). */
     EventQueue &events() { return queue; }
 
-    /** Innermost live Simulation, or nullptr (logging, TimeAccount). */
-    static Simulation *currentOrNull();
-
     /**
      * Names of processes that have not finished — after run() drains
      * the queue, these are deadlocked (blocked with no pending event).
@@ -267,6 +271,38 @@ class Simulation
     StatsRegistry _stats;
     std::vector<std::unique_ptr<Process>> processes;
     Process *_current = nullptr;
+};
+
+/**
+ * RAII category switch on the running process's time account: enters
+ * @p c on construction, restores the previous category on destruction.
+ * Outside a process (an event callback) it does nothing.
+ */
+class ScopedCategory
+{
+  public:
+    ScopedCategory(Simulation &sim, TimeCategory c)
+        : sim(sim), proc(sim.current())
+    {
+        if (proc) {
+            saved = proc->account.category();
+            proc->account.switchTo(c, sim.now());
+        }
+    }
+
+    ~ScopedCategory()
+    {
+        if (proc)
+            proc->account.switchTo(saved, sim.now());
+    }
+
+    ScopedCategory(const ScopedCategory &) = delete;
+    ScopedCategory &operator=(const ScopedCategory &) = delete;
+
+  private:
+    Simulation &sim;
+    Process *proc;
+    TimeCategory saved = TimeCategory::Compute;
 };
 
 } // namespace shrimp

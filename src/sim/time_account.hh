@@ -3,6 +3,14 @@
  * Per-process execution-time breakdown, the instrumentation behind the
  * paper's Figure 4 stacked bars (computation / communication / lock /
  * barrier / overhead).
+ *
+ * Every Process owns one TimeAccount, next to its causal context
+ * (sim/simulation.hh), so the account travels with the fiber. Libraries
+ * categorize a blocking wait with ScopedCategory, which switches the
+ * running process's account without knowing whose it is; applications
+ * start and stop the accounts of the processes they measure and copy
+ * them into their results. The account reads no clock: every call
+ * takes the current time from its caller.
  */
 
 #ifndef SHRIMP_SIM_TIME_ACCOUNT_HH
@@ -11,7 +19,6 @@
 #include <array>
 #include <cstddef>
 
-#include "sim/simulation.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -40,32 +47,31 @@ timeCategoryName(TimeCategory c)
 
 /**
  * Attributes all elapsed simulated time of one process to the
- * currently selected category. Category switches read the clock from
- * the innermost live Simulation.
+ * currently selected category.
  */
 class TimeAccount
 {
   public:
-    /** Begin accounting now, in the Compute category. */
+    /** Begin accounting at @p now, from zero, in the Compute category. */
     void
-    start()
+    start(Tick now)
     {
-        last = now();
+        buckets = {};
+        last = now;
         current = TimeCategory::Compute;
     }
 
-    /** Switch category, attributing the elapsed slice to the old one. */
+    /** Switch category at @p now, attributing the slice to the old one. */
     void
-    switchTo(TimeCategory c)
+    switchTo(TimeCategory c, Tick now)
     {
-        Tick t = now();
-        buckets[std::size_t(current)] += t - last;
-        last = t;
+        buckets[std::size_t(current)] += now - last;
+        last = now;
         current = c;
     }
 
-    /** Close out the final slice. */
-    void stop() { switchTo(current); }
+    /** Close out the final slice at @p now. */
+    void stop(Tick now) { switchTo(current, now); }
 
     /** Accumulated time in @p c. */
     Tick
@@ -96,46 +102,9 @@ class TimeAccount
     }
 
   private:
-    static Tick
-    now()
-    {
-        Simulation *s = Simulation::currentOrNull();
-        return s ? s->now() : 0;
-    }
-
     std::array<Tick, std::size_t(TimeCategory::kCount)> buckets{};
     TimeCategory current = TimeCategory::Compute;
     Tick last = 0;
-};
-
-/**
- * RAII category switch: enters @p c on construction, restores the
- * previous category on destruction. A null account is a no-op, so
- * instrumented code paths work outside accounted processes too.
- */
-class ScopedCategory
-{
-  public:
-    ScopedCategory(TimeAccount *account, TimeCategory c) : account(account)
-    {
-        if (account) {
-            saved = account->category();
-            account->switchTo(c);
-        }
-    }
-
-    ~ScopedCategory()
-    {
-        if (account)
-            account->switchTo(saved);
-    }
-
-    ScopedCategory(const ScopedCategory &) = delete;
-    ScopedCategory &operator=(const ScopedCategory &) = delete;
-
-  private:
-    TimeAccount *account;
-    TimeCategory saved = TimeCategory::Compute;
 };
 
 } // namespace shrimp

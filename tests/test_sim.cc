@@ -504,26 +504,55 @@ TEST(Random, UniformInRange)
     }
 }
 
-TEST(TimeAccount, AttributesSlicesToCategories)
+TEST(TimeAccount, EachProcessHoldsOnlyItsOwnSlices)
 {
     Simulation sim;
-    TimeAccount acct;
-    sim.spawn("p", [&] {
-        acct.start();
+    Process *a = nullptr;
+    Process *b = nullptr;
+    a = sim.spawn("a", [&] {
+        a->account.start(sim.now());
         sim.delay(100); // compute
-        acct.switchTo(TimeCategory::Lock);
-        sim.delay(30);
-        acct.switchTo(TimeCategory::Compute);
-        sim.delay(50);
-        acct.switchTo(TimeCategory::Barrier);
-        sim.delay(20);
-        acct.stop();
+        {
+            ScopedCategory cat(sim, TimeCategory::Lock);
+            sim.delay(30);
+        }
+        sim.delay(50); // compute
+        {
+            ScopedCategory cat(sim, TimeCategory::Barrier);
+            sim.delay(20);
+        }
+        a->account.stop(sim.now());
+    });
+    b = sim.spawn("b", [&] {
+        b->account.start(sim.now());
+        sim.delay(40); // compute
+        {
+            ScopedCategory cat(sim, TimeCategory::Communication);
+            sim.delay(100);
+        }
+        b->account.stop(sim.now());
+    });
+    // Both processes are inside a scope at tick 110; a scope built in
+    // an event callback belongs to no process and switches neither.
+    sim.schedule(110, [&] {
+        ScopedCategory cat(sim, TimeCategory::Overhead);
+        EXPECT_EQ(a->account.category(), TimeCategory::Lock);
+        EXPECT_EQ(b->account.category(), TimeCategory::Communication);
     });
     sim.run();
-    EXPECT_EQ(acct.total(TimeCategory::Compute), 150u);
-    EXPECT_EQ(acct.total(TimeCategory::Lock), 30u);
-    EXPECT_EQ(acct.total(TimeCategory::Barrier), 20u);
-    EXPECT_EQ(acct.grandTotal(), 200u);
+
+    EXPECT_EQ(a->account.total(TimeCategory::Compute), 150u);
+    EXPECT_EQ(a->account.total(TimeCategory::Lock), 30u);
+    EXPECT_EQ(a->account.total(TimeCategory::Barrier), 20u);
+    EXPECT_EQ(a->account.total(TimeCategory::Communication), 0u);
+    EXPECT_EQ(a->account.total(TimeCategory::Overhead), 0u);
+    EXPECT_EQ(a->account.grandTotal(), 200u);
+
+    EXPECT_EQ(b->account.total(TimeCategory::Compute), 40u);
+    EXPECT_EQ(b->account.total(TimeCategory::Communication), 100u);
+    EXPECT_EQ(b->account.total(TimeCategory::Lock), 0u);
+    EXPECT_EQ(b->account.total(TimeCategory::Overhead), 0u);
+    EXPECT_EQ(b->account.grandTotal(), 140u);
 }
 
 TEST(Types, TimeConversions)

@@ -332,9 +332,11 @@ TEST(Svm, TimeAccountCoversCategories)
     auto *arr = rt.sharedAllocArray<std::uint32_t>(8192);
     rt.setHomeBlock(arr, 8192 * 4, 0);
 
+    std::vector<Process *> procs(2);
     for (int r = 0; r < 2; ++r) {
-        c.spawnOn(r, "rank", [&, r] {
+        procs[r] = c.spawnOn(r, "rank", [&, r] {
             rt.init(r);
+            procs[r]->account.start(c.sim().now());
             SvmView v(rt, r);
             v.barrier();
             if (r == 1) {
@@ -344,12 +346,12 @@ TEST(Svm, TimeAccountCoversCategories)
             v.lock(1);
             v.unlock(1);
             v.barrier();
-            rt.account(r).stop();
+            procs[r]->account.stop(c.sim().now());
         });
     }
     c.run();
 
-    auto &acct = rt.account(1);
+    const TimeAccount &acct = procs[1]->account;
     EXPECT_GT(acct.total(TimeCategory::Compute), 0u);
     EXPECT_GT(acct.total(TimeCategory::Communication), 0u); // faults
     EXPECT_GT(acct.total(TimeCategory::Overhead), 0u);      // twins

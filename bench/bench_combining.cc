@@ -40,7 +40,7 @@ runWithCombining(const char *app, bool combining)
     // DFS forced onto the AU transport.
     auto cfg = dfsConfig();
     cfg.useAutomaticUpdate = true;
-    cfg.auCombining = combining;
+    cc.shrimpNic.combiningEnabled = combining;
     return runDfs(cc, cfg);
 }
 

@@ -45,11 +45,11 @@ struct DfsConfig
     /** Server-side per-block lookup. */
     Tick serverBlockCost = microseconds(40);
 
-    /** Force the AU transport (Sec 4.5.1's what-if). */
+    /**
+     * Force the AU transport (Sec 4.5.1's what-if; the NIC's
+     * combiningEnabled decides whether its stores combine).
+     */
     bool useAutomaticUpdate = false;
-
-    /** AU combining (only meaningful with useAutomaticUpdate). */
-    bool auCombining = true;
 };
 
 /** Run the DFS workload; nprocs = servers + clients must fit. */

@@ -38,9 +38,6 @@ struct RenderConfig
     /** Force the AU transport. */
     bool useAutomaticUpdate = false;
 
-    /** AU combining. */
-    bool auCombining = true;
-
     std::uint64_t seed = 99;
 };
 

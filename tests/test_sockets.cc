@@ -190,10 +190,11 @@ class SocketsAuTest
 TEST_P(SocketsAuTest, DataIntactUnderAllTransports)
 {
     auto [use_au, combining] = GetParam();
-    core::Cluster c;
+    core::ClusterConfig cc;
+    cc.shrimpNic.combiningEnabled = combining;
+    core::Cluster c(cc);
     SocketConfig cfg;
     cfg.useAutomaticUpdate = use_au;
-    cfg.auCombining = combining;
     SocketDomain dom(c, cfg);
     std::uint64_t checksum = 0;
     const std::size_t kBytes = 96 * 1024;
@@ -231,10 +232,11 @@ TEST(Sockets, AuWithoutCombiningIsMuchSlower)
     // Sec 4.5.1: DFS-sockets runs about 2x slower when forced to use
     // AU without combining. Reproduce the transport-level effect.
     auto run_once = [](bool use_au, bool combining) {
-        core::Cluster c;
+        core::ClusterConfig cc;
+        cc.shrimpNic.combiningEnabled = combining;
+        core::Cluster c(cc);
         SocketConfig cfg;
         cfg.useAutomaticUpdate = use_au;
-        cfg.auCombining = combining;
         SocketDomain dom(c, cfg);
         Tick elapsed = 0;
         const std::size_t kBytes = 256 * 1024;

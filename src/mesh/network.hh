@@ -133,9 +133,6 @@ class Network
         return _params.fault.reliabilityEnabled();
     }
 
-    /** The fault plane, or nullptr when faults are off. */
-    FaultInjector *faultInjector() { return injector.get(); }
-
     /**
      * The in-flight packet pool. Shared with the NICs, which draw
      * retransmit-buffer slots from it, so one pool's slabs cover all

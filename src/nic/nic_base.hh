@@ -193,9 +193,6 @@ class NicBase
     /** Convenience capability read. */
     bool supportsAutomaticUpdate() const { return caps().autoUpdate; }
 
-    /** Is the link-level reliability protocol running? */
-    bool reliable() const { return _reliable; }
-
     // ------------------------------------------------------------------
     // Peer health (ROADMAP: in-run stall/death surfacing)
     // ------------------------------------------------------------------

@@ -129,9 +129,6 @@ class NodeMemory
     /** Number of page frames in the arena. */
     Frame frameCount() const { return Frame(arenaBytes / kPageBytes); }
 
-    /** Bytes currently allocated. */
-    std::size_t usedBytes() const { return used; }
-
   private:
     char *arena = nullptr;
     std::size_t arenaBytes = 0;

@@ -66,16 +66,6 @@ class MemoryBus
         sim.delay(done - sim.now());
     }
 
-    /** When the bus next becomes free. */
-    Tick
-    freeAt() const
-    {
-        return busyUntil > sim.now() ? busyUntil : sim.now();
-    }
-
-    /** Total booked busy time, for utilization reporting. */
-    Tick busyTime() const { return Tick(stBusyPs.value()); }
-
   private:
     Simulation &sim;
     std::string statPrefix;

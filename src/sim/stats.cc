@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <cmath>
-#include <iomanip>
 
 #include "sim/json.hh"
 
@@ -89,29 +88,6 @@ StatsRegistry::reset()
         kv.second.reset();
     for (auto &kv : scalars)
         kv.second.reset();
-}
-
-void
-StatsRegistry::dump(std::ostream &os) const
-{
-    for (const auto &kv : counters)
-        os << kv.first << " " << kv.second.value() << "\n";
-    for (const auto &kv : accumulators) {
-        const auto &a = kv.second;
-        os << kv.first << " count=" << a.count() << " sum=" << a.sum()
-           << " mean=" << a.mean() << " min=" << a.min()
-           << " max=" << a.max() << "\n";
-    }
-    for (const auto &kv : histograms) {
-        const auto &h = kv.second;
-        os << kv.first << " count=" << h.count()
-           << " mean=" << h.mean() << " p50=" << h.percentile(50)
-           << " p95=" << h.percentile(95) << " min=" << h.min()
-           << " max=" << h.max() << " under=" << h.underflow()
-           << " over=" << h.overflow() << "\n";
-    }
-    for (const auto &kv : scalars)
-        os << kv.first << " " << kv.second.value() << "\n";
 }
 
 void

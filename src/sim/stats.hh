@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -395,9 +394,6 @@ class StatsRegistry
 
     /** Reset every statistic to zero. */
     void reset();
-
-    /** Write all statistics, sorted by name. */
-    void dump(std::ostream &os) const;
 
     /**
      * Serialize into the writer's currently open object as four

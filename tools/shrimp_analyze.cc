@@ -34,7 +34,7 @@
  * Examples:
  *   shrimp_analyze report.json
  *   shrimp_analyze metrics.jsonl
- *   shrimp_analyze --critical-path --op bsp.sync causal.jsonl
+ *   shrimp_analyze --critical-path --op svm.barrier causal.jsonl
  *   shrimp_analyze --validate report.json metrics.jsonl causal.jsonl
  *   shrimp_analyze --chrome causal.jsonl > trace.json
  */

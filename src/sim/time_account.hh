@@ -9,8 +9,9 @@
  * categorize a blocking wait with ScopedCategory, which switches the
  * running process's account without knowing whose it is; applications
  * start and stop the accounts of the processes they measure and copy
- * them into their results. The account reads no clock: every call
- * takes the current time from its caller.
+ * them into their results. An account counts only between start and
+ * stop, so a scope entered after stop adds nothing. The account reads
+ * no clock: every call takes the current time from its caller.
  */
 
 #ifndef SHRIMP_SIM_TIME_ACCOUNT_HH
@@ -46,8 +47,8 @@ timeCategoryName(TimeCategory c)
 }
 
 /**
- * Attributes all elapsed simulated time of one process to the
- * currently selected category.
+ * Attributes the elapsed simulated time of one process between start
+ * and stop to the currently selected category.
  */
 class TimeAccount
 {
@@ -59,19 +60,26 @@ class TimeAccount
         buckets = {};
         last = now;
         current = TimeCategory::Compute;
+        running = true;
     }
 
     /** Switch category at @p now, attributing the slice to the old one. */
     void
     switchTo(TimeCategory c, Tick now)
     {
-        buckets[std::size_t(current)] += now - last;
+        if (running)
+            buckets[std::size_t(current)] += now - last;
         last = now;
         current = c;
     }
 
-    /** Close out the final slice at @p now. */
-    void stop(Tick now) { switchTo(current, now); }
+    /** Close out the final slice at @p now; count nothing until start. */
+    void
+    stop(Tick now)
+    {
+        switchTo(current, now);
+        running = false;
+    }
 
     /** Accumulated time in @p c. */
     Tick
@@ -105,6 +113,7 @@ class TimeAccount
     std::array<Tick, std::size_t(TimeCategory::kCount)> buckets{};
     TimeCategory current = TimeCategory::Compute;
     Tick last = 0;
+    bool running = false;
 };
 
 } // namespace shrimp

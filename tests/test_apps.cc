@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/barnes.hh"
 #include "apps/dfs.hh"
 #include "apps/ocean.hh"
@@ -87,6 +89,23 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RadixSvmTest,
                                      c = '_';
                              return n;
                          });
+
+TEST(Radix, SvmAccountsEndWithTheMeasuredRegion)
+{
+    // Rank 0 reads the whole sorted array after the region ends; those
+    // page fetches must not reach its account, so every rank's account
+    // covers about the same span.
+    auto r = runRadixSvm(smallCluster(), Protocol::HLRC, 4, smallRadix());
+    ASSERT_EQ(r.perProcess.size(), 4u);
+    Tick lo = r.perProcess[0].grandTotal();
+    Tick hi = lo;
+    for (const TimeAccount &a : r.perProcess) {
+        lo = std::min(lo, a.grandTotal());
+        hi = std::max(hi, a.grandTotal());
+    }
+    ASSERT_GT(lo, 0u);
+    EXPECT_LT(double(hi - lo), 0.01 * double(lo));
+}
 
 TEST(RadixVmmc, DuAndAuProduceIdenticalSortedOutput)
 {

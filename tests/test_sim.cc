@@ -555,6 +555,24 @@ TEST(TimeAccount, EachProcessHoldsOnlyItsOwnSlices)
     EXPECT_EQ(b->account.grandTotal(), 140u);
 }
 
+TEST(TimeAccount, ScopeAfterStopAddsNothing)
+{
+    Simulation sim;
+    Process *p = nullptr;
+    p = sim.spawn("p", [&] {
+        p->account.start(sim.now());
+        sim.delay(100); // compute
+        p->account.stop(sim.now());
+        ScopedCategory cat(sim, TimeCategory::Communication);
+        sim.delay(50);
+    });
+    sim.run();
+
+    EXPECT_EQ(p->account.total(TimeCategory::Compute), 100u);
+    EXPECT_EQ(p->account.total(TimeCategory::Communication), 0u);
+    EXPECT_EQ(p->account.grandTotal(), 100u);
+}
+
 TEST(Types, TimeConversions)
 {
     EXPECT_EQ(nanoseconds(1), 1000u);

@@ -29,6 +29,7 @@
 #include "apps/render.hh"
 #include "bench/sweep.hh"
 #include "nic/nic_kind.hh"
+#include "sim/logging.hh"
 
 namespace shrimp::bench
 {
@@ -288,6 +289,16 @@ standardApps(int barnes_nx_procs = 16)
         };
     }
     return specs;
+}
+
+/** The registry entry named @p name; a name not in @p specs is fatal. */
+inline const AppSpec &
+findApp(const std::vector<AppSpec> &specs, const std::string &name)
+{
+    for (const auto &s : specs)
+        if (s.name == name)
+            return s;
+    fatal("no application named %s in the registry", name.c_str());
 }
 
 /**

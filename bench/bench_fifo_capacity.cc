@@ -106,15 +106,8 @@ main()
 
     // Big/small FIFO runs for each app as independent sweep jobs.
     std::vector<std::function<apps::AppResult()>> jobs;
-    std::vector<const char *> job_names;
     for (const char *name : names) {
-        const AppSpec *spec = nullptr;
-        for (const auto &s : specs)
-            if (s.name == name)
-                spec = &s;
-        if (!spec)
-            continue;
-        job_names.push_back(name);
+        const AppSpec *spec = &findApp(specs, name);
         for (std::uint32_t fifo : {32u * 1024, 1024u}) {
             jobs.push_back([spec, fifo] {
                 core::ClusterConfig cc = shrimpCluster();
@@ -126,11 +119,11 @@ main()
     auto results = runSweep(std::move(jobs));
 
     bool ok = true;
-    for (std::size_t i = 0; i < job_names.size(); ++i) {
+    for (std::size_t i = 0; i < std::size(names); ++i) {
         const auto &rb = results[2 * i];
         const auto &rs = results[2 * i + 1];
         double delta = pctIncrease(rb.elapsed, rs.elapsed);
-        std::printf("%-14s %12.2f %12.2f %8.2f%%\n", job_names[i],
+        std::printf("%-14s %12.2f %12.2f %8.2f%%\n", names[i],
                     toSeconds(rb.elapsed) * 1e3,
                     toSeconds(rs.elapsed) * 1e3, delta);
         // Paper: no detectable difference. Quick scale inflates the

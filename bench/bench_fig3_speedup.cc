@@ -48,12 +48,7 @@ main()
     std::vector<Cell> cells;
     std::vector<std::function<apps::AppResult()>> jobs;
     for (const char *name : plotted) {
-        const AppSpec *spec = nullptr;
-        for (const auto &s : specs)
-            if (s.name == name)
-                spec = &s;
-        if (!spec)
-            continue;
+        const AppSpec *spec = &findApp(specs, name);
         for (int p : procs) {
             cells.push_back({name, p});
             jobs.push_back(

@@ -45,23 +45,16 @@ main()
                 "notifications", "messages", "pct", "paper pct");
 
     auto specs = standardApps();
-    std::vector<PaperRow> rows;
     std::vector<std::function<apps::AppResult()>> jobs;
     for (const auto &row : paper) {
-        const AppSpec *spec = nullptr;
-        for (const auto &s : specs)
-            if (s.name == row.name)
-                spec = &s;
-        if (!spec)
-            continue;
-        rows.push_back(row);
+        const AppSpec *spec = &findApp(specs, row.name);
         jobs.push_back([spec] { return spec->run(shrimpCluster()); });
     }
     auto results = runSweep(std::move(jobs));
 
     bool ok = true;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &row = rows[i];
+    for (std::size_t i = 0; i < std::size(paper); ++i) {
+        const auto &row = paper[i];
         const auto &r = results[i];
         double pct = r.messages
                          ? 100.0 * double(r.notifications) /

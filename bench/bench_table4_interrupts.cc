@@ -39,16 +39,9 @@ main()
     // Barnes-NX measured on 8 nodes, everything else on 16 (Table 4).
     auto specs = standardApps(/*barnes_nx_procs=*/8);
 
-    std::vector<PaperRow> rows;
     std::vector<std::function<apps::AppResult()>> jobs;
     for (const auto &row : paper) {
-        const AppSpec *spec = nullptr;
-        for (const auto &s : specs)
-            if (s.name == row.name)
-                spec = &s;
-        if (!spec)
-            continue;
-        rows.push_back(row);
+        const AppSpec *spec = &findApp(specs, row.name);
         for (bool forced : {false, true}) {
             jobs.push_back([spec, forced] {
                 core::ClusterConfig cc = shrimpCluster();
@@ -61,12 +54,12 @@ main()
 
     bool ok = true;
     double max_pct = 0, min_pct = 1e9;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i = 0; i < std::size(paper); ++i) {
         const auto &base = results[2 * i];
         const auto &slow = results[2 * i + 1];
         double pct = pctIncrease(base.elapsed, slow.elapsed);
-        std::printf("%-16s %13.1f%% %13.1f%%\n", rows[i].name, pct,
-                    rows[i].paper_pct);
+        std::printf("%-16s %13.1f%% %13.1f%%\n", paper[i].name, pct,
+                    paper[i].paper_pct);
         ok = ok && pct > -1.0; // nothing should speed up
         max_pct = std::max(max_pct, pct);
         min_pct = std::min(min_pct, pct);

@@ -3,7 +3,9 @@
  * Shared virtual memory on SHRIMP: the same grid relaxation run under
  * HLRC, HLRC-AU and AURC, printing the Fig.-4-style execution-time
  * breakdown (computation / communication / lock / barrier / overhead)
- * so the protocol differences are visible at a glance.
+ * so the protocol differences are visible at a glance. The protocols
+ * differ in cost, never in the answer: the run exits 1 when their
+ * checksums differ.
  *
  * Run: ./svm_matrix
  */
@@ -124,9 +126,14 @@ main()
                 "time(ms)", "comp%", "comm%", "lock%", "barrier%",
                 "overhead%", "checksum");
 
+    std::uint64_t hlrc_checksum = 0;
+    bool agree = true;
     for (Protocol p :
          {Protocol::HLRC, Protocol::HLRC_AU, Protocol::AURC}) {
         Outcome o = runOnce(p);
+        if (p == Protocol::HLRC)
+            hlrc_checksum = o.checksum;
+        agree = agree && o.checksum == hlrc_checksum;
         double total = double(o.combined.grandTotal());
         auto pct = [&](TimeCategory c) {
             return 100.0 * double(o.combined.total(c)) / total;
@@ -140,5 +147,7 @@ main()
                     pct(TimeCategory::Overhead),
                     (unsigned long long)o.checksum);
     }
-    return 0;
+    if (!agree)
+        std::fprintf(stderr, "svm_matrix: the protocols' checksums differ\n");
+    return agree ? 0 : 1;
 }

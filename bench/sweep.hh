@@ -5,7 +5,7 @@
  * Every table/figure bench runs many independent, deterministic
  * Simulation instances; runSweep() farms them out to SHRIMP_JOBS host
  * threads. Simulation state is instance-scoped (the per-thread pieces
- * — fiber bookkeeping, the live-simulation stack — are thread_local),
+ * — the running fiber, the job's run-order slot — are thread_local),
  * so each worker owns its jobs completely.
  *
  * Determinism invariants:

@@ -137,15 +137,22 @@ integrate(Body &b, double dt)
     }
 }
 
-std::uint64_t
-bodyChecksum(const Body *bodies, int n)
+/** Checksum of the bodies, fed in body order: Σ|pos| scaled by 1e6. */
+class BodyChecksum
 {
-    double s = 0.0;
-    for (int i = 0; i < n; ++i)
-        s += std::fabs(bodies[i].pos[0]) + std::fabs(bodies[i].pos[1]) +
-             std::fabs(bodies[i].pos[2]);
-    return std::uint64_t(s * 1e6);
-}
+  public:
+    void
+    add(const Body &b)
+    {
+        sum += std::fabs(b.pos[0]) + std::fabs(b.pos[1]) +
+               std::fabs(b.pos[2]);
+    }
+
+    std::uint64_t value() const { return std::uint64_t(sum * 1e6); }
+
+  private:
+    double sum = 0.0;
+};
 
 /** Bodies per rank; fatal unless @p bodies split evenly over @p nprocs. */
 int
@@ -202,8 +209,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
     AppResult result;
     result.name = "Barnes-SVM";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
 
     // Lock assignments.
     const int num_locks = rt.config().numLocks;
@@ -229,9 +235,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
             for (int i = first; i < last; ++i)
                 v.writeStruct(&bodies[i], &init[i], sizeof(Body));
             v.barrier();
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = cluster.sim().now();
+            region.enter(q);
 
             std::vector<Body> local(per);
             // Per-rank centre-of-mass tables, rebuilt every step from
@@ -478,30 +482,22 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
                 v.barrier();
             }
 
-            clock.end[q] = cluster.sim().now();
-            procs[q]->account.stop(clock.end[q]);
-
-            if (q == 0) {
-                const Body *all = reinterpret_cast<const Body *>(
-                    v.readRange(bodies, std::size_t(nb) * sizeof(Body)));
-                result.checksum = bodyChecksum(all, nb);
-            }
+            procs[q]->account.stop(region.leave(q));
         });
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    if (!deadlockedProcesses(cluster).empty())
+    if (!region.finish(result, procs))
         warn("%s runtime state at deadlock:\n%s",
              result.name.c_str(), rt.debugState().c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, procs);
-    recordMessages(result, before, MessageSnapshot::take(cluster));
+    BodyChecksum sum;
+    forEachAtHome(rt, bodies, std::size_t(nb),
+                  [&](const Body &b) { sum.add(b); });
+    result.checksum = sum.value();
     result.param("bodies", config.bodies);
     result.param("timesteps", config.timesteps);
     result.param("seed", config.seed);
     result.param("protocol", svm::protocolName(protocol));
-    captureStats(result, cluster);
     return result;
 }
 
@@ -647,8 +643,7 @@ runBarnesNx(const core::ClusterConfig &cluster_config, bool use_au,
     AppResult result;
     result.name = use_au ? "Barnes-NX (AU)" : "Barnes-NX (DU)";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
     std::vector<Process *> procs(nprocs);
 
     enum
@@ -668,9 +663,7 @@ runBarnesNx(const core::ClusterConfig &cluster_config, bool use_au,
             LocalTree tree;
 
             nx.gsync();
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = cluster.sim().now();
+            region.enter(q);
 
             const int first = q * per;
             const std::size_t block_bytes =
@@ -738,24 +731,23 @@ runBarnesNx(const core::ClusterConfig &cluster_config, bool use_au,
                 nx.gsync();
             }
 
-            clock.end[q] = cluster.sim().now();
-            procs[q]->account.stop(clock.end[q]);
+            procs[q]->account.stop(region.leave(q));
 
-            if (q == 0)
-                result.checksum = bodyChecksum(bodies.data(), nb);
+            if (q == 0) {
+                BodyChecksum sum;
+                for (const Body &b : bodies)
+                    sum.add(b);
+                result.checksum = sum.value();
+            }
         });
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, procs);
-    recordMessages(result, before, MessageSnapshot::take(cluster));
+    region.finish(result, procs);
     result.param("bodies", config.bodies);
     result.param("timesteps", config.timesteps);
     result.param("seed", config.seed);
     result.param("transfer", use_au ? "au" : "du");
-    captureStats(result, cluster);
     return result;
 }
 

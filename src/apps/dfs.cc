@@ -80,8 +80,7 @@ runDfs(const core::ClusterConfig &cluster_config, const DfsConfig &config)
     AppResult result;
     result.name = "DFS-sockets";
     result.nprocs = nprocs;
-    RegionClock clock(config.clients);
-    MessageSnapshot before = MessageSnapshot::take(cluster);
+    Region region(cluster, config.clients);
     std::vector<Process *> clients(config.clients);
     std::uint64_t grand_checksum = 0;
 
@@ -122,7 +121,7 @@ runDfs(const core::ClusterConfig &cluster_config, const DfsConfig &config)
             for (int s = 0; s < config.servers; ++s)
                 conns[s] = dom.connect(node, s, 7000 + s);
 
-            clock.start[c] = cluster.sim().now();
+            region.enter(c);
             LruCache cache(std::size_t(config.clientCacheBlocks));
             std::vector<char> block(config.blockBytes);
             std::uint64_t sum = 0;
@@ -156,8 +155,7 @@ runDfs(const core::ClusterConfig &cluster_config, const DfsConfig &config)
                     }
                 }
             }
-            clock.end[c] = cluster.sim().now();
-            acct.stop(clock.end[c]);
+            acct.stop(region.leave(c));
             grand_checksum += sum;
 
             // Tear down the connections.
@@ -168,16 +166,12 @@ runDfs(const core::ClusterConfig &cluster_config, const DfsConfig &config)
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, clients);
+    region.finish(result, clients);
     result.checksum = grand_checksum;
-    recordMessages(result, before, MessageSnapshot::take(cluster));
     result.param("servers", config.servers);
     result.param("clients", config.clients);
     result.param("block_bytes", config.blockBytes);
     result.param("files_per_client", config.filesPerClient);
-    captureStats(result, cluster);
     return result;
 }
 

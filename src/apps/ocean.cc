@@ -77,8 +77,7 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
     AppResult result;
     result.name = "Ocean-SVM";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
     std::vector<Process *> procs(nprocs);
 
     for (int q = 0; q < nprocs; ++q) {
@@ -112,9 +111,7 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
                 fill_row(grid_b, n - 1);
             }
             v.barrier();
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = cluster.sim().now();
+            region.enter(q);
 
             double *from = grid_a;
             double *to = grid_b;
@@ -163,30 +160,23 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
                 std::swap(from, to);
             }
 
-            clock.end[q] = cluster.sim().now();
-            procs[q]->account.stop(clock.end[q]);
-
-            if (q == 0) {
-                // Checksum over the whole final grid.
-                const auto *g = reinterpret_cast<const double *>(
-                    v.readRange(from, std::size_t(n) * n * 8));
-                std::uint64_t sum = 0;
-                for (int i = 0; i < n * n; ++i)
-                    sum += std::uint64_t(std::fabs(g[i]) * 1000.0);
-                result.checksum = sum;
-            }
+            procs[q]->account.stop(region.leave(q));
         });
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, procs);
-    recordMessages(result, before, MessageSnapshot::take(cluster));
+    region.finish(result, procs);
+    // Checksum over the whole final grid; each iteration relaxes one
+    // grid into the other.
+    std::uint64_t sum = 0;
+    forEachAtHome(rt, config.iterations % 2 ? grid_b : grid_a,
+                  std::size_t(n) * n, [&](double g) {
+                      sum += std::uint64_t(std::fabs(g) * 1000.0);
+                  });
+    result.checksum = sum;
     result.param("n", config.n);
     result.param("iterations", config.iterations);
     result.param("protocol", svm::protocolName(protocol));
-    captureStats(result, cluster);
     return result;
 }
 
@@ -214,8 +204,7 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
     AppResult result;
     result.name = use_au ? "Ocean-NX (AU)" : "Ocean-NX (DU)";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
     std::vector<Process *> procs(nprocs);
     std::vector<double> final_checksums(nprocs, 0.0);
 
@@ -242,9 +231,7 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
                         initial(n, global_first + r - 1, c);
 
             nx.gsync();
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = cluster.sim().now();
+            region.enter(q);
 
             double *from = a.data();
             double *to = b.data();
@@ -288,8 +275,7 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
                 std::swap(from, to);
             }
 
-            clock.end[q] = cluster.sim().now();
-            procs[q]->account.stop(clock.end[q]);
+            procs[q]->account.stop(region.leave(q));
 
             double sum = 0.0;
             for (int r = 1; r <= rows_per; ++r)
@@ -300,18 +286,14 @@ runOceanNx(const core::ClusterConfig &cluster_config, bool use_au,
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, procs);
+    region.finish(result, procs);
     double total = 0.0;
     for (double c : final_checksums)
         total += c;
     result.checksum = std::uint64_t(total * 1000.0);
-    recordMessages(result, before, MessageSnapshot::take(cluster));
     result.param("n", config.n);
     result.param("iterations", config.iterations);
     result.param("transfer", use_au ? "au" : "du");
-    captureStats(result, cluster);
     return result;
 }
 

@@ -31,21 +31,28 @@ makeKeys(const RadixConfig &cfg)
 }
 
 /**
- * Checksum: key sum (order independent) in the high bits, sortedness
- * flag in bit 0 — checksum % 2 == 1 iff the output is sorted.
+ * Checksum of the output keys, fed in order: key sum (order
+ * independent) in the high bits, sortedness flag in bit 0 —
+ * checksum % 2 == 1 iff the output is sorted.
  */
-std::uint64_t
-checksumSorted(const std::uint32_t *keys, std::size_t n)
+class SortedChecksum
 {
-    std::uint64_t sum = 0;
-    bool sorted = true;
-    for (std::size_t i = 0; i < n; ++i) {
-        sum += keys[i];
-        if (i && keys[i - 1] > keys[i])
-            sorted = false;
+  public:
+    void
+    add(std::uint32_t key)
+    {
+        sum += key;
+        sorted = sorted && key >= last;
+        last = key;
     }
-    return (sum << 1) + (sorted ? 1 : 0);
-}
+
+    std::uint64_t value() const { return (sum << 1) + (sorted ? 1 : 0); }
+
+  private:
+    std::uint64_t sum = 0;
+    std::uint32_t last = 0;
+    bool sorted = true;
+};
 
 /** Keys per rank; fatal unless @p keys split evenly over @p nprocs. */
 std::size_t
@@ -101,8 +108,7 @@ runRadixSvm(const core::ClusterConfig &cluster_config,
     AppResult result;
     result.name = "Radix-SVM";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
     std::vector<Process *> procs(nprocs);
 
     for (int q = 0; q < nprocs; ++q) {
@@ -117,9 +123,7 @@ runRadixSvm(const core::ClusterConfig &cluster_config,
                          init_keys.data() + std::size_t(q) * per,
                          per * 4);
             v.barrier();
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = cluster.sim().now();
+            region.enter(q);
 
             std::uint32_t *from = src;
             std::uint32_t *to = dst;
@@ -170,29 +174,22 @@ runRadixSvm(const core::ClusterConfig &cluster_config,
                 std::swap(from, to);
             }
 
-            clock.end[q] = cluster.sim().now();
-            procs[q]->account.stop(clock.end[q]);
-
-            if (q == 0) {
-                const std::uint32_t *final_keys =
-                    reinterpret_cast<const std::uint32_t *>(
-                        v.readRange(from, n * 4));
-                result.checksum = checksumSorted(final_keys, n);
-            }
+            procs[q]->account.stop(region.leave(q));
         });
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    collectAccounts(result, procs);
-    recordMessages(result, before, MessageSnapshot::take(cluster));
+    region.finish(result, procs);
+    // Each pass sorts from one array into the other.
+    SortedChecksum sorted;
+    forEachAtHome(rt, config.iterations % 2 ? dst : src, n,
+                  [&](std::uint32_t key) { sorted.add(key); });
+    result.checksum = sorted.value();
     result.param("keys", config.keys);
     result.param("iterations", config.iterations);
     result.param("radix_bits", config.radixBits);
     result.param("seed", config.seed);
     result.param("protocol", svm::protocolName(protocol));
-    captureStats(result, cluster);
     return result;
 }
 
@@ -223,8 +220,7 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
     AppResult result;
     result.name = use_au ? "Radix-VMMC (AU)" : "Radix-VMMC (DU)";
     result.nprocs = nprocs;
-    RegionClock clock(nprocs);
-    MessageSnapshot before;
+    Region region(cluster, nprocs);
 
     // Per-rank partitions of the two arrays live in node arenas and
     // are exported; the AU variant additionally gives every rank a
@@ -292,9 +288,7 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
             mbox.init(q);
             coll.init(q);
             coll.barrier(q);
-            if (q == 0)
-                before = MessageSnapshot::take(cluster);
-            clock.start[q] = sim.now();
+            region.enter(q);
 
             bool a_to_b = true;
             for (int pass = 0; pass < config.iterations; ++pass) {
@@ -454,36 +448,26 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
                 a_to_b = !a_to_b;
             }
 
-            clock.end[q] = sim.now();
-
-            // Verification: rank 0 pulls all partitions (after the
-            // measured region) and checks global sortedness.
-            if (q == 0) {
-                std::uint32_t *final_part =
-                    a_to_b ? b.partA : b.partB;
-                std::vector<std::uint32_t> all(n);
-                std::memcpy(all.data(), final_part, per * 4);
-                for (int p2 = 1; p2 < nprocs; ++p2) {
-                    std::uint32_t *peer_part =
-                        a_to_b ? bufs[p2].partA : bufs[p2].partB;
-                    std::memcpy(all.data() + per * p2, peer_part,
-                                per * 4);
-                }
-                result.checksum = checksumSorted(all.data(), n);
-            }
+            region.leave(q);
         });
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = clock.elapsed();
-    recordMessages(result, before, MessageSnapshot::take(cluster));
+    region.finish(result);
+    // Each pass sorts from one partition into the other.
+    SortedChecksum sorted;
+    for (const RankBufs &b : bufs) {
+        const std::uint32_t *part =
+            config.iterations % 2 ? b.partB : b.partA;
+        for (std::size_t i = 0; i < per; ++i)
+            sorted.add(part[i]);
+    }
+    result.checksum = sorted.value();
     result.param("keys", config.keys);
     result.param("iterations", config.iterations);
     result.param("radix_bits", config.radixBits);
     result.param("seed", config.seed);
     result.param("transfer", use_au ? "au" : "du");
-    captureStats(result, cluster);
     return result;
 }
 

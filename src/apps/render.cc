@@ -54,8 +54,11 @@ runRender(const core::ClusterConfig &cluster_config,
     AppResult result;
     result.name = "Render-sockets";
     result.nprocs = nprocs;
-    MessageSnapshot before = MessageSnapshot::take(cluster);
-    Tick started = 0, finished = 0;
+    // One member, the image: worker 1 starts it once it holds the
+    // volume, and the first controller to end its task loop after the
+    // last tile landed ends it.
+    Region region(cluster, 1);
+    bool finished = false;
 
     // Shared controller state (all controller processes live on
     // node 0, so plain host state mirrors shared memory there).
@@ -99,8 +102,10 @@ runRender(const core::ClusterConfig &cluster_config,
                 ++state->tiles_done;
             }
             acct.stop(cluster.sim().now());
-            if (state->tiles_done == num_tiles && finished == 0)
-                finished = cluster.sim().now();
+            if (state->tiles_done == num_tiles && !finished) {
+                finished = true;
+                region.leave(0);
+            }
         });
     }
 
@@ -113,7 +118,7 @@ runRender(const core::ClusterConfig &cluster_config,
             std::vector<char> volume(config.volumeBytes);
             sk->recvBlock(volume.data(), volume.size());
             if (w == 1)
-                started = cluster.sim().now();
+                region.enter(0);
 
             std::vector<char> tile(tile_bytes);
             for (;;) {
@@ -136,18 +141,14 @@ runRender(const core::ClusterConfig &cluster_config,
     }
 
     cluster.run();
-    warnIfDeadlocked(cluster, result.name.c_str());
-    result.elapsed = finished > started ? finished - started : 0;
-    collectAccounts(result, controllers);
+    region.finish(result, controllers);
     std::uint64_t sum = 0;
     for (char ch : state->image)
         sum += std::uint8_t(ch);
     result.checksum = sum;
-    recordMessages(result, before, MessageSnapshot::take(cluster));
     result.param("workers", config.workers);
     result.param("image_size", config.imageSize);
     result.param("tile_size", config.tileSize);
-    captureStats(result, cluster);
     return result;
 }
 

@@ -34,7 +34,7 @@ NicBase::startEngine(const std::string &name, const std::string &sends,
 {
     stSends = CounterHandle(sim.stats(), sends);
     stSendBytes = CounterHandle(sim.stats(), bytes);
-    sim.spawn(name, [this] { engineBody(); });
+    sim.spawn(name, [this] { engineBody(); })->service = true;
 }
 
 void

@@ -333,10 +333,10 @@ class NicBase
     virtual int queueDepth() const = 0;
 
     /**
-     * Spawn the send engine as process @p name; it hands each queued
-     * request to transmit(). post() counts every accepted request in
-     * counter @p sends and its bytes in counter @p bytes. Each
-     * adapter calls this once, from its constructor.
+     * Spawn the send engine as service process @p name; it hands
+     * each queued request to transmit(). post() counts every accepted
+     * request in counter @p sends and its bytes in counter @p bytes.
+     * Each adapter calls this once, from its constructor.
      */
     void startEngine(const std::string &name, const std::string &sends,
                      const std::string &bytes);

@@ -13,8 +13,8 @@ Os::Os(Simulation &sim, Cpu &cpu, const MachineParams &params,
       stInterrupts(sim.stats(), statPrefix + ".interrupts"),
       stNotifications(sim.stats(), statPrefix + ".notifications")
 {
-    dispatcher = sim.spawn(statPrefix + ".notifier",
-                           [this] { dispatcherBody(); });
+    sim.spawn(statPrefix + ".notifier", [this] { dispatcherBody(); })
+        ->service = true;
 }
 
 void

@@ -79,7 +79,6 @@ class Os
     std::deque<std::function<void()>> queue;
     WaitQueue dispatcherWait;
     bool notificationsBlocked = false;
-    Process *dispatcher = nullptr;
 };
 
 } // namespace shrimp::node

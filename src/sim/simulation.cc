@@ -45,11 +45,11 @@ WaitQueue::wakeAll(Simulation &sim)
 Simulation::Simulation() : _recorder(*this) {}
 
 std::vector<std::string>
-Simulation::unfinishedProcesses() const
+Simulation::deadlockedProcesses() const
 {
     std::vector<std::string> names;
     for (const auto &p : processes) {
-        if (!p->finished())
+        if (!p->finished() && !p->service)
             names.push_back(p->name());
     }
     return names;

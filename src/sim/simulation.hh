@@ -65,6 +65,14 @@ class Process
      */
     TimeAccount account;
 
+    /**
+     * Set where a service process (a NIC send engine, a notification
+     * dispatcher) is spawned: it waits for work for the whole run by
+     * design, so a drained run that leaves it blocked has not
+     * deadlocked it.
+     */
+    bool service = false;
+
   private:
     friend class Simulation;
 
@@ -228,10 +236,11 @@ class Simulation
     EventQueue &events() { return queue; }
 
     /**
-     * Names of processes that have not finished — after run() drains
-     * the queue, these are deadlocked (blocked with no pending event).
+     * Names of the unfinished processes other than service processes:
+     * after run() drains the queue, these are deadlocked (blocked with
+     * no pending event).
      */
-    std::vector<std::string> unfinishedProcesses() const;
+    std::vector<std::string> deadlockedProcesses() const;
 
     /** Events still queued (cancelled-but-unfired included). */
     std::size_t pendingEvents() const { return queue.size(); }

@@ -203,7 +203,10 @@ class SvmRuntime
     /** Count of diffs created by @p rank. */
     std::uint64_t diffsCreated(int rank) const;
 
-    /** Local (replica) address of a canonical pointer — tests only. */
+    /**
+     * Rank @p rank's replica of a canonical pointer (tests; apps read
+     * their answers at the homes after the run, apps::forEachAtHome).
+     */
     char *replicaAddr(int rank, const void *caddr);
 
     /** Debug aid: describe what every rank last did (deadlock hunts). */

@@ -384,8 +384,8 @@ nodeSum(const apps::AppResult &r, const std::string &suffix)
 TEST(Golden, BaselineNicRadixSvmReportIsByteStable)
 {
     auto r = pinnedRadixSvm(nic::NicKind::Baseline);
-    ASSERT_EQ(nodeSum(r, "bnic.sends"), 906u);
-    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 378u);
+    ASSERT_EQ(nodeSum(r, "bnic.sends"), 870u);
+    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 366u);
     checkGolden("baseline_radix_svm_report.json",
                 apps::makeReport(r).toJson(true));
 }
@@ -397,10 +397,10 @@ TEST(Golden, BaselineNicRadixSvmReportIsByteStable)
 TEST(Golden, ModernNicRadixSvmReportIsByteStable)
 {
     auto r = pinnedRadixSvm(nic::NicKind::Modern);
-    ASSERT_EQ(nodeSum(r, "mnic.sends"), 906u);
-    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 378u);
-    ASSERT_EQ(nodeSum(r, "mnic.cq_interrupts"), 378u);
-    ASSERT_EQ(nodeSum(r, "mnic.notify_writes"), 336u);
+    ASSERT_EQ(nodeSum(r, "mnic.sends"), 870u);
+    ASSERT_EQ(nodeSum(r, "vmmc.notifications"), 366u);
+    ASSERT_EQ(nodeSum(r, "mnic.cq_interrupts"), 366u);
+    ASSERT_EQ(nodeSum(r, "mnic.notify_writes"), 324u);
     checkGolden("modern_radix_svm_report.json",
                 apps::makeReport(r).toJson(true));
 }

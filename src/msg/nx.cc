@@ -255,7 +255,7 @@ NxProcess::drainRingFrom(int src)
     const std::size_t cap = dom.config.ringBytes;
 
     for (;;) {
-        std::size_t off = ring.readPos % cap;
+        std::size_t off = ring.consumed % cap;
         cpu.chargeAccess(2);
         const auto *hdr =
             reinterpret_cast<const MsgHeader *>(ring.base + off);
@@ -263,7 +263,6 @@ NxProcess::drainRingFrom(int src)
             break;
 
         if (hdr->type == kWrapType) {
-            ring.readPos += cap - off;
             ring.consumed += cap - off;
             ++ring.nextSeq;
             continue;
@@ -277,15 +276,12 @@ NxProcess::drainRingFrom(int src)
         if (trl->seq != ring.nextSeq)
             break; // payload still in flight
 
-        PendingMsg m;
-        m.src = src;
-        m.type = int(hdr->type);
-        m.data.assign(ring.base + off + sizeof(MsgHeader),
-                      ring.base + off + sizeof(MsgHeader) + hdr->len);
+        // The payload is queued where it lies in the ring, but the
+        // model still charges its copy out of the ring here.
+        queuePending(src, int(hdr->type),
+                     ring.base + off + sizeof(MsgHeader), hdr->len);
         cpu.chargeCopy(hdr->len);
-        pending.push_back(std::move(m));
 
-        ring.readPos += total;
         ring.consumed += total;
         ++ring.nextSeq;
 
@@ -295,8 +291,44 @@ NxProcess::drainRingFrom(int src)
 }
 
 void
+NxProcess::queuePending(int src, int type, const char *data,
+                        std::uint32_t len)
+{
+    if (fifos.empty()) {
+        fifos.resize(dom.config.nprocs);
+        hasPending.resize((dom.config.nprocs + 63) / 64);
+    }
+    std::int32_t slot = freeSlot;
+    if (slot != -1) {
+        freeSlot = slots[slot].next;
+    } else {
+        slot = std::int32_t(slots.size());
+        slots.emplace_back();
+    }
+    slots[slot] = {drained++, data, nullptr, len, type, -1};
+    PendingFifo &fifo = fifos[src];
+    if (fifo.tail != -1)
+        slots[fifo.tail].next = slot;
+    else
+        fifo.head = slot;
+    fifo.tail = slot;
+    hasPending[src / 64] |= std::uint64_t(1) << (src % 64);
+}
+
+void
 NxProcess::sendCredits(int src)
 {
+    // The credits let src overwrite every byte consumed so far, so
+    // the payloads still pending move out of the ring first.
+    for (std::int32_t i = fifos[src].head; i != -1; i = slots[i].next) {
+        PendingMsg &m = slots[i];
+        if (m.copy)
+            continue;
+        m.copy = std::make_unique_for_overwrite<char[]>(m.len);
+        std::memcpy(m.copy.get(), m.data, m.len);
+        m.data = m.copy.get();
+    }
+
     NxDomain::InRing &ring = dom.inRings[rank][src];
     core::Endpoint &ep = dom.cluster.vmmc(rank);
     std::uint64_t consumed = ring.consumed;
@@ -331,6 +363,56 @@ NxProcess::drainRings()
     }
 }
 
+NxProcess::Match
+NxProcess::findPending(int typesel, int from) const
+{
+    Match best;
+    // A FIFO is in drain order: a sender offers only its first match,
+    // and its scan stops at a message drained after the best so far.
+    auto scan = [&](int src) {
+        std::int32_t prev = -1;
+        for (std::int32_t i = fifos[src].head; i != -1;
+             prev = i, i = slots[i].next) {
+            if (best.slot != -1 &&
+                slots[i].order > slots[best.slot].order)
+                return;
+            if (typesel == -1 || slots[i].type == typesel) {
+                best = {src, prev, i};
+                return;
+            }
+        }
+    };
+    if (fifos.empty())
+        return best;
+    if (from != -1) {
+        scan(from);
+        return best;
+    }
+    const int n = dom.config.nprocs;
+    for (int src = nextSetBit(hasPending, 0, n); src < n;
+         src = nextSetBit(hasPending, src + 1, n))
+        scan(src);
+    return best;
+}
+
+void
+NxProcess::takePending(const Match &m)
+{
+    PendingFifo &fifo = fifos[m.src];
+    std::int32_t next = slots[m.slot].next;
+    if (m.prev != -1)
+        slots[m.prev].next = next;
+    else
+        fifo.head = next;
+    if (fifo.tail == m.slot)
+        fifo.tail = m.prev;
+    if (fifo.head == -1)
+        hasPending[m.src / 64] &= ~(std::uint64_t(1) << (m.src % 64));
+    slots[m.slot].copy.reset();
+    slots[m.slot].next = freeSlot;
+    freeSlot = m.slot;
+}
+
 std::size_t
 NxProcess::crecv(int typesel, void *buf, std::size_t maxlen)
 {
@@ -341,6 +423,9 @@ std::size_t
 NxProcess::crecvProbe(int typesel, int from, void *buf,
                       std::size_t maxlen, int *src_out)
 {
+    if (from < -1 || from >= dom.config.nprocs)
+        fatal("NX: bad source rank %d", from);
+
     core::Endpoint &ep = dom.cluster.vmmc(rank);
     ep.node().cpu().sync(); // close out compute time first
     ScopedCategory cat(dom.cluster.sim(), TimeCategory::Communication);
@@ -348,20 +433,18 @@ NxProcess::crecvProbe(int typesel, int from, void *buf,
 
     for (;;) {
         drainRings();
-        for (auto it = pending.begin(); it != pending.end(); ++it) {
-            if (typesel != -1 && it->type != typesel)
-                continue;
-            if (from != -1 && it->src != from)
-                continue;
-            if (it->data.size() > maxlen)
-                fatal("NX: crecv buffer too small (%zu < %zu)",
-                      maxlen, it->data.size());
-            std::memcpy(buf, it->data.data(), it->data.size());
-            ep.node().cpu().chargeCopy(it->data.size());
-            std::size_t len = it->data.size();
+        Match m = findPending(typesel, from);
+        if (m.slot != -1) {
+            const PendingMsg &msg = slots[m.slot];
+            std::size_t len = msg.len;
+            if (len > maxlen)
+                fatal("NX: crecv buffer too small (%zu < %zu)", maxlen,
+                      len);
+            std::memcpy(buf, msg.data, len);
+            ep.node().cpu().chargeCopy(len);
             if (src_out)
-                *src_out = it->src;
-            pending.erase(it);
+                *src_out = m.src;
+            takePending(m);
             return len;
         }
         std::uint64_t before = ep.deliveries();
@@ -385,11 +468,8 @@ long
 NxProcess::iprobe(int typesel)
 {
     drainRings();
-    for (const auto &m : pending) {
-        if (typesel == -1 || m.type == typesel)
-            return long(m.data.size());
-    }
-    return -1;
+    Match m = findPending(typesel, -1);
+    return m.slot != -1 ? long(slots[m.slot].len) : -1;
 }
 
 void

@@ -15,7 +15,7 @@
 #define SHRIMP_MSG_NX_HH
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/collective.hh"
@@ -110,11 +110,34 @@ class NxProcess
         std::uint32_t pad;
     };
 
+    /**
+     * A drained message that no crecv has taken yet. Its payload stays
+     * where it landed in the sender's ring until sendCredits lets the
+     * sender overwrite it; sendCredits then moves it into @c copy.
+     */
     struct PendingMsg
     {
-        int src;
+        std::uint64_t order;          //!< drain sequence number
+        const char *data;             //!< in the ring, or copy.get()
+        std::unique_ptr<char[]> copy; //!< owned payload once credited
+        std::uint32_t len;
         int type;
-        std::vector<char> data;
+        std::int32_t next;            //!< next slot in the FIFO, or -1
+    };
+
+    /** One sender's pending messages in drain order: slot indices. */
+    struct PendingFifo
+    {
+        std::int32_t head = -1;
+        std::int32_t tail = -1;
+    };
+
+    /** A pending message picked by findPending, and its predecessor. */
+    struct Match
+    {
+        int src = -1;
+        std::int32_t prev = -1;
+        std::int32_t slot = -1;
     };
 
     /**
@@ -124,6 +147,19 @@ class NxProcess
     void drainRings();
     void drainRingFrom(int src);
     void sendCredits(int src);
+
+    /** Append a drained message to @p src's FIFO. */
+    void queuePending(int src, int type, const char *data,
+                      std::uint32_t len);
+
+    /**
+     * The first pending message in drain order whose type matches
+     * @p typesel and whose sender matches @p from (-1 = any of each).
+     */
+    Match findPending(int typesel, int from) const;
+
+    /** Unlink @p m from its sender's FIFO and free its slot. */
+    void takePending(const Match &m);
 
     /**
      * Fatal if either direction to @p peer has been declared dead
@@ -135,7 +171,20 @@ class NxProcess
 
     NxDomain &dom;
     int rank;
-    std::deque<PendingMsg> pending;
+
+    /**
+     * Pending messages: one FIFO per sender, threaded through a single
+     * slot pool so an idle pair costs 8 bytes, not a container. A
+     * named receive looks only at its sender's FIFO; a wildcard one
+     * takes the lowest drain number among each sender's first match,
+     * which is the message one arrival-ordered list would have given.
+     * fifos and hasPending are sized on the first drain.
+     */
+    std::vector<PendingMsg> slots;
+    std::int32_t freeSlot = -1;           //!< free list through next
+    std::vector<PendingFifo> fifos;       //!< [sender]
+    std::vector<std::uint64_t> hasPending; //!< bit per non-empty FIFO
+    std::uint64_t drained = 0;            //!< messages drained so far
 
     // Interned per-process statistics, bound on first send (lazy;
     // see sim/stats.hh).
@@ -174,7 +223,6 @@ class NxDomain
     {
         char *base = nullptr;        //!< exported ring memory
         core::ExportId exp = core::kInvalidExport;
-        std::uint64_t readPos = 0;   //!< consumed bytes (mod capacity)
         std::uint32_t nextSeq = 1;
         std::uint64_t consumed = 0;  //!< total consumed bytes
         std::uint64_t creditsSent = 0;

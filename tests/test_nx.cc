@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -143,6 +144,105 @@ TEST(Nx, WildcardReceivesAnything)
     });
     c.run();
     EXPECT_EQ(total, 3);
+}
+
+TEST(Nx, TypedReceivesFollowDrainOrderAcrossSenders)
+{
+    // Every message lands before rank 0's first receive, so its first
+    // drain queues them sender by sender, each in ring order:
+    //   rank 1: 101 A, 102 B, 103 A, 104 C
+    //   rank 2: 201 B, 202 C, 203 A
+    //   rank 3: 301 C, 302 A, 303 B, 304 B
+    // Each receive, named or not, and each iprobe takes the earliest
+    // drained message that matches. A message's length is its value.
+    constexpr int A = 1, B = 2, C = 3;
+    core::Cluster c;
+    NxConfig cfg;
+    cfg.nprocs = 4;
+    NxDomain dom(c, cfg);
+    const std::vector<std::vector<std::pair<int, int>>> sends = {
+        {},
+        {{A, 101}, {B, 102}, {A, 103}, {C, 104}},
+        {{B, 201}, {C, 202}, {A, 203}},
+        {{C, 301}, {A, 302}, {B, 303}, {B, 304}},
+    };
+    std::vector<long> got;
+
+    for (int r = 1; r < 4; ++r) {
+        c.spawnOn(r, "sender", [&, r] {
+            dom.init(r);
+            auto &nx = dom.process(r);
+            for (auto [type, value] : sends[r]) {
+                std::vector<char> payload(value, char(value));
+                nx.csend(type, payload.data(), payload.size(), 0);
+            }
+            nx.gsync();
+            if (r == 1) {
+                std::vector<char> payload(105, char(105));
+                nx.csend(C, payload.data(), payload.size(), 0);
+            }
+        });
+    }
+    c.spawnOn(0, "receiver", [&] {
+        dom.init(0);
+        auto &nx = dom.process(0);
+        std::vector<char> buf(512);
+        // Records the length, negated if the sender or bytes are wrong.
+        auto recv = [&](int typesel, int from) {
+            int src = -1;
+            long len = long(nx.crecvProbe(typesel, from, buf.data(),
+                                          buf.size(), &src));
+            bool intact =
+                src == len / 100 &&
+                std::all_of(buf.begin(), buf.begin() + len,
+                            [len](char ch) { return ch == char(len); });
+            got.push_back(intact ? len : -len);
+        };
+        c.sim().delay(milliseconds(1));
+        got.push_back(nx.iprobe(C));
+        recv(C, 3);
+        recv(A, -1);
+        recv(A, 2);
+        got.push_back(nx.iprobe(A));
+        recv(B, -1);
+        recv(-1, -1);
+        recv(B, 3);
+        recv(C, -1);
+        // Left: 201 B, 202 C, 302 A, 304 B. Rank 1's 105 C lands
+        // after the barrier and drains after all of them.
+        nx.gsync();
+        c.sim().delay(milliseconds(1));
+        recv(C, -1);
+        recv(-1, 1);
+        recv(-1, -1);
+        got.push_back(nx.iprobe(B));
+        recv(-1, -1);
+        recv(-1, -1);
+        got.push_back(nx.iprobe(-1));
+    });
+    c.run();
+    EXPECT_EQ(got, (std::vector<long>{104, 301, 101, 203, 103, 102, 103,
+                                      303, 104, 202, 105, 201, 304, 302,
+                                      304, -1}));
+}
+
+TEST(Nx, ReceiveFromABadSourceRankIsFatal)
+{
+    EXPECT_DEATH(
+        {
+            core::Cluster c;
+            NxConfig cfg;
+            cfg.nprocs = 2;
+            NxDomain dom(c, cfg);
+            c.spawnOn(0, "rank0", [&] { dom.init(0); });
+            c.spawnOn(1, "rank1", [&] {
+                dom.init(1);
+                int v;
+                dom.process(1).crecvProbe(-1, 2, &v, sizeof(v), nullptr);
+            });
+            c.run();
+        },
+        "bad source rank 2");
 }
 
 TEST(Nx, LargeMessagesAndRingWrap)
@@ -306,6 +406,51 @@ TEST_P(NxTransportTest, BulkDataIsIdenticalUnderDuAndAu)
     for (std::uint32_t i = 0; i < 4096; ++i)
         expect += 77u + i;
     EXPECT_EQ(checksum, expect);
+}
+
+TEST_P(NxTransportTest, PendingMessageKeepsItsBytesWhenItsSlotIsReused)
+{
+    // A message waits while 40 later ones of another type from the
+    // same sender are received. Their credits let the sender wrap the
+    // 16 KB ring over the waiting message's slot twice; the message
+    // must still read back what was sent.
+    bool use_au = GetParam();
+    core::Cluster c;
+    NxConfig cfg;
+    cfg.nprocs = 2;
+    cfg.ringBytes = 16 * 1024;
+    cfg.useAutomaticUpdate = use_au;
+    NxDomain dom(c, cfg);
+    const std::size_t kBytes = 1000;
+    const int kLater = 40;
+    int later_intact = 0;
+    bool kept = false;
+
+    c.spawnOn(0, "sender", [&] {
+        dom.init(0);
+        auto &nx = dom.process(0);
+        std::vector<char> buf(kBytes, 'k');
+        nx.csend(1, buf.data(), kBytes, 1);
+        for (int i = 0; i < kLater; ++i) {
+            std::fill(buf.begin(), buf.end(), char(i));
+            nx.csend(2, buf.data(), kBytes, 1);
+        }
+    });
+    c.spawnOn(1, "receiver", [&] {
+        dom.init(1);
+        auto &nx = dom.process(1);
+        std::vector<char> buf(kBytes);
+        for (int i = 0; i < kLater; ++i) {
+            EXPECT_EQ(nx.crecv(2, buf.data(), kBytes), kBytes);
+            if (std::count(buf.begin(), buf.end(), char(i)) == kBytes)
+                ++later_intact;
+        }
+        EXPECT_EQ(nx.crecv(1, buf.data(), kBytes), kBytes);
+        kept = std::count(buf.begin(), buf.end(), 'k') == kBytes;
+    });
+    c.run();
+    EXPECT_EQ(later_intact, kLater);
+    EXPECT_TRUE(kept);
 }
 
 INSTANTIATE_TEST_SUITE_P(DuAndAu, NxTransportTest,

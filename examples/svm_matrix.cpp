@@ -53,14 +53,14 @@ runOnce(Protocol protocol)
     auto *b = rt.sharedAllocArray<double>(kN * kN);
     const int rows_per = kN / kProcs;
 
-    Outcome out{};
-    std::vector<Tick> ends(kProcs, 0);
+    // The measured region is the relaxation loop: it opens after the
+    // first-row writes and their barrier.
+    apps::Region region(cluster, kProcs);
     std::vector<Process *> procs(kProcs);
 
     for (int q = 0; q < kProcs; ++q) {
         procs[q] = cluster.spawnOn(q, "relax", [&, q] {
             rt.init(q);
-            procs[q]->account.start(cluster.sim().now());
             SvmView v(rt, q);
             const int first = q * rows_per;
             const int last = first + rows_per;
@@ -72,6 +72,8 @@ runOnce(Protocol protocol)
                 v.writeRange(&a[r * kN], row.data(), kN * 8);
             }
             v.barrier();
+            region.enter(q);
+            procs[q]->account.start(cluster.sim().now());
 
             double *from = a;
             double *to = b;
@@ -96,22 +98,19 @@ runOnce(Protocol protocol)
                 v.barrier();
                 std::swap(from, to);
             }
-            ends[q] = cluster.sim().now();
-            procs[q]->account.stop(ends[q]);
+            procs[q]->account.stop(region.leave(q));
         });
     }
 
     cluster.run();
+    apps::AppResult result;
+    result.name = "svm_matrix";
+    region.finish(result, procs);
     // The answer is read at the homes, outside the simulation.
     double s = 0;
     apps::forEachAtHome(rt, kIters % 2 ? b : a, std::size_t(kN) * kN,
                         [&](double g) { s += g; });
-    out.checksum = std::uint64_t(s);
-    for (int q = 0; q < kProcs; ++q) {
-        out.combined.merge(procs[q]->account);
-        out.elapsed = std::max(out.elapsed, ends[q]);
-    }
-    return out;
+    return {result.elapsed, result.combined, std::uint64_t(s)};
 }
 
 } // anonymous namespace

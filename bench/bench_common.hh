@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -169,14 +168,6 @@ renderConfig()
 inline void
 maybeEmitReport(const apps::AppResult &r)
 {
-    // Flight-recorder time series go to their own SHRIMP_METRICS file
-    // regardless of whether the report sink is configured.
-    if (std::getenv("SHRIMP_METRICS") && !r.metrics.empty()) {
-        std::ostringstream ss;
-        r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
-        emitMetrics(ss.str());
-    }
-
     const char *path = std::getenv("SHRIMP_REPORT_JSONL");
     if (!path || !*path)
         return;

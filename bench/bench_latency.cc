@@ -91,9 +91,8 @@ measureOneWay(NicKind kind, bool use_au, const char *name)
     });
     c.run();
 
-    // Feed the report/metrics sinks (SHRIMP_REPORT_JSONL,
-    // SHRIMP_METRICS) so shrimp_analyze can attribute the latency it
-    // reports above to pipeline stages.
+    // Feed the report sink (SHRIMP_REPORT_JSONL) so shrimp_analyze can
+    // attribute the latency it reports above to pipeline stages.
     apps::AppResult r;
     r.name = name;
     r.nprocs = 2;

@@ -18,12 +18,11 @@ namespace
 {
 
 /**
- * An append-only line sink bound to an environment variable naming
- * its file: one shared FILE handle for the whole process, lazily
- * opened, append-guarded by a mutex. A bad path is complained about
- * exactly once. Chunks are written verbatim (callers terminate their
- * own lines), so one sink serves both the one-line RunReport stream
- * and multi-line metrics series.
+ * The append-only sink of the RunReport stream, bound to the
+ * environment variable naming its file: one shared FILE handle for
+ * the whole process, lazily opened, append-guarded by a mutex. A bad
+ * path is complained about exactly once. Lines are written verbatim
+ * (callers terminate them).
  */
 class LineSink
 {
@@ -74,20 +73,11 @@ reportSink()
     return sink;
 }
 
-LineSink &
-metricsSink()
-{
-    static LineSink sink("SHRIMP_METRICS");
-    return sink;
-}
-
 /**
- * While a sweep job runs, its thread redirects report lines and
- * metrics chunks into per-job buffers; the sweep flushes the buffers
- * in submission order.
+ * While a sweep job runs, its thread redirects report lines into a
+ * per-job buffer; the sweep flushes the buffers in submission order.
  */
 thread_local std::vector<std::string> *tl_report_buffer = nullptr;
-thread_local std::vector<std::string> *tl_metrics_buffer = nullptr;
 
 /**
  * Sweeps in flight. While nonzero, only sweep worker threads (which
@@ -138,20 +128,6 @@ emitReport(const RunReport &report)
     }
 }
 
-void
-emitMetrics(const std::string &chunk)
-{
-    LineSink &sink = metricsSink();
-    if (!sink.enabled())
-        return;
-    if (tl_metrics_buffer) {
-        tl_metrics_buffer->push_back(chunk);
-    } else {
-        assertSinkOwnership("emitMetrics");
-        sink.append(chunk);
-    }
-}
-
 namespace detail
 {
 
@@ -162,7 +138,6 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
         return;
 
     std::vector<std::vector<std::string>> buffers(count);
-    std::vector<std::vector<std::string>> metricsBuffers(count);
 
     // Job i's Simulations take run order slot first + i, whichever
     // worker builds them, so traces and span ids do not depend on
@@ -171,10 +146,8 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     auto run_buffered = [&](std::size_t i) {
         RunSlotScope order(first + i);
         tl_report_buffer = &buffers[i];
-        tl_metrics_buffer = &metricsBuffers[i];
         run_one(i);
         tl_report_buffer = nullptr;
-        tl_metrics_buffer = nullptr;
     };
 
     std::size_t workers = std::size_t(sweepJobs());
@@ -211,9 +184,6 @@ runJobs(std::size_t count, const std::function<void(std::size_t)> &run_one)
     for (auto &buf : buffers)
         for (auto &line : buf)
             reportSink().append(line);
-    for (auto &buf : metricsBuffers)
-        for (auto &chunk : buf)
-            metricsSink().append(chunk);
 }
 
 } // namespace detail

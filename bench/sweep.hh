@@ -54,15 +54,6 @@ int sweepJobs();
  */
 void emitReport(const RunReport &report);
 
-/**
- * Append a pre-serialized metrics JSONL chunk (header + sample rows,
- * newline-terminated; see MetricsSeries::writeJsonl) to the file named
- * by SHRIMP_METRICS (no-op when unset). Same sink discipline as
- * emitReport: buffered inside runSweep() and flushed in submission
- * order, so the file is byte-identical for SHRIMP_JOBS=1 and =N.
- */
-void emitMetrics(const std::string &chunk);
-
 namespace detail
 {
 

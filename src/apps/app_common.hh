@@ -25,7 +25,6 @@
 #include "sim/fiber.hh"
 #include "sim/recorder.hh"
 #include "sim/logging.hh"
-#include "sim/metrics.hh"
 #include "sim/run_report.hh"
 #include "sim/stats.hh"
 #include "svm/svm.hh"
@@ -79,12 +78,6 @@ struct AppResult
      * the simulated machine.
      */
     std::uint64_t hostFiberSwitches = 0;
-
-    /** Time-series samples (empty unless the sampler ran). */
-    MetricsSeries metrics;
-
-    /** Sampling cadence the series was recorded at (0 = off). */
-    Tick metricsInterval = 0;
 
     /** Host wall time of the run; filled by timedRun(). */
     double hostWallSeconds = 0;
@@ -144,8 +137,6 @@ captureStats(AppResult &result, core::Cluster &cluster)
     result.stats = cluster.sim().stats();
     result.hostEvents = cluster.sim().executedEvents();
     result.hostFiberSwitches = cluster.sim().fiberSwitchTotal();
-    result.metrics = cluster.metrics().series();
-    result.metricsInterval = cluster.config().metricsInterval;
 }
 
 /** Assemble the machine-readable report for a finished run. */

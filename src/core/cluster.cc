@@ -1,6 +1,8 @@
 #include "core/cluster.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -31,6 +33,34 @@ parseMesh(const char *spec, int &width, int &height)
     return true;
 }
 
+bool
+parseWhole(const char *text, long lo, long hi, long &out)
+{
+    if (!text || !*text)
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    long v = std::strtol(text, &end, 10);
+    if (*end || errno == ERANGE || v < lo || v > hi)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseReal(const char *text, double lo, double hi, double &out)
+{
+    if (!text || !*text)
+        return false;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    // NaN fails both comparisons, and so is refused with the rest.
+    if (*end || !(v >= lo && v <= hi))
+        return false;
+    out = v;
+    return true;
+}
+
 namespace
 {
 
@@ -42,20 +72,39 @@ envValue(const char *name)
     return v && *v ? v : nullptr;
 }
 
+/** Variable @p name as a whole number from @p lo to @p hi, if set. */
+bool
+envWhole(const char *name, long lo, long hi, long &out)
+{
+    const char *v = envValue(name);
+    if (v && !parseWhole(v, lo, hi, out))
+        fatal("%s='%s': want a whole number from %ld to %ld", name, v,
+              lo, hi);
+    return v;
+}
+
+/** Variable @p name as a number from @p lo to @p hi, if set. */
+bool
+envReal(const char *name, double lo, double hi, double &out)
+{
+    const char *v = envValue(name);
+    if (v && !parseReal(v, lo, hi, out))
+        fatal("%s='%s': want a number from %g to %g", name, v, lo, hi);
+    return v;
+}
+
 /** Apply the SHRIMP_FAULT_* variables to @p f. */
 void
 faultsFromEnv(mesh::FaultParams &f)
 {
-    if (const char *v = envValue("SHRIMP_FAULT_DROP_RATE"))
-        f.dropRate = std::atof(v);
-    if (const char *v = envValue("SHRIMP_FAULT_CORRUPT_RATE"))
-        f.corruptRate = std::atof(v);
-    if (const char *v = envValue("SHRIMP_FAULT_JITTER_RATE"))
-        f.jitterRate = std::atof(v);
-    if (const char *v = envValue("SHRIMP_FAULT_MAX_JITTER_NS"))
-        f.maxJitter = nanoseconds(std::atof(v));
-    if (const char *v = envValue("SHRIMP_FAULT_SEED"))
-        f.seed = std::strtoull(v, nullptr, 10);
+    envReal("SHRIMP_FAULT_DROP_RATE", 0, 1, f.dropRate);
+    envReal("SHRIMP_FAULT_CORRUPT_RATE", 0, 1, f.corruptRate);
+    envReal("SHRIMP_FAULT_JITTER_RATE", 0, 1, f.jitterRate);
+    if (double ns; envReal("SHRIMP_FAULT_MAX_JITTER_NS", 0, kMaxJitterNs,
+                           ns))
+        f.maxJitter = nanoseconds(ns);
+    if (long seed; envWhole("SHRIMP_FAULT_SEED", 0, LONG_MAX, seed))
+        f.seed = std::uint64_t(seed);
     if (const char *v = envValue("SHRIMP_FAULT_RELIABILITY"))
         f.forceReliability = std::strcmp(v, "0") != 0;
     const char *v = envValue("SHRIMP_FAULT_LINK_DOWN");
@@ -98,14 +147,10 @@ envClusterConfig()
     faultsFromEnv(cc.network.fault);
     if (const char *v = envValue("SHRIMP_LIFECYCLE"))
         cc.lifecycleTracing = *v != '0';
-    if (const char *v = envValue("SHRIMP_METRICS_INTERVAL_US"))
-        cc.metricsInterval = microseconds(std::atof(v));
-    // SHRIMP_METRICS names the series' file (the benches write it);
-    // naming one implies the default 10 us cadence.
-    if (cc.metricsInterval == 0 && std::getenv("SHRIMP_METRICS"))
-        cc.metricsInterval = microseconds(10);
-    if (const char *v = envValue("SHRIMP_WATCHDOG_SECS"))
-        cc.watchdogSecs = std::atoi(v);
+    if (long us; envWhole("SHRIMP_METRICS_INTERVAL_US", 0, INT_MAX, us))
+        cc.metricsInterval = microseconds(double(us));
+    if (long secs; envWhole("SHRIMP_WATCHDOG_SECS", 0, INT_MAX, secs))
+        cc.watchdogSecs = int(secs);
     return cc;
 }
 
@@ -149,9 +194,10 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
             *this, *nodes.back(), *nics.back()));
     }
 
-    if (_config.metricsInterval > 0) {
+    // The samples go to the causal log; without one, nothing samples.
+    if (_config.metricsInterval > 0 && _sim.recorder().causalOn()) {
         registerGauges();
-        _sampler.start(_sim, _config.metricsInterval);
+        _sim.recorder().sampleEvery(_config.metricsInterval);
     }
 
     _sim.rng() = Random(config.seed);
@@ -160,6 +206,7 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
 void
 Cluster::registerGauges()
 {
+    Recorder &rec = _sim.recorder();
     auto &stats = _sim.stats();
     double interval_ps = double(_config.metricsInterval);
 
@@ -178,37 +225,36 @@ Cluster::registerGauges()
 
     for (auto &np : nodes) {
         const std::string &nm = np->name();
-        _sampler.addGauge(nm + ".bus_util", util(nm + ".bus_busy_ps"));
+        int id = int(np->id());
+        rec.addGauge(id, "bus_util", util(nm + ".bus_busy_ps"));
         if (_config.nicKind == NicKind::Shrimp) {
-            auto *snic = static_cast<nic::ShrimpNic *>(
-                nics[np->id()].get());
-            _sampler.addGauge(nm + ".nic.fifo_fill",
-                              [snic] { return double(snic->fifoFill()); });
-            _sampler.addGauge(nm + ".nic.eisa_util",
-                              util(nm + ".nic.eisa_busy_ps"));
+            auto *snic = static_cast<nic::ShrimpNic *>(nics[id].get());
+            rec.addGauge(id, "nic.fifo_fill",
+                         [snic] { return double(snic->fifoFill()); });
+            rec.addGauge(id, "nic.eisa_util",
+                         util(nm + ".nic.eisa_busy_ps"));
         }
         if (_config.nicKind == NicKind::Modern) {
-            auto *mnic = static_cast<nic::ModernNic *>(
-                nics[np->id()].get());
-            _sampler.addGauge(nm + ".mnic.cq_depth",
-                              [mnic] { return double(mnic->cqDepth()); });
+            auto *mnic = static_cast<nic::ModernNic *>(nics[id].get());
+            rec.addGauge(id, "mnic.cq_depth",
+                         [mnic] { return double(mnic->cqDepth()); });
         }
         if (_network->reliabilityEnabled()) {
-            auto *nic = nics[np->id()].get();
-            _sampler.addGauge(nm + ".rel.retx_backlog", [nic] {
+            auto *nic = nics[id].get();
+            rec.addGauge(id, "rel.retx_backlog", [nic] {
                 return double(nic->retransmitBacklog());
             });
         }
     }
 
-    _sampler.addGauge("mesh.link_backlog_us", [this] {
+    rec.addGauge(-1, "mesh.link_backlog_us", [this] {
         return toMicroseconds(_network->maxLinkBacklog(_sim.now()));
     });
-    _sampler.addGauge("mesh.links_busy", [this] {
+    rec.addGauge(-1, "mesh.links_busy", [this] {
         return double(_network->busyLinkCount(_sim.now()));
     });
-    _sampler.addGauge("sim.event_queue",
-                      [this] { return double(_sim.pendingEvents()); });
+    rec.addGauge(-1, "sim.event_queue",
+                 [this] { return double(_sim.pendingEvents()); });
 }
 
 Cluster::~Cluster() = default;

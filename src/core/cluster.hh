@@ -19,7 +19,6 @@
 #include "nic/nic_kind.hh"
 #include "nic/shrimp_nic.hh"
 #include "node/node.hh"
-#include "sim/metrics.hh"
 #include "sim/simulation.hh"
 #include "sim/watchdog.hh"
 
@@ -34,6 +33,25 @@ class Endpoint;
  * (mesh::kMaxMeshNodes). @return parse success.
  */
 bool parseMesh(const char *spec, int &width, int &height);
+
+/**
+ * Parse all of @p text as a whole decimal number from @p lo to @p hi:
+ * the run settings' counts, seeds, seconds and microseconds.
+ * @return parse success.
+ */
+bool parseWhole(const char *text, long lo, long hi, long &out);
+
+/**
+ * Parse all of @p text as a finite decimal number from @p lo to @p hi:
+ * the run settings' rates and nanoseconds. @return parse success.
+ */
+bool parseReal(const char *text, double lo, double hi, double &out);
+
+/**
+ * The largest fault jitter a run setting may ask for, in nanoseconds
+ * (one simulated second), so that every jitter fits a Tick.
+ */
+inline constexpr double kMaxJitterNs = 1e9;
 
 /** Which network interface the cluster is built with (nic/nic_kind.hh). */
 using NicKind = nic::NicKind;
@@ -72,9 +90,10 @@ struct ClusterConfig
     std::uint64_t seed = 42;
 
     /**
-     * Flight-recorder sampling cadence (simulated time); 0 disables
-     * the metrics sampler. envClusterConfig() takes it from
-     * SHRIMP_METRICS_INTERVAL_US (SHRIMP_METRICS alone means 10 us).
+     * Gauge sampling cadence (simulated time); 0 is off. The samples
+     * go to the causal log, so a run samples only while the log is
+     * open (sim/recorder.hh). envClusterConfig() takes it from
+     * SHRIMP_METRICS_INTERVAL_US, a whole number of microseconds.
      */
     Tick metricsInterval = 0;
 
@@ -106,11 +125,13 @@ struct ClusterConfig
 /**
  * The default config with the environment's run settings applied:
  * SHRIMP_MESH, SHRIMP_NIC, SHRIMP_FAULT_*, SHRIMP_LIFECYCLE,
- * SHRIMP_METRICS / SHRIMP_METRICS_INTERVAL_US and
- * SHRIMP_WATCHDOG_SECS. This is the only reader of those variables:
- * binaries start from it and assign their own settings afterwards,
- * so an explicit setting always wins, and a Cluster uses the config
- * it is given. A malformed mesh, NIC or outage spec is fatal.
+ * SHRIMP_METRICS_INTERVAL_US and SHRIMP_WATCHDOG_SECS. This is the
+ * only reader of those variables: binaries start from it and assign
+ * their own settings afterwards, so an explicit setting always wins,
+ * and a Cluster uses the config it is given. A malformed mesh, NIC or
+ * outage spec is fatal, and so is a number that does not parse in
+ * full or lies outside its range (a rate outside [0, 1], a negative
+ * seed, jitter, cadence or watchdog period).
  */
 ClusterConfig envClusterConfig();
 
@@ -170,13 +191,10 @@ class Cluster
      */
     nic::NicBase::PeerHealth peerHealth(int src, int dst) const;
 
-    /** Time-series sampler (running only when metricsInterval > 0). */
-    MetricsSampler &metrics() { return _sampler; }
-
   private:
     friend class Endpoint;
 
-    /** Bind the sampler's gauges (called when sampling is on). */
+    /** Register the gauges on the run's recorder (sampling is on). */
     void registerGauges();
 
     /** Racy progress glance for the watchdog thread (reads only). */
@@ -191,7 +209,6 @@ class Cluster
     std::vector<std::unique_ptr<node::Node>> nodes;
     std::vector<std::unique_ptr<nic::NicBase>> nics;
     std::vector<std::unique_ptr<Endpoint>> endpoints;
-    MetricsSampler _sampler;
 };
 
 } // namespace shrimp::core

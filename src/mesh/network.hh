@@ -116,7 +116,7 @@ class Network
     /**
      * Deepest per-link backlog at @p now: the largest amount of
      * simulated time any link's busy-until timeline extends into the
-     * future. A read-only gauge for the metrics sampler.
+     * future. Read by the recorder's mesh.link_backlog_us gauge.
      */
     Tick maxLinkBacklog(Tick now) const;
 

@@ -216,7 +216,7 @@ class NicBase
     /** Channel state toward @p dst (all-zero if never used). */
     PeerHealth peerHealth(NodeId dst) const;
 
-    /** Total unacked packets across channels (sampler gauge). */
+    /** Total unacked packets across channels (rel.retx_backlog gauge). */
     std::size_t retransmitBacklog() const;
 
     /**

@@ -10,7 +10,7 @@
  * the context type and the log file's open/close.
  *
  * Output is a compact JSONL causal log: a header line
- * `{"causal_schema":1}` followed by one parent-linked span per line,
+ * `{"causal_schema":2}` followed by one parent-linked span per line,
  *
  *   {"id":N,"parent":N,"trace":N,"node":N,"name":"nx.csend",
  *    "start_ps":N,"end_ps":N}
@@ -22,11 +22,22 @@
  * of a bit-identical workload, whatever the sweep's job count.
  * `parent == 0` marks a trace root; `trace` is the root span's id.
  *
+ * After the spans come the gauges of the runs that sampled them
+ * (ClusterConfig::metricsInterval), runs in run order and each run's
+ * gauges in registration order, one line per gauge per run:
+ *
+ *   {"counter":"bus_util","node":3,"every_ps":N,"values":[...]}
+ *
+ * sampled at every_ps, 2 every_ps, and so on, with node -1 for a
+ * cluster-wide gauge (mesh.*, sim.event_queue) and each value in its
+ * shortest round-trip form. Schema 1 logs held spans only.
+ *
  * This log is the only trace a run writes. Enable it with
  * causal::open(path) (shrimp_run --causal FILE, or the SHRIMP_CAUSAL
  * environment variable) and finish with close(). tools/shrimp_analyze
- * --critical-path analyzes it, and --chrome draws it as a Chrome
- * trace_event timeline, one event per span (causal_read::writeChrome).
+ * --critical-path analyzes it, prints its gauges' means and peaks,
+ * and --chrome draws it as a Chrome trace_event timeline, one event
+ * per span and per gauge sample (causal_read::writeChrome).
  */
 
 #ifndef SHRIMP_SIM_CAUSAL_HH

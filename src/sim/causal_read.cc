@@ -23,11 +23,14 @@ fail(std::string *err, std::string msg)
     return false;
 }
 
+/** Field @p key as a u64; 0 when absent, negative or too large. */
 std::uint64_t
 u64Of(const JsonValue &v, const char *key)
 {
     const JsonValue *f = v.find(key);
-    return f && f->isNumber() ? std::uint64_t(f->number) : 0;
+    return f && f->isNumber() && f->number >= 0 && f->number < 0x1p64
+               ? std::uint64_t(f->number)
+               : 0;
 }
 
 /** @p ps as microseconds to the picosecond ("123.456789"). */
@@ -45,6 +48,12 @@ Span::layer() const
 {
     std::size_t dot = name.find('.');
     return dot == std::string::npos ? name : name.substr(0, dot);
+}
+
+std::string
+gaugeLabel(int node, const std::string &name)
+{
+    return node < 0 ? name : strfmt("node%d %s", node, name.c_str());
 }
 
 const Span *
@@ -81,6 +90,7 @@ load(const std::string &path, Log &out, std::string *err)
         return fail(err, "cannot open '" + path + "'");
 
     out.spans.clear();
+    out.counters.clear();
     std::string line;
     std::size_t lineno = 0;
     bool saw_header = false;
@@ -95,10 +105,30 @@ load(const std::string &path, Log &out, std::string *err)
                                     jerr.c_str()));
         if (!saw_header) {
             const JsonValue *schema = v.find("causal_schema");
-            if (!schema || !schema->isNumber() || schema->number != 1)
+            if (!schema || !schema->isNumber() || schema->number != 2)
                 return fail(err,
-                            path + ": missing causal_schema:1 header");
+                            path + ": missing causal_schema:2 header");
             saw_header = true;
+            continue;
+        }
+        if (const JsonValue *name = v.find("counter")) {
+            Counter c;
+            if (name->isString())
+                c.name = name->str;
+            c.node = int(v.numberOr("node", -1));
+            c.everyPs = u64Of(v, "every_ps");
+            const JsonValue *values = v.find("values");
+            if (!values || !values->isArray())
+                return fail(err, strfmt("%s:%zu: counter without values",
+                                        path.c_str(), lineno));
+            for (const JsonValue &x : values->array) {
+                if (!x.isNumber())
+                    return fail(err,
+                                strfmt("%s:%zu: non-numeric counter value",
+                                       path.c_str(), lineno));
+                c.values.push_back(x.number);
+            }
+            out.counters.push_back(std::move(c));
             continue;
         }
         Span s;
@@ -161,6 +191,16 @@ validate(const Log &log, std::string *err)
                                "%llu",
                                (unsigned long long)s.id,
                                (unsigned long long)s.parent));
+    }
+    for (const Counter &c : log.counters) {
+        if (c.name.empty())
+            return fail(err, "counter without a name");
+        if (c.node < -1)
+            return fail(err, strfmt("counter %s on node %d",
+                                    c.name.c_str(), c.node));
+        if (c.everyPs == 0)
+            return fail(err, strfmt("counter %s: every_ps is not above 0",
+                                    gaugeLabel(c.node, c.name).c_str()));
     }
     return true;
 }
@@ -286,6 +326,33 @@ packetStageStats(const Log &log)
     return out;
 }
 
+std::vector<GaugeStat>
+gaugeStats(const Log &log)
+{
+    std::vector<GaugeStat> out;
+    std::vector<double> sums;
+    std::map<std::pair<int, std::string>, std::size_t> index;
+    for (const Counter &c : log.counters) {
+        auto [it, fresh] =
+            index.emplace(std::make_pair(c.node, c.name), out.size());
+        if (fresh) {
+            out.push_back(GaugeStat{c.node, c.name});
+            sums.push_back(0.0);
+        }
+        GaugeStat &g = out[it->second];
+        for (double x : c.values) {
+            sums[it->second] += x;
+            if (g.samples == 0 || x > g.peak)
+                g.peak = x;
+            ++g.samples;
+        }
+    }
+    for (std::size_t i = 0; i < out.size(); ++i)
+        if (out[i].samples)
+            out[i].mean = sums[i] / double(out[i].samples);
+    return out;
+}
+
 void
 writeChrome(const Log &log, std::ostream &out)
 {
@@ -319,6 +386,15 @@ writeChrome(const Log &log, std::ostream &out)
                       (unsigned long long)s.id,
                       (unsigned long long)s.parent,
                       (unsigned long long)s.trace);
+    for (const Counter &c : log.counters) {
+        std::string name = JsonWriter::escaped(gaugeLabel(c.node, c.name));
+        for (std::size_t i = 0; i < c.values.size(); ++i)
+            out << strfmt(",\n{\"ph\":\"C\",\"pid\":0,\"name\":\"%s\","
+                          "\"ts\":%s,\"args\":{\"value\":%s}}",
+                          name.c_str(),
+                          usText(c.everyPs * (i + 1)).c_str(),
+                          JsonWriter::numberText(c.values[i]).c_str());
+    }
     out << "\n]}\n";
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * Reader side of the causal trace log (sim/causal.hh): loads the
- * JSONL span file, checks the span-DAG invariants, reconstructs
- * per-operation critical paths, and draws the log as a Chrome
- * timeline. Shared by tools/shrimp_analyze (--critical-path,
- * --chrome) and the causal-tracing tests.
+ * JSONL file's spans and gauge counters, checks the span-DAG and
+ * counter invariants, reconstructs per-operation critical paths,
+ * summarizes the gauges, and draws the log as a Chrome timeline.
+ * Shared by tools/shrimp_analyze (--critical-path, --chrome) and the
+ * causal-tracing tests.
  */
 
 #ifndef SHRIMP_SIM_CAUSAL_READ_HH
@@ -36,10 +37,26 @@ struct Span
     std::string layer() const;
 };
 
+/** One parsed counter line: a gauge's samples over one run. */
+struct Counter
+{
+    std::string name;
+    int node = -1; //!< -1 for a cluster-wide gauge
+    std::uint64_t everyPs = 0;
+    std::vector<double> values; //!< at everyPs, 2 everyPs, ...
+};
+
+/**
+ * A gauge's label, its Chrome counter track and analyzer row:
+ * "node3 bus_util", or the name alone for a cluster-wide gauge.
+ */
+std::string gaugeLabel(int node, const std::string &name);
+
 /** A loaded log plus its lookup indices. */
 struct Log
 {
     std::vector<Span> spans;
+    std::vector<Counter> counters; //!< in the log's order
 
     /** Span by id; nullptr when absent. */
     const Span *byId(std::uint64_t id) const;
@@ -58,8 +75,9 @@ struct Log
 };
 
 /**
- * Load @p path (header line `{"causal_schema":1}` + one span per
- * line). @return success; on failure @p err (if non-null) explains.
+ * Load @p path: the header line `{"causal_schema":2}`, then one span
+ * or counter line per line. A counter's values must be numbers.
+ * @return success; on failure @p err (if non-null) explains.
  */
 bool load(const std::string &path, Log &out, std::string *err);
 
@@ -68,7 +86,8 @@ bool load(const std::string &path, Log &out, std::string *err);
  * exists; trace ids are consistent (a root's trace is its own id, a
  * child's trace is its parent's); and a child never starts before its
  * parent (asynchronous packets may *end* after the posting span, so
- * full interval nesting is deliberately not required).
+ * full interval nesting is deliberately not required). Each counter
+ * has a name, a node of -1 or more and an every_ps above 0.
  */
 bool validate(const Log &log, std::string *err);
 
@@ -126,13 +145,32 @@ struct NameStat
  */
 std::vector<NameStat> packetStageStats(const Log &log);
 
+/** Samples, mean and peak of one gauge over the whole log. */
+struct GaugeStat
+{
+    int node = -1;
+    std::string name;
+    std::uint64_t samples = 0;
+    double mean = 0.0;
+    double peak = 0.0;
+};
+
+/**
+ * Per node and gauge name, the samples of every counter line the log
+ * holds for it, in order of first appearance (a one-run log lists the
+ * gauges in the order the run registered them).
+ */
+std::vector<GaugeStat> gaugeStats(const Log &log);
+
 /**
  * Draw @p log on @p out as a Chrome trace_event document (load it in
  * Perfetto or chrome://tracing): one complete ("X") event per span,
  * on a track per node and layer prefix ("node3 svm", "node3 pkt"),
- * with the span's ids as args {span, parent, trace}. Timestamps are
- * simulated microseconds printed to the picosecond. Every run a log
- * holds is drawn on the same tracks.
+ * with the span's ids as args {span, parent, trace}, and one counter
+ * ("C") event per gauge sample, on a counter track named by the
+ * gauge's label ("node3 bus_util"). Timestamps are simulated
+ * microseconds printed to the picosecond. Every run a log holds is
+ * drawn on the same tracks.
  */
 void writeChrome(const Log &log, std::ostream &out);
 

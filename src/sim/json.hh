@@ -183,6 +183,16 @@ class JsonWriter
         return out;
     }
 
+    /** @p v in the shortest form that reads back as @p v. */
+    static std::string
+    numberText(double v)
+    {
+        char buf[64];
+        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+        (void)ec;
+        return std::string(buf, end);
+    }
+
   private:
     void
     element()
@@ -231,10 +241,7 @@ class JsonWriter
     void
     number(double v)
     {
-        char buf[64];
-        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-        (void)ec;
-        os.write(buf, end - buf);
+        os << numberText(v);
     }
 
     std::ostream &os;

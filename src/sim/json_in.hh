@@ -4,9 +4,9 @@
  * the read side of sim/json.hh, used by shrimp_analyze and the
  * report-schema validator. No external dependencies.
  *
- * Scope: everything the RunReport / metrics writers emit (objects,
- * arrays, strings with the writer's escape set plus \uXXXX, numbers,
- * booleans, null). Duplicate keys keep the last value but are not
+ * Scope: everything the RunReport writer and the causal log emit
+ * (objects, arrays, strings with the writer's escape set plus
+ * \uXXXX, numbers, booleans, null). Duplicate keys keep the last value but are not
  * rejected; key order is preserved.
  */
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -23,6 +24,14 @@ struct SpanRecord
     const char *name; //!< string literals only (never freed)
     Tick start;
     Tick end;
+};
+
+/** One gauge and its samples, taken every run's sampleInterval. */
+struct CounterRecord
+{
+    std::int32_t node; //!< -1 for a cluster-wide gauge
+    const char *name;  //!< string literals only (never freed)
+    std::vector<double> values;
 };
 
 namespace
@@ -72,6 +81,8 @@ struct CausalSink
         RunKey key;
         std::vector<std::uint32_t> minted;
         std::vector<SpanRecord> spans;
+        Tick sampleInterval;
+        std::vector<CounterRecord> counters;
     };
     std::vector<Run> runs;
 };
@@ -118,7 +129,7 @@ closeCausalLocked()
 
     // Sorted by id is node-major, and within a node every run's ids
     // precede the next run's: merge node by node, runs in order.
-    std::fputs("{\"causal_schema\":1}\n", s.out);
+    std::fputs("{\"causal_schema\":2}\n", s.out);
     std::vector<std::size_t> cursor(s.runs.size(), 0);
     for (std::uint64_t n = 0; n < base.size(); ++n) {
         for (std::size_t k = 0; k < s.runs.size(); ++k) {
@@ -137,6 +148,25 @@ closeCausalLocked()
                     (unsigned long long)r.start,
                     (unsigned long long)r.end);
             }
+        }
+    }
+
+    // Then each run's gauges, runs in order, each run's gauges in
+    // registration order: one line per gauge with all its samples.
+    for (const CausalSink::Run &run : s.runs) {
+        for (const CounterRecord &c : run.counters) {
+            std::fprintf(s.out,
+                         "{\"counter\":\"%s\",\"node\":%d,"
+                         "\"every_ps\":%llu,\"values\":[",
+                         c.name, int(c.node),
+                         (unsigned long long)run.sampleInterval);
+            for (std::size_t i = 0; i < c.values.size(); ++i) {
+                if (i)
+                    std::fputc(',', s.out);
+                std::fputs(JsonWriter::numberText(c.values[i]).c_str(),
+                           s.out);
+            }
+            std::fputs("]}\n", s.out);
         }
     }
     s.runs.clear();
@@ -247,7 +277,8 @@ Recorder::~Recorder()
         CausalSink &s = causalSink();
         std::lock_guard<std::mutex> lock(s.mu);
         if (s.out && s.generation == causalGeneration)
-            s.runs.push_back({key, std::move(minted), std::move(spans)});
+            s.runs.push_back({key, std::move(minted), std::move(spans),
+                              sampleInterval, std::move(counters)});
     }
 }
 
@@ -348,6 +379,41 @@ Recorder::recordPacket(const PacketLife &l, int dst_node, Tick rx_start,
             emitSpan(mintId(dst_node), in, dst_node, stages[s].span,
                      stages[s].from, stages[s].to);
     }
+}
+
+// --- gauges ---
+
+void
+Recorder::addGauge(int node, const char *name,
+                   std::function<double()> read)
+{
+    if (sampleInterval)
+        panic("Recorder: gauge '%s' added after sampling started", name);
+    gaugeReads.push_back(std::move(read));
+    counters.push_back({node, name, {}});
+}
+
+void
+Recorder::sampleEvery(Tick interval)
+{
+    if (!_causalOn)
+        panic("Recorder: sampling without a causal log to write to");
+    if (interval == 0 || sampleInterval || sim.now() != 0)
+        panic("Recorder: sampleEvery wants one interval > 0, at tick 0");
+    sampleInterval = interval;
+    sim.schedule(interval, [this] { sample(); });
+}
+
+void
+Recorder::sample()
+{
+    for (std::size_t i = 0; i < gaugeReads.size(); ++i)
+        counters[i].values.push_back(gaugeReads[i]());
+    // Keep going only while the simulation has work of its own: this
+    // event has already popped, so a non-empty queue means somebody
+    // else is still running and deserves coverage.
+    if (sim.anyPending())
+        sim.schedule(sampleInterval, [this] { sample(); });
 }
 
 // --- RAII scopes ---

@@ -4,20 +4,24 @@
  * object behind a run's two observability outputs.
  *
  *  - the causal log (sim/causal.hh): OpSpan operation spans, the pkt.*
- *    spans of every delivered packet, and leaf spans (nic.retx,
- *    nic.fifo_stall, mesh.drop, svm.twin, ...). shrimp_analyze
- *    --chrome draws the log as a Chrome timeline;
+ *    spans of every delivered packet, leaf spans (nic.retx,
+ *    nic.fifo_stall, mesh.drop, svm.twin, ...), and one counter line
+ *    per gauge with the run's samples of it (addGauge, sampleEvery).
+ *    shrimp_analyze --chrome draws the log as a Chrome timeline, the
+ *    gauges as counter tracks;
  *  - the lifecycle.*_us stage histograms behind the RunReport's
  *    latency_breakdown block (ClusterConfig::lifecycleTracing).
  *
  * What a run records is fixed as it starts: the Simulation constructor
  * builds its recorder, which opens the SHRIMP_CAUSAL file if the
  * environment names it and arms the log if it is open; the cluster
- * turns the histograms on before any traffic. All recording state —
- * span buffer, per-node id counters, the event-context slot — belongs
- * to the run, so runs on different host threads share nothing but the
- * log file. Every instrumentation site guards on causalOn(), so a run
- * with nothing armed pays a bool load per site.
+ * turns the histograms on, and registers its gauges and starts
+ * sampling when the log is armed, before any traffic. All recording
+ * state — span buffer, per-node id counters, the event-context slot,
+ * the gauges' samples — belongs to the run, so runs on different host
+ * threads share nothing but the log file. Every instrumentation site
+ * guards on causalOn(), so a run with nothing armed pays a bool load
+ * per site, and schedules no sampling event.
  *
  * Packets: a NIC stamps each packet once at send (sendStamp(): the
  * birth time and the sending operation's context), the pipeline adds
@@ -40,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -115,6 +120,9 @@ class RunSlotScope
 
 /** One recorded span; defined in recorder.cc. */
 struct SpanRecord;
+
+/** One gauge's samples; defined in recorder.cc. */
+struct CounterRecord;
 
 namespace causal
 {
@@ -193,6 +201,26 @@ class Recorder
             emitSpan(mintId(node), parent, node, name, start, end);
     }
 
+    // --- gauges ---
+
+    /**
+     * Register a gauge named @p name (a string literal) on @p node, -1
+     * for a cluster-wide one. @p read only reads simulation state: it
+     * never blocks, schedules, draws from the RNG or wakes anyone.
+     * Register every gauge before sampleEvery().
+     */
+    void addGauge(int node, const char *name, std::function<double()> read);
+
+    /**
+     * Sample every gauge at @p interval, twice @p interval, and so on
+     * in simulated time. A sample reschedules only while other events
+     * are pending, so sampling never keeps a finished run alive, and
+     * its event only reads, so the run is otherwise bit-identical.
+     * The samples go to the causal log, so the log must be on; call
+     * it at tick 0, once, with @p interval > 0.
+     */
+    void sampleEvery(Tick interval);
+
   private:
     friend class causal::OpSpan;
     friend class causal::EventCtxScope;
@@ -207,6 +235,7 @@ class Recorder
                   int node, const char *name, Tick start, Tick end);
     void recordPacket(const PacketLife &life, int dst_node,
                       Tick rx_start, Tick rx_done);
+    void sample();
 
     Simulation &sim;
     std::pair<std::uint64_t, std::uint32_t> key; //!< run order: slot, sub
@@ -220,6 +249,11 @@ class Recorder
     std::vector<std::uint32_t> minted;
     std::vector<SpanRecord> spans;
     causal::CauseCtx eventCtx;
+
+    // Gauges: readers and their series, in registration order.
+    std::vector<std::function<double()>> gaugeReads;
+    std::vector<CounterRecord> counters;
+    Tick sampleInterval = 0;
 
     Histogram *lifeHist[std::size_t(LifeStage::kCount)] = {};
 };

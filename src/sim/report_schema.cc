@@ -231,106 +231,4 @@ validateReport(const JsonValue &doc, std::string *err)
     return true;
 }
 
-bool
-validateMetricsJsonl(std::istream &in, std::string *err)
-{
-    std::string line;
-    std::size_t lineno = 0;
-
-    // Header line.
-    if (!std::getline(in, line))
-        return failWith(err, "metrics file is empty");
-    ++lineno;
-    JsonValue header;
-    std::string perr;
-    if (!parseJson(line, header, &perr))
-        return failWith(err, strfmt("line 1: %s", perr.c_str()));
-    const JsonValue *schema =
-        require(header, "metrics_schema", JsonValue::Kind::Number,
-                err);
-    if (!schema)
-        return false;
-    if (int(schema->number) != 1)
-        return failWith(err, strfmt("metrics_schema %g != expected 1",
-                                    schema->number));
-    if (!require(header, "app", JsonValue::Kind::String, err) ||
-        !require(header, "interval_us", JsonValue::Kind::Number,
-                 err) ||
-        !require(header, "samples", JsonValue::Kind::Number, err))
-        return false;
-    const JsonValue *columns =
-        require(header, "columns", JsonValue::Kind::Array, err);
-    if (!columns)
-        return false;
-    for (const auto &c : columns->array)
-        if (!c.isString())
-            return failWith(err, "non-string column name");
-    std::size_t ncols = columns->array.size();
-    auto expected = std::size_t(header.numberOr("samples", 0));
-
-    std::size_t rows = 0;
-    double last_t = -1.0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        if (line[0] == '{' && line.find("\"metrics_schema\"") !=
-                                  std::string::npos) {
-            // A concatenated series (sweep output): validate each
-            // header block's rows against its own column count.
-            JsonValue h2;
-            if (!parseJson(line, h2, &perr))
-                return failWith(err, strfmt("line %zu: %s", lineno,
-                                            perr.c_str()));
-            const JsonValue *c2 =
-                require(h2, "columns", JsonValue::Kind::Array, err);
-            if (!c2)
-                return false;
-            if (rows != expected)
-                return failWith(
-                    err,
-                    strfmt("line %zu: previous series had %zu rows, "
-                           "header promised %zu",
-                           lineno, rows, expected));
-            ncols = c2->array.size();
-            expected = std::size_t(h2.numberOr("samples", 0));
-            rows = 0;
-            last_t = -1.0;
-            continue;
-        }
-        JsonValue row;
-        if (!parseJson(line, row, &perr))
-            return failWith(err, strfmt("line %zu: %s", lineno,
-                                        perr.c_str()));
-        const JsonValue *t =
-            require(row, "t_us", JsonValue::Kind::Number, err);
-        if (!t)
-            return failWith(err, strfmt("line %zu: bad t_us", lineno));
-        if (t->number <= last_t)
-            return failWith(
-                err, strfmt("line %zu: t_us not increasing", lineno));
-        last_t = t->number;
-        const JsonValue *v =
-            require(row, "v", JsonValue::Kind::Array, err);
-        if (!v)
-            return failWith(err, strfmt("line %zu: bad v", lineno));
-        if (v->array.size() != ncols)
-            return failWith(
-                err, strfmt("line %zu: %zu values for %zu columns",
-                            lineno, v->array.size(), ncols));
-        for (const auto &x : v->array)
-            if (!x.isNumber())
-                return failWith(
-                    err,
-                    strfmt("line %zu: non-numeric value", lineno));
-        ++rows;
-    }
-    if (rows != expected)
-        return failWith(err,
-                        strfmt("series has %zu rows, header promised "
-                               "%zu",
-                               rows, expected));
-    return true;
-}
-
 } // namespace shrimp

@@ -1,22 +1,21 @@
 /**
  * @file
- * Structural validation of the flight-recorder file formats: the
- * RunReport JSON document (schema_version 3) and the metrics JSONL
- * time series (metrics_schema 1). Shared by shrimp_analyze
- * (--validate) and the test suite.
+ * Structural validation of the RunReport JSON document
+ * (schema_version 3). Shared by shrimp_analyze (--validate) and the
+ * test suite; the causal log, spans and gauges alike, is checked by
+ * causal_read::load and causal_read::validate.
  *
- * Validation is strict about what the writers promise — required
+ * Validation is strict about what the writer promises — required
  * fields present with the right JSON types, the schema version an
- * exact match, bucket arrays numeric, metrics rows rectangular and
- * time-monotonic — and tolerant of additive extras, so a consumer
- * built against schema N keeps accepting N's documents after fields
- * are appended (a version bump signals meaning changes).
+ * exact match, bucket arrays numeric — and tolerant of additive
+ * extras, so a consumer built against schema N keeps accepting N's
+ * documents after fields are appended (a version bump signals meaning
+ * changes).
  */
 
 #ifndef SHRIMP_SIM_REPORT_SCHEMA_HH
 #define SHRIMP_SIM_REPORT_SCHEMA_HH
 
-#include <istream>
 #include <string>
 
 namespace shrimp
@@ -29,13 +28,6 @@ struct JsonValue;
  * false with a human-readable reason in @p err (if non-null).
  */
 bool validateReport(const JsonValue &doc, std::string *err = nullptr);
-
-/**
- * Check a metrics JSONL stream (header + sample lines). On failure
- * returns false with the offending line number in @p err.
- */
-bool validateMetricsJsonl(std::istream &in,
-                          std::string *err = nullptr);
 
 } // namespace shrimp
 

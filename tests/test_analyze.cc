@@ -1,10 +1,11 @@
 /**
  * @file
  * The offline-analysis foundations: the JSON parser (sim/json_in.hh),
- * the schema validators shrimp_analyze --validate is built on, and
- * the Chrome timeline shrimp_analyze --chrome draws from a causal log.
- * The writers' output must round-trip through the parser and pass
- * validation; targeted mutations must be rejected.
+ * the report validator and the causal log's counter checks that
+ * shrimp_analyze --validate is built on, and the Chrome timeline
+ * shrimp_analyze --chrome draws from a causal log. The writers' output
+ * must round-trip through the parser and pass validation; targeted
+ * mutations must be rejected.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,10 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/causal_read.hh"
 #include "sim/json_in.hh"
-#include "sim/metrics.hh"
 #include "sim/report_schema.hh"
 #include "sim/run_report.hh"
 #include "sim/stats.hh"
@@ -88,23 +89,27 @@ replaced(std::string text, const std::string &from,
     return text;
 }
 
-/** A two-column, three-row metrics series. */
-MetricsSeries
-sampleSeries()
+/** Write @p text to a temporary log file; @return its path. */
+std::string
+writeLog(const char *name, const std::string &text)
 {
-    MetricsSeries s;
-    s.names = {"gauge.a", "gauge.b"};
-    s.times = {microseconds(10), microseconds(20), microseconds(30)};
-    s.columns = {{1.0, 2.0, 3.0}, {0.5, 0.25, 0.125}};
-    return s;
+    std::string path = testing::TempDir() + name;
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << text;
+    return path;
 }
 
+/** Load and validate a causal log held in @p text. */
 testing::AssertionResult
-metricsValidate(const std::string &text)
+logValidates(const std::string &text)
 {
-    std::istringstream in(text);
+    std::string path = writeLog("analyze_counters.jsonl", text);
+    causal_read::Log log;
     std::string err;
-    if (!validateMetricsJsonl(in, &err))
+    bool ok = causal_read::load(path, log, &err) &&
+              causal_read::validate(log, &err);
+    std::remove(path.c_str());
+    if (!ok)
         return testing::AssertionFailure() << err;
     return testing::AssertionSuccess();
 }
@@ -202,51 +207,31 @@ TEST(ReportSchema, RejectsMissingOrMistypedFields)
 }
 
 // ----------------------------------------------------------------------
-// Metrics validation
+// Counter lines in the causal log
 // ----------------------------------------------------------------------
 
-TEST(MetricsSchema, AcceptsTheWriterAndConcatenations)
+TEST(CausalSchema, RejectsBadCounterLines)
 {
-    std::ostringstream ss;
-    sampleSeries().writeJsonl(ss, "unit", microseconds(10));
-    EXPECT_TRUE(metricsValidate(ss.str()));
-    // Two series back to back (the bench-sweep append case).
-    EXPECT_TRUE(metricsValidate(ss.str() + ss.str()));
-    // An empty stream is flagged: a metrics file must hold data.
-    EXPECT_FALSE(metricsValidate(""));
-}
+    const std::string header = "{\"causal_schema\":2}\n";
+    const std::string span =
+        R"({"id":4294967297,"parent":0,"trace":4294967297,"node":0,)"
+        R"("name":"nx.csend","start_ps":0,"end_ps":5})"
+        "\n";
+    const std::string counter =
+        R"({"counter":"bus_util","node":3,"every_ps":20000000,)"
+        R"("values":[0,0.25,1e-05]})"
+        "\n";
+    const std::string good = header + span + counter;
+    ASSERT_TRUE(logValidates(good));
+    EXPECT_TRUE(logValidates(header + counter)); // gauges without spans
 
-TEST(MetricsSchema, RejectsMutations)
-{
-    std::ostringstream ss;
-    sampleSeries().writeJsonl(ss, "unit", microseconds(10));
-    std::string good = ss.str();
-
-    EXPECT_FALSE(metricsValidate(
-        replaced(good, "\"metrics_schema\":1", "\"metrics_schema\":2")));
-    // A row before any header.
-    EXPECT_FALSE(metricsValidate("{\"t_us\":1,\"v\":[1]}\n"));
-    // Ragged row: drop one value from the last line.
-    EXPECT_FALSE(metricsValidate(
-        replaced(good, "[3,0.125]", "[3]")));
-    // Time going backwards.
-    EXPECT_FALSE(metricsValidate(
-        replaced(good, "\"t_us\":30", "\"t_us\":5")));
-    // Sample-count mismatch vs the header's promise.
-    EXPECT_FALSE(metricsValidate(
-        replaced(good, "\"samples\":3", "\"samples\":2")));
-}
-
-TEST(MetricsSchema, CsvWriterEmitsHeaderAndRows)
-{
-    std::ostringstream ss;
-    sampleSeries().writeCsv(ss);
-    std::string csv = ss.str();
-    EXPECT_EQ(csv.rfind("t_us,gauge.a,gauge.b\n", 0), 0u);
-    int lines = 0;
-    for (char c : csv)
-        lines += c == '\n';
-    EXPECT_EQ(lines, 4); // header + 3 rows
+    EXPECT_FALSE(logValidates(
+        replaced(good, "\"counter\":\"bus_util\"", "\"counter\":\"\"")));
+    EXPECT_FALSE(logValidates(
+        replaced(good, "\"every_ps\":20000000", "\"every_ps\":0")));
+    EXPECT_FALSE(logValidates(replaced(good, "0.25", "\"0.25\"")));
+    EXPECT_FALSE(logValidates(
+        replaced(good, "\"causal_schema\":2", "\"causal_schema\":1")));
 }
 
 // ----------------------------------------------------------------------
@@ -255,22 +240,23 @@ TEST(MetricsSchema, CsvWriterEmitsHeaderAndRows)
 
 TEST(ChromeFromLog, OneEventPerSpanOnItsNodeAndLayerTrack)
 {
-    // Two nodes, four layers, and a root leaf span of zero length.
-    std::string path = testing::TempDir() + "analyze_chrome.jsonl";
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os << R"({"causal_schema":1}
+    // Two nodes, four layers, and a root leaf span of zero length;
+    // then a node's gauge and a cluster-wide one.
+    std::string path = writeLog("analyze_chrome.jsonl", R"({"causal_schema":2}
 {"id":4294967297,"parent":0,"trace":4294967297,"node":0,"name":"nx.csend","start_ps":1000000,"end_ps":5500000}
 {"id":4294967298,"parent":4294967297,"trace":4294967297,"node":0,"name":"vmmc.send","start_ps":1200000,"end_ps":2000123}
 {"id":8589934593,"parent":4294967298,"trace":4294967297,"node":1,"name":"pkt.total","start_ps":1200000,"end_ps":4000001}
 {"id":8589934594,"parent":8589934593,"trace":4294967297,"node":1,"name":"pkt.wire","start_ps":2000000,"end_ps":3000000}
 {"id":8589934595,"parent":0,"trace":8589934595,"node":1,"name":"svm.twin","start_ps":7000000,"end_ps":7000000}
-)";
-    }
+{"counter":"bus_util","node":1,"every_ps":2500000,"values":[0.5,0.125,2]}
+{"counter":"mesh.links_busy","node":-1,"every_ps":2500000,"values":[3,0]}
+)");
     causal_read::Log log;
     std::string err;
     ASSERT_TRUE(causal_read::load(path, log, &err)) << err;
+    ASSERT_TRUE(causal_read::validate(log, &err)) << err;
     ASSERT_EQ(log.spans.size(), 5u);
+    ASSERT_EQ(log.counters.size(), 2u);
 
     std::ostringstream out;
     causal_read::writeChrome(log, out);
@@ -311,5 +297,30 @@ TEST(ChromeFromLog, OneEventPerSpanOnItsNodeAndLayerTrack)
     for (const auto &[id, n] : drawn)
         EXPECT_EQ(n, 1) << id;
     EXPECT_EQ(trackNames.size(), 4u); // node0 nx/vmmc, node1 pkt/svm
+
+    // One counter event per sample, at every_ps, 2 every_ps, ...
+    std::map<std::string, std::vector<std::pair<double, double>>> tracks;
+    for (const JsonValue &e : events->array)
+        if (e.find("ph")->str == "C")
+            tracks[e.find("name")->str].emplace_back(
+                e.numberOr("ts", -1), e.find("args")->numberOr("value", -1));
+    using Samples = std::vector<std::pair<double, double>>;
+    EXPECT_EQ(tracks.size(), 2u);
+    EXPECT_EQ(tracks["node1 bus_util"],
+              (Samples{{2.5, 0.5}, {5.0, 0.125}, {7.5, 2.0}}));
+    EXPECT_EQ(tracks["mesh.links_busy"], (Samples{{2.5, 3.0}, {5.0, 0.0}}));
+
+    // The analyzer's table: samples, mean and peak per gauge.
+    auto stats = causal_read::gaugeStats(log);
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(causal_read::gaugeLabel(stats[0].node, stats[0].name),
+              "node1 bus_util");
+    EXPECT_EQ(stats[0].samples, 3u);
+    EXPECT_DOUBLE_EQ(stats[0].mean, 2.625 / 3);
+    EXPECT_EQ(stats[0].peak, 2.0);
+    EXPECT_EQ(causal_read::gaugeLabel(stats[1].node, stats[1].name),
+              "mesh.links_busy");
+    EXPECT_EQ(stats[1].mean, 1.5);
+    EXPECT_EQ(stats[1].peak, 3.0);
     std::remove(path.c_str());
 }

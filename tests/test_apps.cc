@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
 #include "apps/barnes.hh"
 #include "apps/dfs.hh"
@@ -16,6 +18,8 @@
 #include "apps/ocean.hh"
 #include "apps/radix.hh"
 #include "apps/render.hh"
+#include "sim/causal.hh"
+#include "sim/causal_read.hh"
 
 using namespace shrimp;
 using namespace shrimp::apps;
@@ -267,13 +271,22 @@ TEST(Render, AccountsEachControllerProcess)
     cfg.imageSize = 128;
     cfg.tileSize = 32;
     cfg.volumeBytes = 256 * 1024;
-    // The sampler's last event ends the run, so its last sample is
-    // taken at the run's final simulated time.
+    // The gauges' last sample ends the run, so it is taken at the
+    // run's final simulated time: every_ps times the sample count.
     core::ClusterConfig cc = smallCluster();
     cc.metricsInterval = microseconds(100);
+    std::string path = testing::TempDir() + "render_gauges.jsonl";
+    causal::open(path);
     auto r = runRender(cc, cfg);
-    ASSERT_FALSE(r.metrics.empty());
-    const Tick end = r.metrics.times.back();
+    causal::close();
+    causal_read::Log log;
+    std::string err;
+    ASSERT_TRUE(causal_read::load(path, log, &err)) << err;
+    std::remove(path.c_str());
+    ASSERT_FALSE(log.counters.empty());
+    const causal_read::Counter &gauge = log.counters.front();
+    ASSERT_FALSE(gauge.values.empty());
+    const Tick end = gauge.everyPs * gauge.values.size();
 
     ASSERT_EQ(r.perProcess.size(), std::size_t(cfg.workers));
     Tick sum = 0;

@@ -306,5 +306,5 @@ TEST(Causal, RunBuiltBeforeOpenRecordsNothing)
         rec.packetDelivered(rec.sendStamp(), 0, 0, 1);
     }
     causal::close();
-    EXPECT_EQ(slurp(path), "{\"causal_schema\":1}\n");
+    EXPECT_EQ(slurp(path), "{\"causal_schema\":2}\n");
 }

@@ -3,11 +3,11 @@
  * Golden-file regression tests: pinned runs must reproduce their
  * checked-in observability artifacts byte for byte — the RunReport
  * JSON of a fault-plane run (plain and with lifecycle histograms),
- * that run's causal log, the flight-recorder metrics JSONL of a
- * fault-free run, the RunReports of NX runs (Barnes-NX under DU and
- * AU, Ocean-NX on a lossy backplane, Barnes-NX on 96 ranks), the
- * receive order and elapsed time of raw NX ring traffic, and the
- * RunReports of Radix-SVM on the baseline and modern adapters. Any
+ * that run's causal log with its spans and its gauges sampled every
+ * 20 us, the RunReports of NX runs (Barnes-NX under DU and AU,
+ * Ocean-NX on a lossy backplane, Barnes-NX on 96 ranks), the receive
+ * order and elapsed time of raw NX ring traffic, and the RunReports
+ * of Radix-SVM on the baseline and modern adapters. Any
  * datapath "optimization" that perturbs one of
  * these files changed simulated behaviour, not just host speed; a
  * recorder change that perturbs one changed an output format.
@@ -36,7 +36,6 @@
 #include "apps/radix.hh"
 #include "msg/nx.hh"
 #include "sim/causal.hh"
-#include "sim/metrics.hh"
 #include "sim/run_report.hh"
 
 using namespace shrimp;
@@ -142,28 +141,18 @@ TEST(Golden, FaultRunReportIsByteStable)
     checkGolden("fault_radix_report.json", rep.toJson(true));
 }
 
-/** The fault-free run's flight-recorder series, as JSONL. */
-TEST(Golden, MetricsJsonlIsByteStable)
-{
-    core::ClusterConfig cc;
-    cc.metricsInterval = microseconds(20);
-    auto r = pinnedRadix(cc);
-
-    ASSERT_GT(r.metrics.sampleCount(), 0u);
-    std::ostringstream ss;
-    r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
-    checkGolden("radix_metrics.jsonl", ss.str());
-}
-
 /**
  * The fault run's causal log: span ids, parent links, packet stage
- * spans and the nic.retx spans of its go-back-N resends.
+ * spans, the nic.retx spans of its go-back-N resends, and the counter
+ * lines of its gauges, the fault-only rel.retx_backlog among them.
  */
 TEST(Golden, FaultRunCausalLogIsByteStable)
 {
     std::string path = testing::TempDir() + "golden_fault_causal.jsonl";
+    core::ClusterConfig cc = faultConfig();
+    cc.metricsInterval = microseconds(20);
     causal::open(path);
-    auto r = pinnedRadix(faultConfig());
+    auto r = pinnedRadix(cc);
     causal::close();
     ASSERT_GT(r.stats.counterValue("mesh.retransmits"), 0u);
 

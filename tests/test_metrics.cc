@@ -1,27 +1,25 @@
 /**
  * @file
- * The flight recorder: log-scale histograms, the metrics sampler, the
- * packet-lifecycle latency attribution, and the golden invariant that
- * turning observability on changes nothing about the simulated run.
+ * The flight recorder: log-scale histograms, the gauges the run's
+ * recorder samples into the causal log, the packet-lifecycle latency
+ * attribution, and the golden invariant that turning observability on
+ * changes nothing about the simulated run.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
-#include "bench/sweep.hh"
+#include "apps/app_common.hh"
+#include "apps/radix.hh"
+#include "sim/causal.hh"
+#include "sim/causal_read.hh"
 #include "sim/recorder.hh"
-#include "sim/metrics.hh"
-#include "sim/report_schema.hh"
+#include "sim/run_report.hh"
+#include "sim/simulation.hh"
 #include "sim/stats.hh"
 
 using namespace shrimp;
@@ -39,13 +37,26 @@ smallRadix(core::ClusterConfig cc, int procs = 4, int keys = 4 * 1024)
     return apps::runRadixVmmc(cc, /*au=*/true, procs, cfg);
 }
 
-std::string
-slurp(const std::string &path)
+/** smallRadix with the causal log open at @p path. */
+apps::AppResult
+loggedRadix(core::ClusterConfig cc, const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    causal::open(path);
+    apps::AppResult r = smallRadix(cc);
+    causal::close();
+    return r;
+}
+
+/** Load + validate a causal log, failing the test on any error. */
+causal_read::Log
+loadValid(const std::string &path)
+{
+    causal_read::Log log;
+    std::string err;
+    EXPECT_TRUE(causal_read::load(path, log, &err)) << err;
+    EXPECT_TRUE(causal_read::validate(log, &err)) << err;
+    std::remove(path.c_str());
+    return log;
 }
 
 } // anonymous namespace
@@ -108,62 +119,85 @@ TEST(Scalars, SetAndSnapshot)
 }
 
 // ----------------------------------------------------------------------
-// The sampler
+// Gauges
 // ----------------------------------------------------------------------
 
-TEST(MetricsSampler, SamplesOnCadenceAndStopsWithTheRun)
+TEST(Recorder, SamplesGaugesOnCadenceAndStopsWithTheRun)
 {
-    Simulation sim;
-    int ticks = 0;
-    // A busy-work chain that keeps the queue alive for exactly 100 us.
-    std::function<void()> chain = [&] {
-        if (++ticks < 100)
-            sim.schedule(microseconds(1), chain);
-    };
-    sim.schedule(microseconds(1), chain);
+    std::string path = testing::TempDir() + "recorder_gauges.jsonl";
+    causal::open(path);
+    {
+        Simulation sim;
+        int ticks = 0;
+        // A busy-work chain that keeps the queue alive for exactly 100 us.
+        std::function<void()> chain = [&] {
+            if (++ticks < 100)
+                sim.schedule(microseconds(1), chain);
+        };
+        sim.schedule(microseconds(1), chain);
 
-    MetricsSampler sampler;
-    sampler.addGauge("ticks", [&] { return double(ticks); });
-    sampler.start(sim, microseconds(10));
-    sim.run(); // must terminate: the sampler never self-perpetuates
-
-    const MetricsSeries &s = sampler.series();
-    ASSERT_EQ(s.names.size(), 1u);
-    EXPECT_EQ(s.names[0], "ticks");
-    ASSERT_GE(s.sampleCount(), 9u);
-    ASSERT_LE(s.sampleCount(), 11u);
-    for (std::size_t i = 0; i < s.times.size(); ++i) {
-        EXPECT_EQ(s.times[i], Tick(i + 1) * microseconds(10));
-        // The chain stops after 100 ticks, so the gauge saturates there
-        // even if one final sample lands past the chain's end.
-        double expect = std::min(
-            double(s.times[i]) / double(microseconds(1)), 100.0);
-        EXPECT_NEAR(s.columns[0][i], expect, 1.5);
+        Recorder &rec = sim.recorder();
+        rec.addGauge(2, "test.ticks", [&] { return double(ticks); });
+        rec.addGauge(-1, "test.half", [&] { return ticks / 2.0; });
+        rec.sampleEvery(microseconds(10));
+        sim.run(); // must terminate: sampling never self-perpetuates
     }
+    causal::close();
+    causal_read::Log log = loadValid(path);
+
+    ASSERT_EQ(log.counters.size(), 2u);
+    const causal_read::Counter &ticks = log.counters[0];
+    EXPECT_EQ(ticks.name, "test.ticks");
+    EXPECT_EQ(ticks.node, 2);
+    EXPECT_EQ(ticks.everyPs, microseconds(10));
+    // The sample at 10k us runs before the chain's event at that tick,
+    // which was scheduled later; the one at 100 us still sees the
+    // chain's last event pending, so one more sample follows it.
+    std::vector<double> expect;
+    for (int k = 1; k <= 10; ++k)
+        expect.push_back(10.0 * k - 1);
+    expect.push_back(100.0);
+    EXPECT_EQ(ticks.values, expect);
+
+    const causal_read::Counter &half = log.counters[1];
+    EXPECT_EQ(half.name, "test.half");
+    EXPECT_EQ(half.node, -1);
+    ASSERT_EQ(half.values.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i)
+        EXPECT_EQ(half.values[i], expect[i] / 2) << i;
 }
 
-TEST(MetricsSampler, ClusterRunCapturesSeriesIntoResult)
+TEST(Recorder, ClusterRunWritesItsGaugesToTheLog)
 {
     core::ClusterConfig cc;
     cc.metricsInterval = microseconds(20);
-    auto r = smallRadix(cc);
+    std::string path = testing::TempDir() + "recorder_cluster.jsonl";
+    auto r = loggedRadix(cc, path);
+    causal_read::Log log = loadValid(path);
 
-    EXPECT_FALSE(r.metrics.empty());
-    EXPECT_EQ(r.metricsInterval, microseconds(20));
-    bool has_queue = false, has_mesh = false;
-    for (const auto &n : r.metrics.names) {
-        has_queue |= n == "sim.event_queue";
-        has_mesh |= n == "mesh.links_busy";
+    // Three gauges on each of the 16 nodes of the SHRIMP NI cluster,
+    // in node order, then the three cluster-wide ones.
+    ASSERT_EQ(log.counters.size(), 16u * 3 + 3);
+    const char *perNode[] = {"bus_util", "nic.fifo_fill", "nic.eisa_util"};
+    const char *wide[] = {"mesh.link_backlog_us", "mesh.links_busy",
+                          "sim.event_queue"};
+    const std::size_t samples = log.counters[0].values.size();
+    ASSERT_GT(samples, 0u);
+    for (std::size_t i = 0; i < log.counters.size(); ++i) {
+        const causal_read::Counter &c = log.counters[i];
+        if (i < 48) {
+            EXPECT_EQ(c.node, int(i / 3)) << i;
+            EXPECT_EQ(c.name, perNode[i % 3]) << i;
+        } else {
+            EXPECT_EQ(c.node, -1) << i;
+            EXPECT_EQ(c.name, wide[i - 48]) << i;
+        }
+        EXPECT_EQ(c.everyPs, microseconds(20)) << i;
+        EXPECT_EQ(c.values.size(), samples) << i;
     }
-    EXPECT_TRUE(has_queue);
-    EXPECT_TRUE(has_mesh);
-
-    // JSONL serialization round-trips through the schema validator.
-    std::ostringstream ss;
-    r.metrics.writeJsonl(ss, r.name, r.metricsInterval);
-    std::istringstream in(ss.str());
-    std::string err;
-    EXPECT_TRUE(validateMetricsJsonl(in, &err)) << err;
+    // Sampling lasts as long as the run, so it covers the measured
+    // region.
+    EXPECT_GE(Tick(samples) * microseconds(20), r.elapsed);
 }
 
 // ----------------------------------------------------------------------
@@ -175,10 +209,13 @@ TEST(FlightRecorder, SamplingAndLifecycleLeaveTheRunBitIdentical)
     core::ClusterConfig off;
     auto a = smallRadix(off);
 
+    // The gauges sample only into an open log.
     core::ClusterConfig on;
     on.metricsInterval = microseconds(5);
     on.lifecycleTracing = true;
-    auto b = smallRadix(on);
+    std::string path = testing::TempDir() + "recorder_bit_identical.jsonl";
+    auto b = loggedRadix(on, path);
+    ASSERT_FALSE(loadValid(path).counters.empty());
 
     EXPECT_EQ(a.checksum, b.checksum);
     EXPECT_EQ(a.elapsed, b.elapsed);
@@ -193,6 +230,26 @@ TEST(FlightRecorder, SamplingAndLifecycleLeaveTheRunBitIdentical)
         ASSERT_NE(it, cb.end()) << kv.first;
         EXPECT_EQ(kv.second.value(), it->second.value()) << kv.first;
     }
+}
+
+/**
+ * The samples have nowhere to go without the causal log, so a run
+ * with a cadence and no log schedules no sampling event at all.
+ */
+TEST(FlightRecorder, CadenceWithoutALogSchedulesNothing)
+{
+    core::ClusterConfig cadence;
+    cadence.metricsInterval = microseconds(5);
+    auto plain = smallRadix(core::ClusterConfig{});
+    auto unlogged = smallRadix(cadence);
+    EXPECT_EQ(unlogged.hostEvents, plain.hostEvents);
+
+    // With the log open the same cadence does add its events.
+    std::string path = testing::TempDir() + "recorder_cadence.jsonl";
+    auto logged = loggedRadix(cadence, path);
+    std::remove(path.c_str());
+    EXPECT_GT(logged.hostEvents, plain.hostEvents);
+    EXPECT_EQ(logged.elapsed, plain.elapsed);
 }
 
 TEST(FlightRecorder, LifecycleFillsLatencyBreakdown)
@@ -221,56 +278,6 @@ TEST(FlightRecorder, LifecycleFillsLatencyBreakdown)
 
     EXPECT_NE(rep.toJson(false).find("\"latency_breakdown\""),
               std::string::npos);
-}
-
-// ----------------------------------------------------------------------
-// The SHRIMP_METRICS sink under parallel sweeps
-// ----------------------------------------------------------------------
-
-TEST(FlightRecorder, MetricsSinkIsByteIdenticalSerialVsParallel)
-{
-    auto sweep_into = [](const std::string &metrics,
-                         const char *jobs) {
-        std::remove(metrics.c_str());
-        ::setenv("SHRIMP_METRICS", metrics.c_str(), 1);
-        ::setenv("SHRIMP_JOBS", jobs, 1);
-        std::vector<std::function<apps::AppResult()>> jobs_v;
-        for (int p : {1, 2, 4}) {
-            jobs_v.push_back([p] {
-                core::ClusterConfig cc;
-                cc.metricsInterval = microseconds(20);
-                auto r = smallRadix(cc, p);
-                bench::maybeEmitReport(r);
-                return r;
-            });
-        }
-        auto results = bench::runSweep(std::move(jobs_v));
-        ::unsetenv("SHRIMP_METRICS");
-        ::unsetenv("SHRIMP_JOBS");
-        return results;
-    };
-
-    std::string serial_path = "metrics_serial.jsonl";
-    std::string parallel_path = "metrics_parallel.jsonl";
-    auto serial = sweep_into(serial_path, "1");
-    auto parallel = sweep_into(parallel_path, "4");
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        EXPECT_EQ(serial[i].checksum, parallel[i].checksum) << i;
-
-    std::string a = slurp(serial_path);
-    std::string b = slurp(parallel_path);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
-
-    // The concatenated multi-series file passes schema validation.
-    std::istringstream in(a);
-    std::string err;
-    EXPECT_TRUE(validateMetricsJsonl(in, &err)) << err;
-
-    std::remove(serial_path.c_str());
-    std::remove(parallel_path.c_str());
 }
 
 // ----------------------------------------------------------------------

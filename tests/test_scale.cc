@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
@@ -26,6 +27,7 @@
 #include "mesh/network.hh"
 #include "mesh/topology.hh"
 #include "nic/nic_base.hh"
+#include "sim/causal.hh"
 
 using namespace shrimp;
 using mesh::Topology;
@@ -124,6 +126,58 @@ TEST(MeshEnvDeathTest, MalformedEnvIsFatal)
     ::unsetenv("SHRIMP_MESH");
 }
 
+/** Each numeric run setting parses in full, within its range. */
+TEST(RunSettingsEnv, NumbersParseInFull)
+{
+    const char *const settings[][2] = {
+        {"SHRIMP_FAULT_DROP_RATE", "0.25"},
+        {"SHRIMP_FAULT_MAX_JITTER_NS", "2.5"},
+        {"SHRIMP_FAULT_SEED", "5000000000"},
+        {"SHRIMP_METRICS_INTERVAL_US", "50"},
+        {"SHRIMP_WATCHDOG_SECS", "0"},
+    };
+    for (const auto &s : settings)
+        ::setenv(s[0], s[1], 1);
+    core::ClusterConfig cc = core::envClusterConfig();
+    for (const auto &s : settings)
+        ::unsetenv(s[0]);
+    EXPECT_EQ(cc.network.fault.dropRate, 0.25);
+    EXPECT_EQ(cc.network.fault.maxJitter, Tick(2500));
+    EXPECT_EQ(cc.network.fault.seed, 5000000000u);
+    EXPECT_EQ(cc.metricsInterval, microseconds(50));
+    EXPECT_EQ(cc.watchdogSecs, 0);
+}
+
+/**
+ * A number that does not parse in full, or lies outside its range, is
+ * fatal: a rate outside [0, 1], a negative jitter, seed, cadence or
+ * watchdog period, a jitter too large for a Tick, or a cadence finer
+ * than a microsecond.
+ */
+TEST(RunSettingsEnvDeathTest, MalformedNumbersAreFatal)
+{
+    const char *const bad[][2] = {
+        {"SHRIMP_FAULT_DROP_RATE", "abc"},
+        {"SHRIMP_FAULT_DROP_RATE", "-0.5"},
+        {"SHRIMP_FAULT_CORRUPT_RATE", "1.5"},
+        {"SHRIMP_FAULT_JITTER_RATE", "0.1x"},
+        {"SHRIMP_FAULT_MAX_JITTER_NS", "-5"},
+        {"SHRIMP_FAULT_MAX_JITTER_NS", "1e30"},
+        {"SHRIMP_FAULT_SEED", "xyz"},
+        {"SHRIMP_FAULT_SEED", "-1"},
+        {"SHRIMP_METRICS_INTERVAL_US", "-5"},
+        {"SHRIMP_METRICS_INTERVAL_US", "abc"},
+        {"SHRIMP_METRICS_INTERVAL_US", "0.0001"},
+        {"SHRIMP_WATCHDOG_SECS", "abc"},
+        {"SHRIMP_WATCHDOG_SECS", "-2"},
+    };
+    for (const auto &b : bad) {
+        ::setenv(b[0], b[1], 1);
+        EXPECT_DEATH(core::envClusterConfig(), b[0]) << b[0] << "=" << b[1];
+        ::unsetenv(b[0]);
+    }
+}
+
 /**
  * The run settings reach a run only through envClusterConfig(): a
  * Cluster built from a plain config, default or explicitly 4x4,
@@ -138,6 +192,15 @@ TEST(ClusterConfig, ClusterIgnoresTheEnvironment)
         {"SHRIMP_METRICS_INTERVAL_US", "50"},
         {"SHRIMP_WATCHDOG_SECS", "7"},
     };
+    // With a log open, a cadence schedules the first sample as the
+    // Cluster is built, beside the events its service processes start.
+    std::string log = testing::TempDir() + "ignores_environment.jsonl";
+    causal::open(log);
+    const std::size_t idle = core::Cluster().sim().pendingEvents();
+    core::ClusterConfig sampled;
+    sampled.metricsInterval = microseconds(50);
+    EXPECT_EQ(core::Cluster(sampled).sim().pendingEvents(), idle + 1);
+
     for (const auto &s : settings)
         ::setenv(s[0], s[1], 1);
 
@@ -153,11 +216,13 @@ TEST(ClusterConfig, ClusterIgnoresTheEnvironment)
         EXPECT_FALSE(c.network().faultsEnabled());
         EXPECT_EQ(c.config().network.fault.dropRate, 0.0);
         EXPECT_FALSE(c.config().lifecycleTracing);
-        EXPECT_FALSE(c.metrics().running());
         EXPECT_EQ(c.config().metricsInterval, 0u);
+        EXPECT_EQ(c.sim().pendingEvents(), idle);
         EXPECT_EQ(c.config().watchdogSecs, 0);
     }
 
+    causal::close();
+    std::remove(log.c_str());
     for (const auto &s : settings)
         ::unsetenv(s[0]);
 }

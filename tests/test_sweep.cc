@@ -181,6 +181,7 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
                 }
                 core::ClusterConfig cc;
                 cc.lifecycleTracing = true;
+                cc.metricsInterval = microseconds(20);
                 auto r = smallRadix(p, 8 * 1024, cc);
                 maybeEmitReport(r);
                 std::lock_guard<std::mutex> lock(mu);
@@ -198,6 +199,9 @@ TEST(Sweep, CausalLogIsIdenticalAcrossJobCounts)
         std::string err;
         EXPECT_TRUE(causal_read::load(causal_path, log, &err)) << err;
         EXPECT_TRUE(causal_read::validate(log, &err)) << err;
+        // Each job's run writes the 51 gauges of its 4x4 SHRIMP NI
+        // cluster after the spans, in job order.
+        EXPECT_EQ(log.counters.size(), 4u * 51);
 
         Outputs o;
         o.causal = slurp(causal_path);

@@ -1,41 +1,39 @@
 /**
  * @file
- * shrimp_analyze — offline analysis of the flight-recorder outputs.
+ * shrimp_analyze — offline analysis of a run's two outputs: the
+ * RunReport and the causal log.
  *
  * Reads RunReport documents (pretty files from `shrimp_run
  * --stats-json`, or compact JSONL streams from SHRIMP_REPORT_JSONL)
- * and metrics time series (SHRIMP_METRICS / `shrimp_run --metrics`)
- * and prints:
+ * and prints the run identity (app, processors, elapsed, messages)
+ * and, for runs with lifecycle tracing, a per-stage latency
+ * attribution table (count, mean, p50, p95, p99) with the pipeline
+ * consistency check "sum of stage p50s vs end-to-end p50".
  *
- *   - a per-stage latency attribution table (count, mean, p50, p95,
- *     p99) for runs with lifecycle tracing, including the pipeline
- *     consistency check "sum of stage p50s vs end-to-end p50";
- *   - an occupancy/utilization summary per metrics series (mean and
- *     peak of every sampled gauge);
- *   - run identity (app, processors, elapsed, messages).
- *
- * Causal trace logs (`shrimp_run --causal` / SHRIMP_CAUSAL) are
- * sniffed the same way; --critical-path reconstructs the span DAG of
- * one operation (--op picks it by name substring, default: the
- * longest coll.reduce span, else the longest trace root) and prints
- * an exact per-layer attribution of its interval, plus the aggregate
- * packet-stage means (the receive hook that emits the pkt.* spans
- * also feeds the latency_breakdown block, so for a run with both on
- * the means agree).
+ * Causal logs (`shrimp_run --causal` / SHRIMP_CAUSAL) are sniffed the
+ * same way. For each it prints the aggregate packet-stage means (the
+ * receive hook that emits the pkt.* spans also feeds the
+ * latency_breakdown block, so for a run with both on the means agree)
+ * and the samples, mean and peak of every gauge the log's counter
+ * lines hold (runs that sampled with --metrics-interval-us).
+ * --critical-path reconstructs the span DAG of one operation (--op
+ * picks it by name substring, default: the longest coll.reduce span,
+ * else the longest trace root) and prints an exact per-layer
+ * attribution of its interval.
  *
  * With --validate it only checks the documents against the published
- * schemas (RunReport schema_version 3, metrics_schema 1, causal_schema
- * 1 + span-DAG invariants) and exits nonzero on the first violation —
- * CI runs this over every artifact.
+ * schemas (RunReport schema_version 3; causal_schema 2 with the
+ * span-DAG and counter invariants) and exits nonzero on the first
+ * violation — CI runs this over every artifact.
  *
  * With --chrome it draws one causal log as a Chrome trace_event
- * timeline on stdout, one event per span (causal_read::writeChrome).
+ * timeline on stdout, one event per span and one counter event per
+ * gauge sample (causal_read::writeChrome).
  *
  * Examples:
- *   shrimp_analyze report.json
- *   shrimp_analyze metrics.jsonl
+ *   shrimp_analyze report.json causal.jsonl
  *   shrimp_analyze --critical-path --op svm.barrier causal.jsonl
- *   shrimp_analyze --validate report.json metrics.jsonl causal.jsonl
+ *   shrimp_analyze --validate report.json causal.jsonl
  *   shrimp_analyze --chrome causal.jsonl > trace.json
  */
 
@@ -66,8 +64,8 @@ usage()
         "       shrimp_analyze --chrome LOG > trace.json\n"
         "\n"
         "FILEs may be RunReport JSON documents, RunReport JSONL\n"
-        "streams, metrics JSONL time series, or causal trace logs\n"
-        "(shrimp_run --causal); the format is sniffed per file.\n"
+        "streams, or causal logs (shrimp_run --causal), whose gauge\n"
+        "means and peaks are printed; the format is sniffed per file.\n"
         "\n"
         "  --critical-path  reconstruct the span DAG of one operation\n"
         "                   in each causal log and print its exact\n"
@@ -79,8 +77,9 @@ usage()
         "  --validate       schema/invariant checks only; exit nonzero\n"
         "                   on the first violation\n"
         "  --chrome         draw the causal log LOG as a Chrome\n"
-        "                   trace_event timeline on stdout (open it in\n"
-        "                   Perfetto or chrome://tracing)\n");
+        "                   trace_event timeline on stdout, its gauges\n"
+        "                   as counter tracks (open it in Perfetto or\n"
+        "                   chrome://tracing)\n");
     std::exit(2);
 }
 
@@ -169,72 +168,6 @@ printReport(const JsonValue &doc)
 }
 
 // ----------------------------------------------------------------------
-// Metrics analysis
-// ----------------------------------------------------------------------
-
-/** Occupancy summary of one or more concatenated metrics series. */
-bool
-printMetricsSummary(const std::vector<std::string> &lines,
-                    const std::string &path)
-{
-    std::vector<std::string> cols;
-    std::vector<double> mean, peak;
-    std::size_t rows = 0;
-    std::string app;
-    double interval = 0;
-
-    auto flush = [&] {
-        if (cols.empty())
-            return;
-        std::printf("series: %s  interval=%g us  samples=%zu\n",
-                    app.c_str(), interval, rows);
-        std::printf("  %-28s %12s %12s\n", "gauge", "mean", "peak");
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            std::printf("  %-28s %12.4f %12.4f\n", cols[i].c_str(),
-                        rows ? mean[i] / double(rows) : 0.0, peak[i]);
-        cols.clear();
-        mean.clear();
-        peak.clear();
-        rows = 0;
-    };
-
-    for (std::size_t n = 0; n < lines.size(); ++n) {
-        JsonValue v;
-        std::string err;
-        if (!parseJson(lines[n], v, &err)) {
-            std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), n + 1,
-                         err.c_str());
-            return false;
-        }
-        if (v.find("metrics_schema")) {
-            flush();
-            const JsonValue *a = v.find("app");
-            app = a && a->isString() ? a->str : "?";
-            interval = v.numberOr("interval_us", 0);
-            const JsonValue *c = v.find("columns");
-            if (c && c->isArray())
-                for (const auto &name : c->array)
-                    cols.push_back(name.str);
-            mean.assign(cols.size(), 0.0);
-            peak.assign(cols.size(), 0.0);
-            continue;
-        }
-        const JsonValue *row = v.find("v");
-        if (!row || !row->isArray() || row->array.size() != cols.size())
-            continue;
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            double x = row->array[i].number;
-            mean[i] += x;
-            if (rows == 0 || x > peak[i])
-                peak[i] = x;
-        }
-        ++rows;
-    }
-    flush();
-    return true;
-}
-
-// ----------------------------------------------------------------------
 // Causal trace analysis
 // ----------------------------------------------------------------------
 
@@ -319,6 +252,22 @@ printPacketStages(const causal_read::Log &log)
                     100.0 * (sum - total) / total);
 }
 
+/** Samples, mean and peak of every gauge in the causal log. */
+void
+printGauges(const causal_read::Log &log)
+{
+    auto stats = causal_read::gaugeStats(log);
+    if (stats.empty())
+        return;
+    std::printf("gauges (causal log counters):\n");
+    std::printf("  %-28s %8s %12s %12s\n", "gauge", "samples", "mean",
+                "peak");
+    for (const auto &g : stats)
+        std::printf("  %-28s %8llu %12.4f %12.4f\n",
+                    causal_read::gaugeLabel(g.node, g.name).c_str(),
+                    (unsigned long long)g.samples, g.mean, g.peak);
+}
+
 /** Load and validate a causal log; report a failure on stderr. */
 bool
 loadValidLog(const std::string &path, causal_read::Log &log)
@@ -352,8 +301,8 @@ processCausal(const std::string &path, bool validate_only,
     if (!loadValidLog(path, log))
         return false;
     if (validate_only && !critical_path) {
-        std::printf("%s: OK (causal, %zu spans)\n", path.c_str(),
-                    log.spans.size());
+        std::printf("%s: OK (causal, %zu spans, %zu counters)\n",
+                    path.c_str(), log.spans.size(), log.counters.size());
         return true;
     }
 
@@ -366,6 +315,7 @@ processCausal(const std::string &path, bool validate_only,
     if (critical_path)
         ok = printCriticalPath(log, op, path);
     printPacketStages(log);
+    printGauges(log);
     return ok;
 }
 
@@ -394,19 +344,6 @@ processFile(const std::string &path, bool validate_only,
         if (whole.find("causal_schema"))
             return processCausal(path, validate_only, critical_path,
                                  op);
-        if (whole.find("metrics_schema")) {
-            std::istringstream in(text);
-            if (!validateMetricsJsonl(in, &err)) {
-                std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                             err.c_str());
-                return false;
-            }
-            if (validate_only)
-                std::printf("%s: OK (metrics)\n", path.c_str());
-            else
-                return printMetricsSummary(splitLines(text), path);
-            return true;
-        }
         if (!validateReport(whole, &err)) {
             std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
             return false;
@@ -433,19 +370,6 @@ processFile(const std::string &path, bool validate_only,
 
     if (first.find("causal_schema"))
         return processCausal(path, validate_only, critical_path, op);
-
-    if (first.find("metrics_schema")) {
-        std::istringstream in(text);
-        if (!validateMetricsJsonl(in, &err)) {
-            std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
-            return false;
-        }
-        if (validate_only) {
-            std::printf("%s: OK (metrics)\n", path.c_str());
-            return true;
-        }
-        return printMetricsSummary(lines, path);
-    }
 
     // A stream of compact one-line reports.
     for (std::size_t n = 0; n < lines.size(); ++n) {

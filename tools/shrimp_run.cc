@@ -17,13 +17,10 @@
  * Chrome timeline (see README).
  */
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 
 #include "apps/barnes.hh"
@@ -71,7 +68,7 @@ usage(const char *argv0)
         "  --bodies N         barnes bodies (default 4096); keys and\n"
         "                     bodies must split evenly over --procs\n"
         "  --steps N          iterations/timesteps\n"
-        "  --seed N           workload seed\n"
+        "  --seed N           workload seed (a whole number >= 0)\n"
         "\n"
         "what-if knobs (Sec 4 + the modern design point):\n"
         "  --mesh WxH         mesh geometry (default 4x4; the paper's\n"
@@ -93,7 +90,7 @@ usage(const char *argv0)
         "  --fault-drop-rate P       per-link-crossing drop probability\n"
         "  --fault-corrupt-rate P    per-crossing corruption probability\n"
         "  --fault-jitter-rate P     per-crossing extra-delay probability\n"
-        "  --fault-max-jitter NS     max extra delay, nanoseconds\n"
+        "  --fault-max-jitter NS     max extra delay, 0 to 1e9 ns\n"
         "  --fault-seed N            fault-plane RNG seed (default 1)\n"
         "  --fault-link-down L:T0:T1 link L dead from T0 to T1 (us);\n"
         "                            repeatable\n"
@@ -102,9 +99,6 @@ usage(const char *argv0)
         "\n"
         "observability:\n"
         "  --stats-json FILE  write the JSON run report to FILE\n"
-        "  --metrics FILE     record the flight-recorder time series\n"
-        "                     (.csv extension selects CSV, else JSONL)\n"
-        "  --metrics-interval-us N   sampling cadence (default 10)\n"
         "  --lifecycle        per-packet latency attribution; adds the\n"
         "                     latency_breakdown block to the report\n"
         "  --causal FILE      record the causal trace (parent-linked\n"
@@ -112,12 +106,19 @@ usage(const char *argv0)
         "                     --critical-path, or --chrome for a\n"
         "                     Chrome timeline (SHRIMP_CAUSAL sets the\n"
         "                     same knob)\n"
+        "  --metrics-interval-us N   also sample the gauges (bus, NIC,\n"
+        "                     FIFO, link and event-queue occupancy)\n"
+        "                     every N simulated microseconds into the\n"
+        "                     causal log, which it needs; a whole\n"
+        "                     number, 0 is off (SHRIMP_METRICS_\n"
+        "                     INTERVAL_US sets the same knob)\n"
         "\n"
         "host execution:\n"
         "  --watchdog-secs N  soak watchdog: dump progress state to\n"
         "                     stderr when simulated time stalls for N\n"
-        "                     real seconds (SIGUSR1 dumps on demand;\n"
-        "                     SHRIMP_WATCHDOG_SECS sets the same knob)\n"
+        "                     real seconds, 0 is off (SIGUSR1 dumps on\n"
+        "                     demand; SHRIMP_WATCHDOG_SECS sets the\n"
+        "                     same knob)\n"
         "  --list-apps        print the app names and exit\n"
         "",
         argv0);
@@ -139,7 +140,6 @@ struct Options
     std::uint64_t seed = 0;
     std::string statsJson; //!< --stats-json destination, empty = off
     std::string causalFile; //!< --causal destination, empty = off
-    std::string metricsFile; //!< --metrics destination, empty = off
 
     /** The environment's run settings, then the flags on top. */
     core::ClusterConfig cluster = core::envClusterConfig();
@@ -160,33 +160,36 @@ Options::parse(int argc, char **argv)
         }
         return argv[++i];
     };
-    auto needRate = [&](int &i) -> double {
-        const char *flag = argv[i];
-        double p = std::atof(need(i));
-        if (p < 0.0 || p > 1.0) {
-            std::fprintf(stderr,
-                         "%s: %s wants a probability in [0, 1], got %g\n",
-                         argv[0], flag, p);
-            usage(argv[0]);
-        }
-        return p;
-    };
-    // A count: a whole decimal number from @p lo to INT_MAX.
-    auto needCount = [&](int &i, long lo) -> int {
+    // A number from 0 to @p hi. Every number a flag takes must parse
+    // in full.
+    auto needNonNegative = [&](int &i, double hi) -> double {
         const char *flag = argv[i];
         const char *text = need(i);
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(text, &end, 10);
-        if (end == text || *end || errno == ERANGE || v < lo ||
-            v > INT_MAX) {
+        double v = 0;
+        if (!core::parseReal(text, 0, hi, v)) {
             std::fprintf(stderr,
-                         "%s: %s wants a whole number >= %ld, got '%s'\n",
-                         argv[0], flag, lo, text);
+                         "%s: %s wants a number from 0 to %g, got '%s'\n",
+                         argv[0], flag, hi, text);
             usage(argv[0]);
         }
-        return int(v);
+        return v;
     };
+    auto needRate = [&](int &i) { return needNonNegative(i, 1.0); };
+    // A count: a whole decimal number from @p lo to @p hi.
+    auto needCount = [&](int &i, long lo, long hi = INT_MAX) -> long {
+        const char *flag = argv[i];
+        const char *text = need(i);
+        long v = 0;
+        if (!core::parseWhole(text, lo, hi, v)) {
+            std::fprintf(stderr,
+                         "%s: %s wants a whole number from %ld to %ld, "
+                         "got '%s'\n",
+                         argv[0], flag, lo, hi, text);
+            usage(argv[0]);
+        }
+        return v;
+    };
+    bool interval_given = false;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
         if (a == "--app") {
@@ -196,7 +199,7 @@ Options::parse(int argc, char **argv)
                 std::printf("%s\n", name);
             std::exit(0);
         } else if (a == "--procs") {
-            o.procs = needCount(i, 1);
+            o.procs = int(needCount(i, 1));
         } else if (a == "--protocol") {
             o.protocolGiven = true;
             std::string p = need(i);
@@ -220,13 +223,13 @@ Options::parse(int argc, char **argv)
         } else if (a == "--keys") {
             o.keys = std::size_t(needCount(i, 1));
         } else if (a == "--grid") {
-            o.grid = needCount(i, 1);
+            o.grid = int(needCount(i, 1));
         } else if (a == "--bodies") {
-            o.bodies = needCount(i, 1);
+            o.bodies = int(needCount(i, 1));
         } else if (a == "--steps") {
-            o.steps = needCount(i, 1);
+            o.steps = int(needCount(i, 1));
         } else if (a == "--seed") {
-            o.seed = std::strtoull(need(i), nullptr, 10);
+            o.seed = std::uint64_t(needCount(i, 0, LONG_MAX));
         } else if (a == "--mesh") {
             const char *spec = need(i);
             if (!core::parseMesh(spec, o.cluster.meshWidth,
@@ -256,7 +259,7 @@ Options::parse(int argc, char **argv)
             o.cluster.shrimpNic.outFifoBytes =
                 std::uint32_t(needCount(i, 1));
         } else if (a == "--du-queue") {
-            o.cluster.shrimpNic.duQueueDepth = needCount(i, 1);
+            o.cluster.shrimpNic.duQueueDepth = int(needCount(i, 1));
         } else if (a == "--fault-drop-rate") {
             o.cluster.network.fault.dropRate = needRate(i);
         } else if (a == "--fault-corrupt-rate") {
@@ -265,10 +268,10 @@ Options::parse(int argc, char **argv)
             o.cluster.network.fault.jitterRate = needRate(i);
         } else if (a == "--fault-max-jitter") {
             o.cluster.network.fault.maxJitter =
-                nanoseconds(std::atof(need(i)));
+                nanoseconds(needNonNegative(i, core::kMaxJitterNs));
         } else if (a == "--fault-seed") {
             o.cluster.network.fault.seed =
-                std::strtoull(need(i), nullptr, 10);
+                std::uint64_t(needCount(i, 0, LONG_MAX));
         } else if (a == "--fault-link-down") {
             mesh::LinkOutage outage;
             const char *spec = need(i);
@@ -286,15 +289,14 @@ Options::parse(int argc, char **argv)
             o.statsJson = need(i);
         } else if (a == "--causal") {
             o.causalFile = need(i);
-        } else if (a == "--metrics") {
-            o.metricsFile = need(i);
         } else if (a == "--metrics-interval-us") {
             o.cluster.metricsInterval =
-                microseconds(std::atof(need(i)));
+                microseconds(double(needCount(i, 0)));
+            interval_given = o.cluster.metricsInterval > 0;
         } else if (a == "--lifecycle") {
             o.cluster.lifecycleTracing = true;
         } else if (a == "--watchdog-secs") {
-            o.cluster.watchdogSecs = std::atoi(need(i));
+            o.cluster.watchdogSecs = int(needCount(i, 0));
         } else {
             std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0],
                          a.c_str());
@@ -308,6 +310,15 @@ Options::parse(int argc, char **argv)
     if (o.app == "render" && o.procs < 2) {
         // One rank is the master; the rest render.
         std::fprintf(stderr, "%s: render needs --procs 2 or more\n",
+                     argv[0]);
+        usage(argv[0]);
+    }
+    const char *env_log = std::getenv("SHRIMP_CAUSAL");
+    if (interval_given && o.causalFile.empty() && !(env_log && *env_log)) {
+        // The samples are written only to the causal log.
+        std::fprintf(stderr,
+                     "%s: --metrics-interval-us samples into the causal "
+                     "log; name one with --causal or SHRIMP_CAUSAL\n",
                      argv[0]);
         usage(argv[0]);
     }
@@ -390,10 +401,6 @@ main(int argc, char **argv)
         o.useAu = o.app != "dfs" && o.app != "render" &&
                   bestAu(o.cluster);
 
-    // --metrics alone implies the default sampling cadence.
-    if (!o.metricsFile.empty() && o.cluster.metricsInterval == 0)
-        o.cluster.metricsInterval = microseconds(10);
-
     if (!o.causalFile.empty())
         causal::open(o.causalFile);
 
@@ -457,23 +464,5 @@ main(int argc, char **argv)
         std::printf("report:         %s\n", o.statsJson.c_str());
     }
 
-    if (!o.metricsFile.empty()) {
-        std::ofstream os(o.metricsFile,
-                         std::ios::binary | std::ios::trunc);
-        if (!os) {
-            std::fprintf(stderr, "cannot write metrics to %s\n",
-                         o.metricsFile.c_str());
-            return 1;
-        }
-        bool csv = o.metricsFile.size() >= 4 &&
-                   o.metricsFile.compare(o.metricsFile.size() - 4, 4,
-                                         ".csv") == 0;
-        if (csv)
-            r.metrics.writeCsv(os);
-        else
-            r.metrics.writeJsonl(os, r.name, r.metricsInterval);
-        std::printf("metrics:        %s (%zu samples)\n",
-                    o.metricsFile.c_str(), r.metrics.sampleCount());
-    }
     return 0;
 }

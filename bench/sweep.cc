@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 
+#include "core/cluster.hh"
 #include "sim/logging.hh"
 #include "sim/recorder.hh"
 #include "sim/run_report.hh"
@@ -106,10 +107,10 @@ sweepJobs()
     const char *v = std::getenv("SHRIMP_JOBS");
     if (!v || !*v)
         return 1;
-    int n = std::atoi(v);
-    if (n < 1)
-        return 1;
-    return n > 64 ? 64 : n;
+    long n = 0;
+    if (!core::parseWhole(v, 1, 64, n))
+        fatal("SHRIMP_JOBS='%s': want a whole number from 1 to 64", v);
+    return int(n);
 }
 
 void

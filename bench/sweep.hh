@@ -41,7 +41,8 @@ namespace shrimp::bench
 
 /**
  * Worker-thread count for sweeps: the SHRIMP_JOBS environment
- * variable, clamped to [1, 64]. Defaults to 1 (serial).
+ * variable, a whole number from 1 to 64; any other value is fatal.
+ * Defaults to 1 (serial).
  */
 int sweepJobs();
 

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -191,12 +190,19 @@ makeReport(const AppResult &r)
 // Host performance of a run
 // ----------------------------------------------------------------------
 
-/** True when SHRIMP_REPORT_HOST=1 asks for host-perf in reports. */
+/**
+ * True when SHRIMP_REPORT_HOST=1 asks for host-perf in reports. Unset,
+ * empty or 0 is off; any other value is fatal.
+ */
 inline bool
 reportHostPerf()
 {
     const char *v = std::getenv("SHRIMP_REPORT_HOST");
-    return v && *v && std::strcmp(v, "0") != 0;
+    long on = 0;
+    if (v && *v && !core::parseWhole(v, 0, 1, on))
+        fatal("SHRIMP_REPORT_HOST='%s': want a whole number from 0 to 1",
+              v);
+    return on;
 }
 
 namespace detail

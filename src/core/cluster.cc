@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "core/vmmc.hh"
@@ -105,8 +104,8 @@ faultsFromEnv(mesh::FaultParams &f)
         f.maxJitter = nanoseconds(ns);
     if (long seed; envWhole("SHRIMP_FAULT_SEED", 0, LONG_MAX, seed))
         f.seed = std::uint64_t(seed);
-    if (const char *v = envValue("SHRIMP_FAULT_RELIABILITY"))
-        f.forceReliability = std::strcmp(v, "0") != 0;
+    if (long on; envWhole("SHRIMP_FAULT_RELIABILITY", 0, 1, on))
+        f.forceReliability = on;
     const char *v = envValue("SHRIMP_FAULT_LINK_DOWN");
     if (!v)
         return;
@@ -145,8 +144,8 @@ envClusterConfig()
         fatal("SHRIMP_NIC=%s: unknown NIC kind (want "
               "shrimp|baseline|modern)", v);
     faultsFromEnv(cc.network.fault);
-    if (const char *v = envValue("SHRIMP_LIFECYCLE"))
-        cc.lifecycleTracing = *v != '0';
+    if (long on; envWhole("SHRIMP_LIFECYCLE", 0, 1, on))
+        cc.lifecycleTracing = on;
     if (long us; envWhole("SHRIMP_METRICS_INTERVAL_US", 0, INT_MAX, us))
         cc.metricsInterval = microseconds(double(us));
     if (long secs; envWhole("SHRIMP_WATCHDOG_SECS", 0, INT_MAX, secs))

@@ -36,7 +36,7 @@ bool parseMesh(const char *spec, int &width, int &height);
 
 /**
  * Parse all of @p text as a whole decimal number from @p lo to @p hi:
- * the run settings' counts, seeds, seconds and microseconds.
+ * the run settings' switches, counts, seeds, seconds and microseconds.
  * @return parse success.
  */
 bool parseWhole(const char *text, long lo, long hi, long &out);
@@ -131,7 +131,8 @@ struct ClusterConfig
  * and a Cluster uses the config it is given. A malformed mesh, NIC or
  * outage spec is fatal, and so is a number that does not parse in
  * full or lies outside its range (a rate outside [0, 1], a negative
- * seed, jitter, cadence or watchdog period).
+ * seed, jitter, cadence or watchdog period, a switch other than 0 or
+ * 1).
  */
 ClusterConfig envClusterConfig();
 

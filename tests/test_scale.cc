@@ -126,7 +126,7 @@ TEST(MeshEnvDeathTest, MalformedEnvIsFatal)
     ::unsetenv("SHRIMP_MESH");
 }
 
-/** Each numeric run setting parses in full, within its range. */
+/** Each numeric run setting and switch parses in full, within its range. */
 TEST(RunSettingsEnv, NumbersParseInFull)
 {
     const char *const settings[][2] = {
@@ -135,10 +135,14 @@ TEST(RunSettingsEnv, NumbersParseInFull)
         {"SHRIMP_FAULT_SEED", "5000000000"},
         {"SHRIMP_METRICS_INTERVAL_US", "50"},
         {"SHRIMP_WATCHDOG_SECS", "0"},
+        {"SHRIMP_LIFECYCLE", "1"},
+        {"SHRIMP_FAULT_RELIABILITY", "1"},
+        {"SHRIMP_REPORT_HOST", "1"},
     };
     for (const auto &s : settings)
         ::setenv(s[0], s[1], 1);
     core::ClusterConfig cc = core::envClusterConfig();
+    const bool report_host = apps::reportHostPerf();
     for (const auto &s : settings)
         ::unsetenv(s[0]);
     EXPECT_EQ(cc.network.fault.dropRate, 0.25);
@@ -146,13 +150,16 @@ TEST(RunSettingsEnv, NumbersParseInFull)
     EXPECT_EQ(cc.network.fault.seed, 5000000000u);
     EXPECT_EQ(cc.metricsInterval, microseconds(50));
     EXPECT_EQ(cc.watchdogSecs, 0);
+    EXPECT_TRUE(cc.lifecycleTracing);
+    EXPECT_TRUE(cc.network.fault.forceReliability);
+    EXPECT_TRUE(report_host);
 }
 
 /**
  * A number that does not parse in full, or lies outside its range, is
  * fatal: a rate outside [0, 1], a negative jitter, seed, cadence or
- * watchdog period, a jitter too large for a Tick, or a cadence finer
- * than a microsecond.
+ * watchdog period, a jitter too large for a Tick, a cadence finer
+ * than a microsecond, or a switch other than 0 or 1.
  */
 TEST(RunSettingsEnvDeathTest, MalformedNumbersAreFatal)
 {
@@ -170,10 +177,23 @@ TEST(RunSettingsEnvDeathTest, MalformedNumbersAreFatal)
         {"SHRIMP_METRICS_INTERVAL_US", "0.0001"},
         {"SHRIMP_WATCHDOG_SECS", "abc"},
         {"SHRIMP_WATCHDOG_SECS", "-2"},
+        {"SHRIMP_LIFECYCLE", "no"},
+        {"SHRIMP_LIFECYCLE", "2"},
+        {"SHRIMP_FAULT_RELIABILITY", "abc"},
+        {"SHRIMP_FAULT_RELIABILITY", "no"},
+        {"SHRIMP_REPORT_HOST", "no"},
+        {"SHRIMP_REPORT_HOST", "abc"},
+        {"SHRIMP_REPORT_HOST", "2"},
+    };
+    // SHRIMP_REPORT_HOST is read where a report is written, not with
+    // the cluster's settings.
+    auto readSettings = [] {
+        core::envClusterConfig();
+        apps::reportHostPerf();
     };
     for (const auto &b : bad) {
         ::setenv(b[0], b[1], 1);
-        EXPECT_DEATH(core::envClusterConfig(), b[0]) << b[0] << "=" << b[1];
+        EXPECT_DEATH(readSettings(), b[0]) << b[0] << "=" << b[1];
         ::unsetenv(b[0]);
     }
 }

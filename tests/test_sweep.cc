@@ -79,10 +79,25 @@ TEST(Sweep, JobsEnvControlsWorkerCount)
     EXPECT_EQ(sweepJobs(), 1);
     ::setenv("SHRIMP_JOBS", "4", 1);
     EXPECT_EQ(sweepJobs(), 4);
-    ::setenv("SHRIMP_JOBS", "0", 1);
-    EXPECT_EQ(sweepJobs(), 1);
-    ::setenv("SHRIMP_JOBS", "9999", 1);
+    ::setenv("SHRIMP_JOBS", "64", 1);
     EXPECT_EQ(sweepJobs(), 64);
+    ::unsetenv("SHRIMP_JOBS");
+}
+
+/**
+ * SHRIMP_JOBS is a whole number from 1 to 64. Anything else is fatal,
+ * and a sweep dies of it before it runs a job: the job here would end
+ * the process without the message.
+ */
+TEST(SweepDeathTest, MalformedJobsAreFatal)
+{
+    for (const char *bad : {"0", "-3", "abc", "500"}) {
+        ::setenv("SHRIMP_JOBS", bad, 1);
+        EXPECT_DEATH(sweepJobs(), "SHRIMP_JOBS") << bad;
+        std::vector<std::function<int()>> jobs;
+        jobs.push_back([]() -> int { std::_Exit(3); });
+        EXPECT_DEATH(runSweep(std::move(jobs)), "SHRIMP_JOBS") << bad;
+    }
     ::unsetenv("SHRIMP_JOBS");
 }
 

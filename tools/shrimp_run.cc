@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "apps/barnes.hh"
@@ -68,7 +69,8 @@ usage(const char *argv0)
         "  --bodies N         barnes bodies (default 4096); keys and\n"
         "                     bodies must split evenly over --procs\n"
         "  --steps N          iterations/timesteps\n"
-        "  --seed N           workload seed (a whole number >= 0)\n"
+        "  --seed N           workload seed, a whole number >= 0\n"
+        "                     (default: the app's own seed)\n"
         "\n"
         "what-if knobs (Sec 4 + the modern design point):\n"
         "  --mesh WxH         mesh geometry (default 4x4; the paper's\n"
@@ -137,12 +139,15 @@ struct Options
     int grid = 130;
     int bodies = 4096;
     int steps = -1;
-    std::uint64_t seed = 0;
+    std::optional<std::uint64_t> seed; //!< --seed; unset = the app's own
     std::string statsJson; //!< --stats-json destination, empty = off
     std::string causalFile; //!< --causal destination, empty = off
 
     /** The environment's run settings, then the flags on top. */
     core::ClusterConfig cluster = core::envClusterConfig();
+
+    /** SHRIMP_REPORT_HOST, read before the run so a bad value fails fast. */
+    bool reportHost = reportHostPerf();
 
     /** The single command-line entry point. Exits on bad input. */
     static Options parse(int argc, char **argv);
@@ -334,7 +339,7 @@ runApp(const Options &o)
         if (o.steps > 0)
             cfg.iterations = o.steps;
         if (o.seed)
-            cfg.seed = o.seed;
+            cfg.seed = *o.seed;
         return o.app == "radix-svm"
                    ? runRadixSvm(o.cluster, o.protocol, o.procs, cfg)
                    : runRadixVmmc(o.cluster, o.useAu, o.procs, cfg);
@@ -353,7 +358,7 @@ runApp(const Options &o)
         cfg.bodies = o.bodies;
         cfg.timesteps = o.steps > 0 ? o.steps : 2;
         if (o.seed)
-            cfg.seed = o.seed;
+            cfg.seed = *o.seed;
         return o.app == "barnes-svm"
                    ? runBarnesSvm(o.cluster, o.protocol, o.procs, cfg)
                    : runBarnesNx(o.cluster, o.useAu, o.procs, cfg);
@@ -458,7 +463,7 @@ main(int argc, char **argv)
         RunReport rep = makeReport(r);
         // Host-side timing is non-deterministic, so it rides in the
         // report only on request — same gate the bench harness uses.
-        if (reportHostPerf())
+        if (o.reportHost)
             rep.host = hostPerf(r);
         rep.writeFile(o.statsJson);
         std::printf("report:         %s\n", o.statsJson.c_str());

@@ -37,6 +37,11 @@ inline constexpr Frame kInvalidFrame = ~Frame(0);
  * constructs in microseconds instead of faulting in gigabytes of
  * zeroes. Pages read as zero on first touch, matching the old
  * zero-initialised std::vector arena byte for byte.
+ *
+ * release() gives whole pages back to the host: afterwards they are
+ * not resident and read as zero, exactly like pages nobody has
+ * touched, and the next touch faults in a fresh zero page. The
+ * allocation stays the caller's; only its contents go.
  */
 class NodeMemory
 {
@@ -114,6 +119,25 @@ class NodeMemory
         if (!contains(p))
             panic("offsetOf: pointer not in this node's arena");
         return std::uint64_t(static_cast<const char *>(p) - arena);
+    }
+
+    /**
+     * Drop the contents of the whole pages [p, p + bytes), @p bytes
+     * rounded up to a page: they stop being resident and read as
+     * zero. Panics if @p p is not page-aligned or the range leaves
+     * the arena.
+     */
+    void
+    release(void *p, std::size_t bytes)
+    {
+        auto c = static_cast<char *>(p);
+        std::size_t len = (bytes + kPageBytes - 1) / kPageBytes * kPageBytes;
+        if (!contains(c) || std::size_t(c - arena) % kPageBytes != 0)
+            panic("release: %p is not a page of this node's arena", p);
+        if (len > arenaBytes - std::size_t(c - arena))
+            panic("release: %zu bytes at %p run past the arena", bytes, p);
+        if (::madvise(c, len, MADV_DONTNEED) != 0)
+            panic("release: madvise failed on %zu bytes at %p", len, p);
     }
 
     /** Host pointer for a (frame, offset) physical address. */

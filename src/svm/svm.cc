@@ -143,6 +143,14 @@ struct SvmRuntime::RankState
     std::map<PageId, std::vector<char>> pendingDiffs;
     bool initialized = false;
 
+    /**
+     * Pages applyNotices invalidated since the last barrier, and
+     * those it invalidated in the barrier interval before; see
+     * releaseStaleCopies.
+     */
+    std::vector<PageId> invalidatedNow;
+    std::vector<PageId> invalidatedBefore;
+
     // Communication plumbing.
     char *reqBuf = nullptr;
     NodeCtl *ctl = nullptr;
@@ -780,6 +788,7 @@ SvmRuntime::applyNotices(int rank, const Vc &upto)
                 ps.valid = false;
                 ps.writable = false;
                 rs.twins[page].reset();
+                rs.invalidatedNow.push_back(page);
                 cpu.compute(cfg.invalidateCost);
                 ++invalidated;
             }
@@ -791,6 +800,55 @@ SvmRuntime::applyNotices(int rank, const Vc &upto)
 
     if (invalidated)
         rs.stInvalidations.inc(invalidated);
+}
+
+/**
+ * Give back to the host the copies that have stayed invalid since the
+ * previous barrier. Runs at a barrier, right after its notices are
+ * applied, when the rank has no fetch outstanding: a fetch reply is
+ * the only write into a copy the rank does not home. Nothing reads an
+ * invalid copy (every access fetches the page first), so a released
+ * page's zeroes are never seen. Waiting one interval keeps the copies
+ * a rank fetches again right after the barrier that invalidated them.
+ * Consecutive pages go back in one call, and no simulated time is
+ * charged.
+ */
+void
+SvmRuntime::releaseStaleCopies(int rank)
+{
+    RankState &rs = *ranks[rank];
+    std::vector<PageId> &fresh = rs.invalidatedNow;
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+    const std::vector<PageId> &stale = rs.invalidatedBefore;
+
+    // A page that is invalid now and was not invalidated in this
+    // interval has stayed invalid for all of it: a fetch would have
+    // made it valid, and only a new notice makes it invalid again.
+    // Besides the stale pages, that holds for copies released earlier
+    // and never touched, so a run may cover those too. Home pages are
+    // always valid, so a run never crosses one.
+    auto releasable = [&](PageId p) {
+        return !rs.pages[p].valid &&
+               !std::binary_search(fresh.begin(), fresh.end(), p);
+    };
+
+    node::NodeMemory &mem = cluster.node(rank).mem();
+    for (std::size_t i = 0; i < stale.size(); ++i) {
+        PageId first = stale[i];
+        if (!releasable(first))
+            continue;
+        PageId end = first + 1;
+        while (end <= stale.back() && releasable(end))
+            ++end;
+        while (i + 1 < stale.size() && stale[i + 1] < end)
+            ++i;
+        mem.release(replicas[rank] + std::size_t(first) * node::kPageBytes,
+                    std::size_t(end - first) * node::kPageBytes);
+    }
+
+    rs.invalidatedBefore.swap(fresh);
+    fresh.clear();
 }
 
 // ---------------------------------------------------------------------
@@ -967,6 +1025,7 @@ SvmRuntime::managerBarrierArrive(int mgr, int rank_arrived,
         sendCtlWithNotices(mgr, r, kBarrRelease, 0, barrierVc, desc);
     }
     applyNotices(0, barrierVc);
+    releaseStaleCopies(0);
     ranks[0]->barrierDone = ranks[0]->barrierSeq;
 }
 
@@ -1159,6 +1218,7 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
         Vc vc(cfg.nprocs);
         std::memcpy(vc.data(), payload, std::size_t(cfg.nprocs) * 4);
         applyNotices(rank, vc);
+        releaseStaleCopies(rank);
         rs.barrierDone = rs.barrierSeq;
         break;
       }

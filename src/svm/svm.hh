@@ -232,6 +232,7 @@ class SvmRuntime
     void flushPendingDiffs(int rank);
     void capturePendingDiff(int rank, PageId page);
     void applyNotices(int rank, const Vc &upto);
+    void releaseStaleCopies(int rank);
     std::size_t noticeBytes(const Vc &have, const Vc &upto) const;
     static void vcMax(Vc &into, const Vc &other);
 

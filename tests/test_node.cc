@@ -8,6 +8,8 @@
 
 #include <cstring>
 
+#include <sys/mman.h>
+
 #include "node/node.hh"
 
 using namespace shrimp;
@@ -59,6 +61,47 @@ TEST(NodeMemory, ExhaustionIsFatal)
             m2.alloc(2 * kPageBytes);
         },
         "exhausted");
+}
+
+/**
+ * release() gives pages back to the host: they stop being resident
+ * and read as zero, like pages nobody has touched, and the pages
+ * around them keep their contents. An unaligned pointer, and a range
+ * that runs past the arena, panic.
+ */
+TEST(NodeMemory, ReleasedPagesReadZeroAndAreNotResident)
+{
+    NodeMemory mem(8 * kPageBytes);
+    auto *p = static_cast<unsigned char *>(mem.alloc(3 * kPageBytes, true));
+    std::memset(p, 0xab, 3 * kPageBytes);
+    auto resident = [](const unsigned char *page) {
+        unsigned char v = 0;
+        EXPECT_EQ(::mincore(const_cast<unsigned char *>(page), kPageBytes,
+                            &v),
+                  0);
+        return (v & 1) != 0;
+    };
+    ASSERT_TRUE(resident(p));
+    ASSERT_TRUE(resident(p + kPageBytes));
+
+    mem.release(p, 2 * kPageBytes);
+    EXPECT_FALSE(resident(p));
+    EXPECT_FALSE(resident(p + kPageBytes));
+    EXPECT_TRUE(resident(p + 2 * kPageBytes));
+    std::size_t nonzero = 0;
+    for (std::size_t i = 0; i < 2 * kPageBytes; ++i)
+        nonzero += p[i] != 0;
+    EXPECT_EQ(nonzero, 0u);
+    EXPECT_EQ(p[2 * kPageBytes], 0xab);
+
+    EXPECT_DEATH(mem.release(p + 8, kPageBytes), "not a page");
+    EXPECT_DEATH(mem.release(p + 6 * kPageBytes, 3 * kPageBytes),
+                 "past the arena");
+    // A partial page rounds up to a whole one, here the arena's ninth.
+    EXPECT_DEATH(mem.release(p + 7 * kPageBytes, kPageBytes + 1),
+                 "past the arena");
+    EXPECT_DEATH(mem.release(p + 8 * kPageBytes, kPageBytes),
+                 "not a page");
 }
 
 TEST(MemoryBus, SerializesReservations)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <array>
 #include <numeric>
 #include <vector>
 
@@ -186,6 +187,102 @@ TEST_P(SvmProtocolTest, MigratoryDataThroughLocks)
     c.run();
     EXPECT_EQ(result, std::uint32_t(kRounds * 4 * 4))
         << protocolName(cfg.protocol);
+}
+
+namespace
+{
+
+/** Whether @p rank's copy of the shared page at @p page is resident. */
+bool
+resident(SvmRuntime &rt, int rank, const void *page)
+{
+    unsigned char v = 0;
+    EXPECT_EQ(::mincore(rt.replicaAddr(rank, page), node::kPageBytes, &v),
+              0);
+    return (v & 1) != 0;
+}
+
+} // anonymous namespace
+
+/**
+ * A copy that stays invalid for a whole barrier interval goes back to
+ * the host at the barrier that ends it. Rank 1 reads pages a, c and r,
+ * homed on rank 0, and rank 0 reads page h, homed on rank 1 between a
+ * and c. The homes then write them all, so the next barrier
+ * invalidates the copies: they stay resident through that interval,
+ * in which rank 1 fetches r again. At the barrier after it, the copies
+ * of a, c and h are released, one on each side of a home page that
+ * stays, while r and every home copy stay resident, and each page
+ * reads its home's value.
+ */
+TEST_P(SvmProtocolTest, InvalidCopiesGoBackAtTheNextBarrier)
+{
+    constexpr std::size_t kWords = node::kPageBytes / 4;
+    core::Cluster c;
+    SvmConfig cfg;
+    cfg.protocol = GetParam();
+    cfg.nprocs = 2;
+    cfg.heapBytes = 16 * node::kPageBytes;
+    SvmRuntime rt(c, cfg);
+
+    auto *pages = rt.sharedAllocArray<std::uint32_t>(4 * kWords);
+    std::uint32_t *a = pages, *h = pages + kWords, *cp = pages + 2 * kWords,
+                  *r = pages + 3 * kWords;
+    rt.setHomeBlock(pages, 4 * node::kPageBytes, 0);
+    rt.setHomeBlock(h, node::kPageBytes, 1);
+
+    // Residency of {a, h, c, r} on each rank, after barriers 2 and 3.
+    using Seen = std::array<bool, 4>;
+    Seen invalidated1{}, released1{}, released0{};
+    std::array<std::uint32_t, 4> values{};
+    auto look = [&rt](int rank, std::initializer_list<const void *> ps) {
+        Seen out{};
+        std::size_t i = 0;
+        for (const void *p : ps)
+            out[i++] = resident(rt, rank, p);
+        return out;
+    };
+
+    c.spawnOn(0, "rank0", [&] {
+        rt.init(0);
+        SvmView v(rt, 0);
+        v.read(h);
+        v.barrier();
+        v.write(a, 11u);
+        v.write(cp, 33u);
+        v.write(r, 44u);
+        v.barrier();
+        v.barrier();
+        released0 = look(0, {a, h, cp, r});
+        values[1] = v.read(h);
+        v.barrier();
+    });
+    c.spawnOn(1, "rank1", [&] {
+        rt.init(1);
+        SvmView v(rt, 1);
+        v.read(a);
+        v.read(cp);
+        v.read(r);
+        v.barrier();
+        v.write(h, 22u);
+        v.barrier();
+        invalidated1 = look(1, {a, h, cp, r});
+        v.read(r);
+        v.barrier();
+        released1 = look(1, {a, h, cp, r});
+        values[0] = v.read(a);
+        values[2] = v.read(cp);
+        values[3] = v.read(r);
+        v.barrier();
+    });
+    c.run();
+
+    const char *name = protocolName(cfg.protocol);
+    EXPECT_EQ(invalidated1, (Seen{true, true, true, true})) << name;
+    EXPECT_EQ(released1, (Seen{false, true, false, true})) << name;
+    EXPECT_EQ(released0, (Seen{true, false, true, true})) << name;
+    EXPECT_EQ(values, (std::array<std::uint32_t, 4>{11, 22, 33, 44}))
+        << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, SvmProtocolTest,

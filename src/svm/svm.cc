@@ -806,10 +806,10 @@ SvmRuntime::applyNotices(int rank, const Vc &upto)
  * Give back to the host the copies that have stayed invalid since the
  * previous barrier. Runs at a barrier, right after its notices are
  * applied, when the rank has no fetch outstanding: a fetch reply is
- * the only write into a copy the rank does not home. Nothing reads an
- * invalid copy (every access fetches the page first), so a released
- * page's zeroes are never seen. Waiting one interval keeps the copies
- * a rank fetches again right after the barrier that invalidated them.
+ * the only write into an invalid copy. Nothing reads an invalid copy
+ * (every access fetches the page first), so a released page's zeroes
+ * are never seen. Waiting one interval keeps the copies a rank
+ * fetches again right after the barrier that invalidated them.
  * Consecutive pages go back in one call, and no simulated time is
  * charged.
  */

@@ -13,6 +13,7 @@
 #define SHRIMP_NODE_MEMORY_HH
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -38,10 +39,14 @@ inline constexpr Frame kInvalidFrame = ~Frame(0);
  * zeroes. Pages read as zero on first touch, matching the old
  * zero-initialised std::vector arena byte for byte.
  *
- * release() gives whole pages back to the host: afterwards they are
- * not resident and read as zero, exactly like pages nobody has
- * touched, and the next touch faults in a fresh zero page. The
- * allocation stays the caller's; only its contents go.
+ * release() gives the host pages that lie wholly inside a range back
+ * to the host: afterwards they are not resident and read as zero,
+ * exactly like pages nobody has touched, and the next touch faults in
+ * a fresh zero page. Where the host's pages are larger than kPageBytes
+ * (aarch64 kernels often use 16 or 64 KB), an arena page that shares
+ * a host page with bytes outside the range keeps its contents, so a
+ * release never changes a byte outside its range. The allocation
+ * stays the caller's; only its contents go.
  */
 class NodeMemory
 {
@@ -122,10 +127,11 @@ class NodeMemory
     }
 
     /**
-     * Drop the contents of the whole pages [p, p + bytes), @p bytes
-     * rounded up to a page: they stop being resident and read as
-     * zero. Panics if @p p is not page-aligned or the range leaves
-     * the arena.
+     * Give back to the host the host pages wholly inside [p, p +
+     * bytes), @p bytes rounded up to a whole arena page: they stop
+     * being resident and read as zero. Bytes of the range on a host
+     * page that reaches outside it are left as they are. Panics if @p p
+     * is not an arena page or the range leaves the arena.
      */
     void
     release(void *p, std::size_t bytes)
@@ -136,8 +142,17 @@ class NodeMemory
             panic("release: %p is not a page of this node's arena", p);
         if (len > arenaBytes - std::size_t(c - arena))
             panic("release: %zu bytes at %p run past the arena", bytes, p);
-        if (::madvise(c, len, MADV_DONTNEED) != 0)
-            panic("release: madvise failed on %zu bytes at %p", len, p);
+        // The arena starts on a host page, so round within it.
+        const std::size_t host = hostPageBytes();
+        std::size_t lo = std::size_t(c - arena) + host - 1;
+        lo -= lo % host;
+        std::size_t hi = std::size_t(c - arena) + len;
+        hi -= hi % host;
+        if (lo >= hi)
+            return;
+        if (::madvise(arena + lo, hi - lo, MADV_DONTNEED) != 0)
+            panic("release: madvise failed on %zu bytes at %p", hi - lo,
+                  static_cast<void *>(arena + lo));
     }
 
     /** Host pointer for a (frame, offset) physical address. */
@@ -154,6 +169,15 @@ class NodeMemory
     Frame frameCount() const { return Frame(arenaBytes / kPageBytes); }
 
   private:
+    /** The host's page size: madvise's granule. */
+    static std::size_t
+    hostPageBytes()
+    {
+        static const std::size_t page =
+            std::size_t(::sysconf(_SC_PAGESIZE));
+        return page;
+    }
+
     char *arena = nullptr;
     std::size_t arenaBytes = 0;
     std::size_t used = 0;

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include "node/node.hh"
 
@@ -63,45 +65,102 @@ TEST(NodeMemory, ExhaustionIsFatal)
         "exhausted");
 }
 
+namespace
+{
+
+/** The host's page size: release() drops only whole host pages. */
+std::size_t
+hostPage()
+{
+    return std::size_t(::sysconf(_SC_PAGESIZE));
+}
+
+/** Whether the host page holding @p p is resident. */
+bool
+resident(const unsigned char *p)
+{
+    auto *page = const_cast<unsigned char *>(
+        p - reinterpret_cast<std::uintptr_t>(p) % hostPage());
+    unsigned char v = 0;
+    EXPECT_EQ(::mincore(page, hostPage(), &v), 0);
+    return (v & 1) != 0;
+}
+
+} // anonymous namespace
+
 /**
- * release() gives pages back to the host: they stop being resident
- * and read as zero, like pages nobody has touched, and the pages
- * around them keep their contents. An unaligned pointer, and a range
- * that runs past the arena, panic.
+ * release() gives host pages back to the host: they stop being
+ * resident and read as zero, like pages nobody has touched, and the
+ * pages after them keep their contents. An unaligned pointer, and a
+ * range that runs past the arena, panic.
  */
 TEST(NodeMemory, ReleasedPagesReadZeroAndAreNotResident)
 {
-    NodeMemory mem(8 * kPageBytes);
-    auto *p = static_cast<unsigned char *>(mem.alloc(3 * kPageBytes, true));
-    std::memset(p, 0xab, 3 * kPageBytes);
-    auto resident = [](const unsigned char *page) {
-        unsigned char v = 0;
-        EXPECT_EQ(::mincore(const_cast<unsigned char *>(page), kPageBytes,
-                            &v),
-                  0);
-        return (v & 1) != 0;
-    };
+    const std::size_t host = hostPage();
+    const std::size_t pages = 8 * host / kPageBytes;
+    NodeMemory mem(pages * kPageBytes);
+    auto *p = static_cast<unsigned char *>(mem.alloc(3 * host, true));
+    std::memset(p, 0xab, 3 * host);
     ASSERT_TRUE(resident(p));
-    ASSERT_TRUE(resident(p + kPageBytes));
+    ASSERT_TRUE(resident(p + host));
 
-    mem.release(p, 2 * kPageBytes);
+    mem.release(p, 2 * host);
     EXPECT_FALSE(resident(p));
-    EXPECT_FALSE(resident(p + kPageBytes));
-    EXPECT_TRUE(resident(p + 2 * kPageBytes));
+    EXPECT_FALSE(resident(p + host));
+    EXPECT_TRUE(resident(p + 2 * host));
     std::size_t nonzero = 0;
-    for (std::size_t i = 0; i < 2 * kPageBytes; ++i)
+    for (std::size_t i = 0; i < 2 * host; ++i)
         nonzero += p[i] != 0;
     EXPECT_EQ(nonzero, 0u);
-    EXPECT_EQ(p[2 * kPageBytes], 0xab);
+    EXPECT_EQ(p[2 * host], 0xab);
 
     EXPECT_DEATH(mem.release(p + 8, kPageBytes), "not a page");
-    EXPECT_DEATH(mem.release(p + 6 * kPageBytes, 3 * kPageBytes),
+    EXPECT_DEATH(mem.release(p + (pages - 2) * kPageBytes, 3 * kPageBytes),
                  "past the arena");
-    // A partial page rounds up to a whole one, here the arena's ninth.
-    EXPECT_DEATH(mem.release(p + 7 * kPageBytes, kPageBytes + 1),
+    // A partial page rounds up to a whole one, past the arena's last.
+    EXPECT_DEATH(mem.release(p + (pages - 1) * kPageBytes, kPageBytes + 1),
                  "past the arena");
-    EXPECT_DEATH(mem.release(p + 8 * kPageBytes, kPageBytes),
+    EXPECT_DEATH(mem.release(p + pages * kPageBytes, kPageBytes),
                  "not a page");
+}
+
+/**
+ * A release changes no byte outside its range, whatever the host's
+ * page size: of the arena pages inside it, those on host pages it
+ * covers whole read zero and the rest keep their bytes. Where the
+ * host page is an arena page, as on x86-64, every page of the range
+ * reads zero, and releasing one page leaves both neighbours as they
+ * were.
+ */
+TEST(NodeMemory, ReleaseNeverChangesNeighbouringPages)
+{
+    const std::size_t host = hostPage();
+    const std::size_t pages = 3 * host / kPageBytes;
+    NodeMemory mem(pages * kPageBytes);
+    auto *p =
+        static_cast<unsigned char *>(mem.alloc(pages * kPageBytes, true));
+
+    auto check = [&](std::size_t first, std::size_t count) {
+        for (std::size_t i = 0; i < pages; ++i)
+            std::memset(p + i * kPageBytes, int(i + 1), kPageBytes);
+        mem.release(p + first * kPageBytes, count * kPageBytes);
+        std::size_t lo = (first * kPageBytes + host - 1) / host * host;
+        std::size_t hi = (first + count) * kPageBytes / host * host;
+        for (std::size_t i = 0; i < pages; ++i) {
+            std::size_t at = i * kPageBytes;
+            bool dropped = at >= lo && at + kPageBytes <= hi;
+            auto want = static_cast<unsigned char>(dropped ? 0 : i + 1);
+            std::size_t wrong = 0;
+            for (std::size_t b = 0; b < kPageBytes; ++b)
+                wrong += p[at + b] != want;
+            EXPECT_EQ(wrong, 0u) << "page " << i << " after releasing "
+                                 << count << " at page " << first;
+        }
+    };
+    for (std::size_t first = 0; first < pages; ++first)
+        check(first, 1);
+    check(1, pages - 2);
+    check(0, pages);
 }
 
 TEST(MemoryBus, SerializesReservations)

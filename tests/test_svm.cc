@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -192,13 +194,18 @@ TEST_P(SvmProtocolTest, MigratoryDataThroughLocks)
 namespace
 {
 
-/** Whether @p rank's copy of the shared page at @p page is resident. */
+/**
+ * Whether the host page holding @p rank's copy of the shared page at
+ * @p page is resident.
+ */
 bool
 resident(SvmRuntime &rt, int rank, const void *page)
 {
+    const std::size_t host = std::size_t(::sysconf(_SC_PAGESIZE));
+    auto *copy = static_cast<char *>(rt.replicaAddr(rank, page));
+    copy -= reinterpret_cast<std::uintptr_t>(copy) % host;
     unsigned char v = 0;
-    EXPECT_EQ(::mincore(rt.replicaAddr(rank, page), node::kPageBytes, &v),
-              0);
+    EXPECT_EQ(::mincore(copy, host, &v), 0);
     return (v & 1) != 0;
 }
 
@@ -278,11 +285,15 @@ TEST_P(SvmProtocolTest, InvalidCopiesGoBackAtTheNextBarrier)
     c.run();
 
     const char *name = protocolName(cfg.protocol);
+    EXPECT_EQ(values, (std::array<std::uint32_t, 4>{11, 22, 33, 44}))
+        << name;
+    // Where a host page holds several arena pages, release() keeps
+    // the arena pages it cannot drop whole, so only values are checked.
+    if (::sysconf(_SC_PAGESIZE) != long(node::kPageBytes))
+        return;
     EXPECT_EQ(invalidated1, (Seen{true, true, true, true})) << name;
     EXPECT_EQ(released1, (Seen{false, true, false, true})) << name;
     EXPECT_EQ(released0, (Seen{true, false, true, true})) << name;
-    EXPECT_EQ(values, (std::array<std::uint32_t, 4>{11, 22, 33, 44}))
-        << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, SvmProtocolTest,

@@ -123,6 +123,9 @@ runRadixSvm(const core::ClusterConfig &cluster_config,
                          init_keys.data() + std::size_t(q) * per,
                          per * 4);
             v.barrier();
+            // Every rank has written its block: drop the host copy.
+            if (q == 0)
+                std::vector<std::uint32_t>().swap(init_keys);
             region.enter(q);
 
             std::uint32_t *from = src;
@@ -288,6 +291,9 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
             mbox.init(q);
             coll.init(q);
             coll.barrier(q);
+            // Every rank has copied its block: drop the host copy.
+            if (q == 0)
+                std::vector<std::uint32_t>().swap(init_keys);
             region.enter(q);
 
             bool a_to_b = true;

@@ -1,7 +1,6 @@
 #include "nic/shrimp_nic.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -134,25 +133,19 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
         AuTrain &fresh = trainOrder.emplace_back();
         fresh.localFrame = frame;
         fresh.dstNode = entry->dstNode;
-        fresh.dstFrame = entry->dstFrame;
         fresh.combining = entry->combining;
-        fresh.interruptRequest = entry->interruptRequest;
-        fresh.life = sim.recorder().sendStamp();
+        fresh.pkt.dstFrame = entry->dstFrame;
+        fresh.pkt.interruptRequest = entry->interruptRequest;
+        fresh.pkt.sender = this;
+        fresh.pkt.life = sim.recorder().sendStamp();
     }
     AuTrain &train = trainOrder[slot];
-
-    AuWrite w;
-    w.offset = offset;
-    w.bytes = bytes;
-    w.dataIndex = std::uint32_t(train.data.size());
-    train.data.insert(train.data.end(),
-                      static_cast<const char *>(src),
-                      static_cast<const char *>(src) + bytes);
-    train.writes.push_back(w);
+    train.pkt.records.append(offset, src, bytes);
+    train.pkt.dataBytes += bytes;
 
     // Count the hardware packets this store contributes.
     if (!train.combining) {
-        train.packetCount += auStorePackets(bytes);
+        train.pkt.packetCount += auStorePackets(bytes);
         train.openPacketBytes = 0;
         train.lastEnd = offset + bytes;
     } else {
@@ -165,7 +158,7 @@ ShrimpNic::auStore(const void *src, std::uint32_t bytes)
                 ? _params.combineMaxBytes - train.openPacketBytes
                 : 0;
             if (room == 0) {
-                ++train.packetCount;
+                ++train.pkt.packetCount;
                 train.openPacketBytes = 0;
                 room = _params.combineMaxBytes;
                 contiguous = true;
@@ -195,16 +188,15 @@ ShrimpNic::auFlush()
 void
 ShrimpNic::flushTrain(AuTrain &train)
 {
-    if (train.writes.empty())
+    if (train.pkt.records.empty())
         return;
     trainIndex[train.localFrame] = kNoTrain;
 
     double link_bw = _net.params().linkBytesPerSec;
-    std::uint32_t data_bytes = std::uint32_t(train.data.size());
-    std::uint32_t wire =
-        data_bytes + train.packetCount * kPacketHeaderBytes;
+    std::uint32_t hw = train.pkt.packetCount;
+    std::uint32_t wire = train.pkt.dataBytes + hw * kPacketHeaderBytes;
 
-    stAuPackets.inc(train.packetCount);
+    stAuPackets.inc(hw);
     stAuWireBytes.inc(wire);
 
     // FIFO occupancy. The link drains ~8x faster than write-through
@@ -213,8 +205,7 @@ ShrimpNic::flushTrain(AuTrain &train)
     // when injection is already backlogged (incoming priority or
     // network contention pushing chipBusyUntil out).
     bool backlogged = chipBusyUntil > sim.now() + _params.auSnoopLatency;
-    std::uint32_t per_packet =
-        train.packetCount ? wire / train.packetCount : wire;
+    std::uint32_t per_packet = hw ? wire / hw : wire;
     std::uint32_t contribution =
         backlogged ? wire : std::min(wire, 2 * per_packet);
     // Physical bound: a FIFO cannot hold more than its capacity.
@@ -238,25 +229,10 @@ ShrimpNic::flushTrain(AuTrain &train)
                transferTime(wire, link_bw);
     chipBusyUntil = inj;
 
-    AuTrainPacket pkt;
-    pkt.srcNode = nodeId();
-    pkt.dstFrame = train.dstFrame;
-    pkt.writes = std::move(train.writes);
-    pkt.data = std::move(train.data);
-    pkt.packetCount = train.packetCount;
-    pkt.dataBytes = data_bytes;
-    pkt.interruptRequest = train.interruptRequest;
-    pkt.life = train.life;
-    pkt.life.queued = sim.now(); // NI-visible ordering point
+    train.pkt.life.queued = sim.now(); // NI-visible ordering point
     ++auInFlight;
-    pkt.applied = [this] {
-        if (--auInFlight == 0)
-            auFenceWait.wakeAll(sim);
-    };
-
     auto payload = std::make_shared<NicPayload>();
-    std::uint32_t hw = pkt.packetCount;
-    payload->body = std::move(pkt);
+    payload->body.emplace<AuTrainPacket>(std::move(train.pkt));
     NodeId dst = train.dstNode;
 
     std::uint32_t credit_bytes = contribution;
@@ -265,8 +241,13 @@ ShrimpNic::flushTrain(AuTrain &train)
         fifoCredit(credit_bytes);
         inject(payload, dst, wire, hw);
     });
+}
 
-    train = AuTrain();
+void
+ShrimpNic::trainLanded()
+{
+    if (--auInFlight == 0)
+        auFenceWait.wakeAll(sim);
 }
 
 void
@@ -346,19 +327,17 @@ ShrimpNic::receive(const mesh::Packet &pkt)
                           _ipt.interruptEnable(du->dstFrame);
         } else {
             auto &mem = _node.mem();
-            auto &au = std::get<AuTrainPacket>(payload->body);
+            const auto &au = std::get<AuTrainPacket>(payload->body);
             if (au.dstFrame >= mem.frameCount())
                 panic("AU packet to invalid frame %u", au.dstFrame);
-            char *page =
-                static_cast<char *>(mem.ptrOf(au.dstFrame, 0));
-            for (const auto &w : au.writes)
-                std::memcpy(page + w.offset, au.data.data() + w.dataIndex,
-                            w.bytes);
-            if (au.applied)
-                au.applied();
-            d.srcNode = au.srcNode;
+            // The payload is shared with the sender's retransmit
+            // buffer, so the replay leaves the records as they are.
+            au.records.replay(
+                static_cast<char *>(mem.ptrOf(au.dstFrame, 0)));
+            au.sender->trainLanded();
+            d.srcNode = au.sender->nodeId();
             d.frame = au.dstFrame;
-            d.offset = au.writes.empty() ? 0 : au.writes.front().offset;
+            d.offset = au.records.firstOffset();
             d.bytes = au.dataBytes;
             d.endOfMessage = true;
             d.automatic = true;

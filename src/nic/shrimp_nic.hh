@@ -111,28 +111,27 @@ class ShrimpNic : public NicBase
     ShrimpNicParams &params() { return _params; }
 
   private:
-    /** One open AU packet train. */
+    /**
+     * One open AU packet train: the packet it becomes, stamped at its
+     * first snooped store, and the combining state that shapes it.
+     * The packet moves out whole at flush, leaving its records empty.
+     */
     struct AuTrain
     {
         node::Frame localFrame = node::kInvalidFrame; //!< snooped page
         NodeId dstNode = kInvalidNode;
-        node::Frame dstFrame = node::kInvalidFrame;
-        std::vector<AuWrite> writes;
-        std::vector<char> data;
-        std::uint32_t packetCount = 0;
         std::uint32_t openPacketBytes = 0;  //!< bytes in current packet
         std::uint32_t lastEnd = ~0u;        //!< end offset of last store
         bool combining = false;
-        bool interruptRequest = false;
-
-        /** Stamped at the train's first snooped store. */
-        PacketLife life;
+        AuTrainPacket pkt;
     };
 
     Tick issueCost() const override { return _params.udmaIssueCost; }
     int queueDepth() const override { return _params.duQueueDepth; }
     void transmit(DuPacket &&pkt, NodeId dst) override;
     void flushTrain(AuTrain &train);
+    /** One of this NI's trains has landed (called by the lander). */
+    void trainLanded();
     void fifoCredit(std::uint32_t wire_bytes);
     void receive(const mesh::Packet &pkt) override;
     void finishDelivery(const Delivery &d, bool want_notify);

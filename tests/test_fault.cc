@@ -493,6 +493,29 @@ TEST(FaultDeterminism, AppSurvivesOnePercentDropCorrectly)
     EXPECT_GT(faulty.stats.counterValue("mesh.retransmits"), 0u);
 }
 
+TEST(FaultDeterminism, AuTrainsSurviveOnePercentDrop)
+{
+    // AURC carries every shared store in AU trains. A sender's
+    // retransmit buffer shares each train with the landing NI, and can
+    // still hold and resend one that has landed, so landing reads the
+    // train's records and leaves them intact.
+    auto aurcRadix = [](double drop_rate) {
+        core::ClusterConfig cc;
+        cc.network.fault.dropRate = drop_rate;
+        cc.network.fault.seed = 5;
+        apps::RadixConfig cfg;
+        cfg.keys = 16 * 1024;
+        return apps::runRadixSvm(cc, svm::Protocol::AURC, 4, cfg);
+    };
+    apps::AppResult clean = aurcRadix(0.0);
+    apps::AppResult faulty = aurcRadix(0.01);
+    EXPECT_EQ(faulty.checksum, clean.checksum);
+    EXPECT_GT(faulty.stats.counterValue("node0.nic.au_packets"), 0u);
+    EXPECT_GT(faulty.stats.counterValue("mesh.retransmits"), 0u);
+    // Some resent packets had already landed.
+    EXPECT_GT(faulty.stats.counterValue("mesh.dup_rx"), 0u);
+}
+
 TEST(FaultDeterminism, ZeroFaultConfigMatchesDefaultConfig)
 {
     // Golden: an all-zero FaultParams must not perturb the simulation

@@ -295,6 +295,107 @@ TEST(ShrimpNic, NonConsecutiveStoresBreakCombining)
     EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_packets"), 8u);
 }
 
+TEST(ShrimpNic, AuTrainLandsItsStoresInStoreOrder)
+{
+    NicHarness h;
+    char *dst = static_cast<char *>(h.n1.mem().alloc(4096, true));
+    char *local = static_cast<char *>(h.n0.mem().alloc(4096, true));
+    h.nic0.bindAu(h.n0.mem().frameOf(local), 1,
+                  h.n1.mem().frameOf(dst), /*combining=*/true, false);
+    std::vector<Delivery> deliveries;
+    h.nic1.setDeliverHook(
+        [&](const Delivery &d) { deliveries.push_back(d); });
+
+    // One train: two stores to one offset, stores of every Pentium
+    // width, a 256-byte store and a store inside it.
+    auto store = [&](std::uint32_t offset, const void *v,
+                     std::uint32_t bytes) {
+        std::memcpy(local + offset, v, bytes);
+        h.nic0.auStore(local + offset, bytes);
+    };
+    const std::uint64_t first = 0x1111111111111111;
+    const std::uint64_t last = 0x2222222222222222;
+    const std::uint8_t b1 = 0x33;
+    const std::uint16_t b2 = 0x4444;
+    const std::uint32_t b4 = 0x55555555, inside = 0x77777777;
+    const std::uint64_t b8 = 0x6666666666666666;
+    std::vector<char> block(256);
+    for (int i = 0; i < 256; ++i)
+        block[i] = char(i + 1);
+    h.sim.spawn("p", [&] {
+        store(0, &first, 8);
+        store(0, &last, 8);
+        store(100, &b1, 1);
+        store(200, &b2, 2);
+        store(300, &b4, 4);
+        store(400, &b8, 8);
+        store(1024, block.data(), 256);
+        store(1040, &inside, 4);
+        h.nic0.auFlush();
+    });
+    h.sim.run();
+
+    ASSERT_EQ(deliveries.size(), 1u);
+    EXPECT_EQ(deliveries[0].srcNode, 0u);
+    EXPECT_EQ(deliveries[0].offset, 0u);
+    EXPECT_EQ(deliveries[0].bytes, 291u);
+    // The same packet and byte counts as the per-store vectors the
+    // record stream replaced.
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_packets"), 8u);
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_bytes"), 291u);
+
+    // The later store to each byte wins; every other byte stays zero.
+    std::vector<char> want(4096, 0);
+    std::memcpy(&want[0], &last, 8);
+    std::memcpy(&want[100], &b1, 1);
+    std::memcpy(&want[200], &b2, 2);
+    std::memcpy(&want[300], &b4, 4);
+    std::memcpy(&want[400], &b8, 8);
+    std::memcpy(&want[1024], block.data(), 256);
+    std::memcpy(&want[1040], &inside, 4);
+    EXPECT_EQ(std::memcmp(dst, want.data(), 4096), 0);
+}
+
+TEST(ShrimpNic, AuTrainPastItsInlineRecordsLandsEveryByte)
+{
+    NicHarness h;
+    char *dst = static_cast<char *>(h.n1.mem().alloc(2 * 4096, true));
+    char *local = static_cast<char *>(h.n0.mem().alloc(2 * 4096, true));
+    for (int page = 0; page < 2; ++page)
+        h.nic0.bindAu(h.n0.mem().frameOf(local + page * 4096), 1,
+                      h.n1.mem().frameOf(dst + page * 4096), true,
+                      false);
+
+    h.sim.spawn("p", [&] {
+        // 64 8-byte stores: 768 bytes of records, past the inline 48.
+        for (int i = 0; i < 64; ++i) {
+            std::uint64_t v = 0x0101010101010101ull * std::uint64_t(i + 1);
+            std::memcpy(local + i * 8, &v, 8);
+            h.nic0.auStore(local + i * 8, 8);
+        }
+        h.nic0.auFlush();
+        // The next train, on the other page, has one store.
+        std::uint64_t v = 0xfedcba9876543210ull;
+        std::memcpy(local + 4096 + 72, &v, 8);
+        h.nic0.auStore(local + 4096 + 72, 8);
+        h.nic0.auFlush();
+    });
+    h.sim.run();
+
+    for (int i = 0; i < 64; ++i) {
+        std::uint64_t got = 0;
+        std::memcpy(&got, dst + i * 8, 8);
+        EXPECT_EQ(got, 0x0101010101010101ull * std::uint64_t(i + 1)) << i;
+    }
+    std::vector<char> want(4096, 0);
+    std::uint64_t v = 0xfedcba9876543210ull;
+    std::memcpy(&want[72], &v, 8);
+    EXPECT_EQ(std::memcmp(dst + 4096, want.data(), 4096), 0);
+    // Combining: 512 contiguous bytes are two 256-byte packets.
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_packets"), 3u);
+    EXPECT_EQ(h.sim.stats().counterValue("node0.nic.au_bytes"), 520u);
+}
+
 TEST(ShrimpNic, FifoThresholdStallsAndRecovers)
 {
     ShrimpNicParams p;

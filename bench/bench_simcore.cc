@@ -23,24 +23,64 @@ using namespace shrimp;
 namespace
 {
 
+/** Items in flight, and items fired per iteration, of the two below. */
+constexpr int kBacklog = 1000;
+constexpr std::uint64_t kFired = 10000;
+
+/** An event that schedules its successor behind the backlog. */
+struct Refire
+{
+    EventQueue &q;
+    std::uint64_t &fired;
+
+    void
+    operator()() const
+    {
+        if (++fired <= kFired - kBacklog)
+            q.schedule(kBacklog, *this);
+    }
+};
+
 void
 BM_EventQueueThroughput(benchmark::State &state)
 {
     for (auto _ : state) {
         EventQueue q;
-        std::uint64_t count = 0;
-        for (int i = 0; i < 1000; ++i) {
-            q.schedule(Tick(i), [&q, &count] {
-                if (++count < 10000)
-                    q.schedule(100, [] {});
-            });
-        }
+        std::uint64_t fired = 0;
+        for (int i = 0; i < kBacklog; ++i)
+            q.schedule(Tick(i), Refire{q, fired});
         q.run();
-        benchmark::DoNotOptimize(count);
+        benchmark::DoNotOptimize(fired);
     }
-    state.SetItemsProcessed(state.iterations() * 10000);
+    state.SetItemsProcessed(state.iterations() * kFired);
 }
 BENCHMARK(BM_EventQueueThroughput);
+
+/**
+ * The same backlog queued in one lane, as a NIC queues its injections
+ * and receive completions: every item pushes its successor behind the
+ * tail, and only the head has a key in the heap.
+ */
+void
+BM_LaneThroughput(benchmark::State &state)
+{
+    for (auto _ : state) {
+        EventQueue q;
+        std::uint64_t fired = 0;
+        Lane<int> *self = nullptr;
+        Lane<int> lane(q, [&](int &) {
+            if (++fired <= kFired - kBacklog)
+                self->push(q.now() + kBacklog, 0);
+        });
+        self = &lane;
+        for (int i = 0; i < kBacklog; ++i)
+            lane.push(Tick(i), 0);
+        q.run();
+        benchmark::DoNotOptimize(fired);
+    }
+    state.SetItemsProcessed(state.iterations() * kFired);
+}
+BENCHMARK(BM_LaneThroughput);
 
 /**
  * Schedule/cancel churn: timeout-style events that almost never fire.

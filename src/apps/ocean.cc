@@ -51,8 +51,14 @@ runOceanSvm(const core::ClusterConfig &cluster_config,
     svm::SvmConfig scfg;
     scfg.protocol = protocol;
     scfg.nprocs = nprocs;
+    // Two grids, each rounded up to whole pages, and one errors page
+    // per rank. The heap's export pins every page, so the fixed 64
+    // pages of slack stay wherever they cover that (up to 62 ranks).
+    const std::size_t grid_pages =
+        (std::size_t(n) * n * 8 + node::kPageBytes - 1) / node::kPageBytes;
     scfg.heapBytes =
-        (2 * std::size_t(n) * n * 8 / node::kPageBytes + 64) *
+        std::max(2 * std::size_t(n) * n * 8 / node::kPageBytes + 64,
+                 2 * grid_pages + std::size_t(nprocs)) *
         node::kPageBytes;
     svm::SvmRuntime rt(cluster, scfg);
 

@@ -68,12 +68,15 @@ BaselineNic::receive(const mesh::Packet &pkt)
     stPacketsIn.inc();
     stBytesIn.inc(bytes);
     sim.recorder().packetDelivered(pkt.life, int(nodeId()), start, done);
+    receives.push(done, std::move(payload));
+}
 
-    sim.schedule(done - sim.now(), [this, payload] {
-        const auto &landed = std::get<DuPacket>(payload->body);
-        causal::EventCtxScope cctx(sim.recorder(), landed.life.cause);
-        announce(landed, landDu(landed));
-    });
+void
+BaselineNic::land(const NicPayload &payload)
+{
+    const auto &du = std::get<DuPacket>(payload.body);
+    causal::EventCtxScope cctx(sim.recorder(), du.life.cause);
+    announce(du, landDu(du));
 }
 
 void

@@ -86,6 +86,7 @@ class BaselineNic : public NicBase
     int queueDepth() const override { return _params.sendQueueDepth; }
     void transmit(DuPacket &&pkt, NodeId dst) override;
     void receive(const mesh::Packet &pkt) override;
+    void land(const NicPayload &payload) override;
 
     BaselineNicParams _params;
 

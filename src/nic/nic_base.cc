@@ -11,8 +11,10 @@ namespace shrimp::nic
 
 NicBase::NicBase(node::Node &n, mesh::Network &net, NicKind kind,
                  const ReliabilityParams &rel)
-    : _node(n), sim(n.simulation()), _net(net), _kind(kind),
-      _reliable(net.reliabilityEnabled()), _rel(rel),
+    : _node(n), sim(n.simulation()), _net(net),
+      receives(n.simulation().events(),
+               [this](std::shared_ptr<NicPayload> &p) { complete(*p); }),
+      _kind(kind), _reliable(net.reliabilityEnabled()), _rel(rel),
       stCorruptRx(n.simulation().stats(), "mesh.corrupt_rx"),
       stDupRx(n.simulation().stats(), "mesh.dup_rx"),
       stRetransmits(n.simulation().stats(), "mesh.retransmits"),
@@ -123,6 +125,23 @@ NicBase::inject(std::shared_ptr<NicPayload> payload, NodeId dst,
     mp.life.injected = sim.now();
     mp.payload = std::move(payload);
     netSend(std::move(mp));
+}
+
+void
+NicBase::complete(const NicPayload &payload)
+{
+    // The next train's destination line is rarely still cached by the
+    // time its DMA completes; start the miss now, while this one lands.
+    // DU packets mostly land in freshly faulted pages, where a
+    // prefetch cannot help.
+    if (const auto *next = receives.front()) {
+        const auto *au = std::get_if<AuTrainPacket>(&(*next)->body);
+        auto &mem = _node.mem();
+        if (au && au->dstFrame < mem.frameCount())
+            __builtin_prefetch(
+                mem.ptrOf(au->dstFrame, au->records.firstOffset()), 1);
+    }
+    land(payload);
 }
 
 Delivery

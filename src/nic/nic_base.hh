@@ -20,10 +20,11 @@
  *
  * The base class owns what every adapter shares: the send request
  * queue and the engine process that drains it, the common half of
- * post(), drainSends(), the mesh-packet build of an injection, and
- * the landing of a deliberate-update packet in memory. An adapter
- * states its issue cost and queue depth, its engine step
- * (transmit()) and how it announces a landed packet.
+ * post(), drainSends(), the mesh-packet build of an injection, the
+ * receive lane that lands packets in DMA order, and the landing of a
+ * deliberate-update packet in memory. An adapter states its issue
+ * cost and queue depth, its engine step (transmit()) and how it lands
+ * and announces a packet (land()).
  *
  * The base class also owns the link-level reliability protocol used
  * when the mesh fault plane is active (mesh/fault.hh): per-(src,dst)
@@ -357,6 +358,12 @@ class NicBase
                 std::uint32_t wire, std::uint32_t hw_packets = 1);
 
     /**
+     * Land @p payload, whose receive DMA has just completed: write it
+     * into memory and announce it. Event context.
+     */
+    virtual void land(const NicPayload &payload) = 0;
+
+    /**
      * Write an arrived deliberate-update packet into node memory.
      * @return its Delivery, with notify still unset.
      */
@@ -385,9 +392,20 @@ class NicBase
     DeliverHook deliverHook;
     PeerDeadHook peerDeadHook;
 
+    /**
+     * Receive completions: an adapter pushes each packet at the tick
+     * its receive DMA completes, and the lane lands it (land()) then.
+     * An adapter runs its receive DMAs one after another, so those
+     * ticks never move back.
+     */
+    Lane<std::shared_ptr<NicPayload>> receives;
+
   private:
     /** The send engine process: drains the request queue. */
     void engineBody();
+
+    /** Land @p payload, prefetching the landing queued behind it. */
+    void complete(const NicPayload &payload);
 
     NicKind _kind;
 

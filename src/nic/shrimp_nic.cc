@@ -35,7 +35,8 @@ ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
       stFifoThresholdIrqs(sim.stats(),
                           statPrefix + ".fifo_threshold_irqs"),
       stPacketsIn(sim.stats(), statPrefix + ".packets_in"),
-      stBytesIn(sim.stats(), statPrefix + ".bytes_in")
+      stBytesIn(sim.stats(), statPrefix + ".bytes_in"),
+      injections(sim.events(), [this](Injection &i) { injectNext(i); })
 {
     startEngine(statPrefix + ".du_engine", statPrefix + ".du_transfers",
                 statPrefix + ".du_bytes");
@@ -92,8 +93,7 @@ ShrimpNic::transmit(DuPacket &&pkt, NodeId dst)
 
     auto payload = std::make_shared<NicPayload>();
     payload->body = std::move(pkt);
-    sim.schedule(inj - sim.now(),
-                 [this, payload, dst, wire] { inject(payload, dst, wire); });
+    injections.push(inj, Injection{std::move(payload), dst, wire});
 }
 
 void
@@ -233,14 +233,17 @@ ShrimpNic::flushTrain(AuTrain &train)
     ++auInFlight;
     auto payload = std::make_shared<NicPayload>();
     payload->body.emplace<AuTrainPacket>(std::move(train.pkt));
-    NodeId dst = train.dstNode;
+    injections.push(inj, Injection{std::move(payload), train.dstNode,
+                                   wire, hw, contribution});
+}
 
-    std::uint32_t credit_bytes = contribution;
-    sim.schedule(inj - sim.now(),
-                 [this, payload, wire, dst, credit_bytes, hw] {
-        fifoCredit(credit_bytes);
-        inject(payload, dst, wire, hw);
-    });
+void
+ShrimpNic::injectNext(Injection &i)
+{
+    // A train leaving the NI frees its bytes in the outgoing FIFO.
+    if (std::holds_alternative<AuTrainPacket>(i.payload->body))
+        fifoCredit(i.fifoBytes);
+    inject(std::move(i.payload), i.dst, i.wire, i.hwPackets);
 }
 
 void
@@ -307,46 +310,47 @@ ShrimpNic::receive(const mesh::Packet &pkt)
     stBytesIn.inc(data_bytes);
     stEisaBusyPs.inc(done - start);
     sim.recorder().packetDelivered(pkt.life, int(nodeId()), start, done);
+    receives.push(done, std::move(payload));
+}
 
-    sim.schedule(done - sim.now(), [this, payload] {
-        // Sends issued from inside the delivery chain (notification
-        // handlers and their replies) inherit the packet's carried
-        // context through the run's event slot.
-        const auto *du = std::get_if<DuPacket>(&payload->body);
-        causal::EventCtxScope cctx(
-            sim.recorder(),
-            du ? du->life.cause
-               : std::get<AuTrainPacket>(payload->body).life.cause);
+void
+ShrimpNic::land(const NicPayload &payload)
+{
+    // Sends issued from inside the delivery chain (notification
+    // handlers and their replies) inherit the packet's carried
+    // context through the run's event slot.
+    const auto *du = std::get_if<DuPacket>(&payload.body);
+    causal::EventCtxScope cctx(
+        sim.recorder(),
+        du ? du->life.cause
+           : std::get<AuTrainPacket>(payload.body).life.cause);
 
-        Delivery d;
-        bool want_notify = false;
+    Delivery d;
+    bool want_notify = false;
 
-        if (auto *du = std::get_if<DuPacket>(&payload->body)) {
-            d = landDu(*du);
-            want_notify = du->notify &&
-                          _ipt.interruptEnable(du->dstFrame);
-        } else {
-            auto &mem = _node.mem();
-            const auto &au = std::get<AuTrainPacket>(payload->body);
-            if (au.dstFrame >= mem.frameCount())
-                panic("AU packet to invalid frame %u", au.dstFrame);
-            // The payload is shared with the sender's retransmit
-            // buffer, so the replay leaves the records as they are.
-            au.records.replay(
-                static_cast<char *>(mem.ptrOf(au.dstFrame, 0)));
-            au.sender->trainLanded();
-            d.srcNode = au.sender->nodeId();
-            d.frame = au.dstFrame;
-            d.offset = au.records.firstOffset();
-            d.bytes = au.dataBytes;
-            d.endOfMessage = true;
-            d.automatic = true;
-            want_notify = au.interruptRequest &&
-                          _ipt.interruptEnable(au.dstFrame);
-        }
+    if (du) {
+        d = landDu(*du);
+        want_notify = du->notify && _ipt.interruptEnable(du->dstFrame);
+    } else {
+        auto &mem = _node.mem();
+        const auto &au = std::get<AuTrainPacket>(payload.body);
+        if (au.dstFrame >= mem.frameCount())
+            panic("AU packet to invalid frame %u", au.dstFrame);
+        // The payload is shared with the sender's retransmit buffer,
+        // so the replay leaves the records as they are.
+        au.records.replay(static_cast<char *>(mem.ptrOf(au.dstFrame, 0)));
+        au.sender->trainLanded();
+        d.srcNode = au.sender->nodeId();
+        d.frame = au.dstFrame;
+        d.offset = au.records.firstOffset();
+        d.bytes = au.dataBytes;
+        d.endOfMessage = true;
+        d.automatic = true;
+        want_notify = au.interruptRequest &&
+                      _ipt.interruptEnable(au.dstFrame);
+    }
 
-        finishDelivery(d, want_notify);
-    });
+    finishDelivery(d, want_notify);
 }
 
 void

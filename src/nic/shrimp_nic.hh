@@ -126,14 +126,30 @@ class ShrimpNic : public NicBase
         AuTrainPacket pkt;
     };
 
+    /**
+     * A packet due out of the NI chip: a DU packet, or an AU train and
+     * the outgoing-FIFO bytes it frees as it leaves.
+     */
+    struct Injection
+    {
+        std::shared_ptr<NicPayload> payload;
+        NodeId dst = kInvalidNode;
+        std::uint32_t wire = 0;        //!< bytes on the wire
+        std::uint32_t hwPackets = 1;   //!< hardware packets represented
+        std::uint32_t fifoBytes = 0;   //!< outgoing-FIFO credit (AU)
+    };
+
     Tick issueCost() const override { return _params.udmaIssueCost; }
     int queueDepth() const override { return _params.duQueueDepth; }
     void transmit(DuPacket &&pkt, NodeId dst) override;
     void flushTrain(AuTrain &train);
+    /** Inject @p i, the NI chip's next packet. */
+    void injectNext(Injection &i);
     /** One of this NI's trains has landed (called by the lander). */
     void trainLanded();
     void fifoCredit(std::uint32_t wire_bytes);
     void receive(const mesh::Packet &pkt) override;
+    void land(const NicPayload &payload) override;
     void finishDelivery(const Delivery &d, bool want_notify);
 
     ShrimpNicParams _params;
@@ -180,8 +196,10 @@ class ShrimpNic : public NicBase
     std::uint64_t auInFlight = 0;
     WaitQueue auFenceWait;
 
-    // Shared NI-chip injection/arbitration timeline.
+    // Shared NI-chip injection/arbitration timeline, and the packets
+    // it injects, each due at the chipBusyUntil its push set.
     Tick chipBusyUntil = 0;
+    Lane<Injection> injections;
 
     // EISA DMA timeline shared by DU reads and incoming writes.
     Tick eisaBusyUntil = 0;

@@ -5,18 +5,33 @@
 namespace shrimp
 {
 
+LaneBase::LaneBase(EventQueue &q) : queue(q), id(q.addLane(this)) {}
+
 EventQueue::~EventQueue()
 {
     // Destroy the callbacks of still-pending events; the pool slabs
-    // themselves die with the slab vector.
-    for (const HeapKey &key : heap)
-        record(key.slot).fn.reset();
+    // themselves die with the slab vector. A lane's items belong to
+    // the lane, which may already be gone.
+    for (const HeapKey &key : heap) {
+        if (!(key.slot & kLaneBit))
+            record(key.slot).fn.reset();
+    }
+}
+
+std::uint32_t
+EventQueue::addLane(LaneBase *lane)
+{
+    if (lanes.size() >= kLaneBit)
+        panic("too many event lanes");
+    lanes.push_back(lane);
+    return kLaneBit | std::uint32_t(lanes.size() - 1);
 }
 
 void
 EventQueue::addSlab()
 {
-    if (slabs.size() >= (std::size_t(kNoFreeSlot) >> kSlabShift))
+    // Slots stay below kLaneBit, which marks a lane's heap key.
+    if (slabs.size() >= (std::size_t(kLaneBit) >> kSlabShift))
         panic("event pool exhausted");
     std::uint32_t base = std::uint32_t(slabs.size()) << kSlabShift;
     slabs.push_back(std::make_unique<EventRecord[]>(kSlabSize));
@@ -108,6 +123,12 @@ EventQueue::step()
 {
     while (!heap.empty()) {
         HeapKey key = heapPop();
+        if (key.slot & kLaneBit) {
+            _now = key.when;
+            ++_executed;
+            lanes[key.slot & ~kLaneBit]->runHead();
+            return true;
+        }
         EventRecord &rec = record(key.slot);
         if (rec.cancelled) {
             recycle(key.slot);

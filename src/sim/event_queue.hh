@@ -22,6 +22,9 @@
  *    a per-event shared_ptr<bool>: an EventHandle is (queue, slot,
  *    generation), and a stale handle (the slot was recycled) simply
  *    no-ops.
+ *  - A resource that hands out its work at nondecreasing ticks queues
+ *    it in a Lane instead: a FIFO of its own whose head alone has a
+ *    key in the heap (see Lane).
  */
 
 #ifndef SHRIMP_SIM_EVENT_QUEUE_HH
@@ -29,12 +32,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace shrimp
@@ -143,6 +148,47 @@ class EventHandle
 };
 
 /**
+ * What the queue knows of a Lane: a registered id, and how to run the
+ * lane's head when its key comes to the top of the heap.
+ */
+class LaneBase
+{
+  public:
+    LaneBase(const LaneBase &) = delete;
+    LaneBase &operator=(const LaneBase &) = delete;
+
+  protected:
+    /** Register with @p q, which runs this lane's head from its heap. */
+    explicit LaneBase(EventQueue &q);
+    ~LaneBase() = default;
+
+    /**
+     * The sequence number of an item queued now to run at @p when,
+     * taken as scheduleAt takes an event's. Panics when @p when is in
+     * the past or before @p tail, the tick of the lane's last item.
+     */
+    inline std::uint64_t stamp(Tick when, Tick tail);
+
+    /**
+     * An item was queued at (@p when, @p seq): key it into the heap
+     * when it is the lane's head (@p head), else count it behind.
+     */
+    inline void queued(Tick when, std::uint64_t seq, bool head);
+
+    /** The item behind the running head, at (@p when, @p seq), leads. */
+    inline void promoted(Tick when, std::uint64_t seq);
+
+  private:
+    friend class EventQueue;
+
+    /** Run the head item at its tick; the queue calls nothing else. */
+    virtual void runHead() = 0;
+
+    EventQueue &queue;
+    const std::uint32_t id; //!< heap slot of the lane's key
+};
+
+/**
  * A time-ordered queue of callbacks.
  */
 class EventQueue
@@ -188,13 +234,16 @@ class EventQueue
     /** @return true if no events remain. */
     bool empty() const { return heap.empty(); }
 
-    /** Number of pending events (cancelled-but-unfired included). */
-    std::size_t size() const { return heap.size(); }
+    /**
+     * Number of pending events (cancelled-but-unfired included), each
+     * queued lane item counted as one.
+     */
+    std::size_t size() const { return heap.size() + laneBehind; }
 
     /**
-     * @return true if an event (cancelled-but-unfired included) is
-     * due at the current tick. When it is false, an event scheduled
-     * now would be the very next one to run.
+     * @return true if an event (cancelled-but-unfired included) or a
+     * lane item is due at the current tick. When it is false, an event
+     * scheduled now would be the very next one to run.
      */
     bool
     dueNow() const
@@ -217,7 +266,7 @@ class EventQueue
      */
     bool runUntil(Tick limit);
 
-    /** Total events executed (for reporting/debug). */
+    /** Total events executed, each lane item once (reporting/debug). */
     std::uint64_t executed() const { return _executed; }
 
     /** Cancel the event named by (@p slot, @p gen); stale = no-op. */
@@ -230,7 +279,13 @@ class EventQueue
     }
 
   private:
-    /** Heap keys are POD; ordering is (when, seq) lexicographic. */
+    friend class LaneBase;
+
+    /**
+     * Heap keys are POD; ordering is (when, seq) lexicographic. A key
+     * with kLaneBit set in its slot is a lane's head: the low bits
+     * index the lane in @ref lanes.
+     */
     struct HeapKey
     {
         Tick when;
@@ -257,6 +312,7 @@ class EventQueue
     static constexpr std::uint32_t kSlabShift = 8;
     static constexpr std::uint32_t kSlabSize = 1u << kSlabShift;
     static constexpr std::uint32_t kNoFreeSlot = ~std::uint32_t(0);
+    static constexpr std::uint32_t kLaneBit = 1u << 31;
 
     EventRecord &
     record(std::uint32_t slot)
@@ -276,10 +332,16 @@ class EventQueue
     void heapPush(HeapKey key);
     HeapKey heapPop();
 
+    /** Register @p lane; @return its heap slot (kLaneBit set). */
+    std::uint32_t addLane(LaneBase *lane);
+
     std::vector<std::unique_ptr<EventRecord[]>> slabs;
     std::uint32_t freeHead = kNoFreeSlot;
 
     std::vector<HeapKey> heap;
+
+    std::vector<LaneBase *> lanes;
+    std::size_t laneBehind = 0; //!< lane items queued behind a head
 
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
@@ -292,6 +354,121 @@ EventHandle::cancel()
     if (queue)
         queue->cancel(slot, gen);
 }
+
+std::uint64_t
+LaneBase::stamp(Tick when, Tick tail)
+{
+    if (when < queue._now)
+        panic("scheduling an event in the past");
+    if (when < tail)
+        panic("lane item due at %llu, before its lane's tail at %llu",
+              (unsigned long long)when, (unsigned long long)tail);
+    return queue.nextSeq++;
+}
+
+void
+LaneBase::queued(Tick when, std::uint64_t seq, bool head)
+{
+    if (head)
+        queue.heapPush(EventQueue::HeapKey{when, seq, id});
+    else
+        ++queue.laneBehind;
+}
+
+void
+LaneBase::promoted(Tick when, std::uint64_t seq)
+{
+    --queue.laneBehind;
+    queue.heapPush(EventQueue::HeapKey{when, seq, id});
+}
+
+/**
+ * A FIFO of items that one resource hands out at nondecreasing ticks,
+ * each run by the lane's handler at its tick.
+ *
+ * Only the head has a key in the queue's heap, so a resource with a
+ * long backlog costs the heap one entry. Each item takes its sequence
+ * number when it is pushed, so it runs at exactly the (tick, seq)
+ * place an event scheduled there would: a lane changes what the heap
+ * holds, never the order in which anything runs. Before the handler
+ * runs an item, the lane keys the next head into the heap, so
+ * dueNow() sees what it would see if every item were an event. A
+ * push due before the lane's tail panics; there is no fallback.
+ *
+ * The lane owns its queued items and destroys them with itself.
+ * Storage is a ring that starts empty and doubles when full.
+ */
+template <class Item>
+class Lane final : public LaneBase
+{
+  public:
+    using Handler = std::function<void(Item &)>;
+
+    /** A lane of @p q whose items @p run runs. */
+    Lane(EventQueue &q, Handler run) : LaneBase(q), run(std::move(run))
+    {}
+
+    /** Queue @p item to run at @p when, not before the tail's tick. */
+    void
+    push(Tick when, Item item)
+    {
+        Tick tail = count ? ring[(head + count - 1) & (cap - 1)].when : 0;
+        std::uint64_t seq = stamp(when, tail);
+        if (count == cap)
+            grow();
+        Entry &e = ring[(head + count) & (cap - 1)];
+        e.when = when;
+        e.seq = seq;
+        e.item = std::move(item);
+        queued(when, seq, count++ == 0);
+    }
+
+    /**
+     * The item the lane runs next, or null when it is empty. While a
+     * handler runs, that is the item queued behind the running one.
+     */
+    const Item *
+    front() const
+    {
+        return count ? &ring[head].item : nullptr;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        Item item{};
+    };
+
+    void
+    runHead() override
+    {
+        Item item = std::move(ring[head].item);
+        head = (head + 1) & (cap - 1);
+        if (--count)
+            promoted(ring[head].when, ring[head].seq);
+        run(item);
+    }
+
+    void
+    grow()
+    {
+        std::size_t bigger = cap ? 2 * cap : 4;
+        auto fresh = std::make_unique<Entry[]>(bigger);
+        for (std::size_t i = 0; i < count; ++i)
+            fresh[i] = std::move(ring[(head + i) & (cap - 1)]);
+        ring = std::move(fresh);
+        cap = bigger;
+        head = 0;
+    }
+
+    Handler run;
+    std::unique_ptr<Entry[]> ring; //!< cap entries, a power of two
+    std::size_t cap = 0;
+    std::size_t head = 0;  //!< ring index of the head
+    std::size_t count = 0; //!< items queued
+};
 
 } // namespace shrimp
 

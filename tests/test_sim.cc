@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -202,6 +203,121 @@ TEST(EventQueue, NestedScheduling)
     });
     q.run();
     EXPECT_EQ(fired_at, 25u);
+}
+
+TEST(Lane, ItemsAndEventsRunInTheOrderTheyWereQueued)
+{
+    // Each lane item takes its place in the (tick, seq) order when it
+    // is pushed, exactly as a scheduled event would: items and events
+    // due at one tick run in queueing order, whatever reaches the
+    // lane's head in between.
+    EventQueue q;
+    std::vector<int> order;
+    Lane<int> lane(q, [&](int &v) { order.push_back(v); });
+    lane.push(5, 1);
+    q.schedule(5, [&] { order.push_back(2); });
+    lane.push(5, 3);
+    q.schedule(5, [&] { order.push_back(4); });
+    lane.push(7, 6);
+    q.schedule(6, [&] { order.push_back(5); });
+    q.schedule(7, [&] { order.push_back(7); });
+    lane.push(7, 8);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+    EXPECT_EQ(q.now(), 7u);
+}
+
+TEST(Lane, QueuedItemsArePendingEventsAndRunOnce)
+{
+    EventQueue q;
+    std::vector<std::size_t> pending;
+    Lane<int> lane(q, [&](int &) { pending.push_back(q.size()); });
+    for (int i = 0; i < 3; ++i)
+        lane.push(Tick(10 + i), i);
+    q.schedule(20, [] {});
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_FALSE(q.empty());
+    q.run();
+    // While an item runs, it is no longer pending.
+    EXPECT_EQ(pending, (std::vector<std::size_t>{3, 2, 1}));
+    EXPECT_EQ(q.executed(), 4u);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(Lane, DueNowSeesTheNextHead)
+{
+    // With nothing else due, dueNow() must see the lane item behind
+    // the running one, and a lane head due behind a running event.
+    EventQueue q;
+    std::vector<bool> due;
+    Lane<int> lane(q, [&](int &) { due.push_back(q.dueNow()); });
+    lane.push(10, 0);
+    lane.push(10, 1);
+    lane.push(12, 2);
+    q.run();
+    EXPECT_EQ(due, (std::vector<bool>{true, false, false}));
+
+    bool event_saw = false;
+    q.schedule(5, [&] { event_saw = q.dueNow(); });
+    lane.push(q.now() + 5, 3);
+    q.run();
+    EXPECT_TRUE(event_saw);
+}
+
+TEST(Lane, DelayAtALaneHeadsTickResumesBehindIt)
+{
+    // Simulation::delay resumes in its timer only when nothing else
+    // is due: a lane head due at the same tick must run first.
+    Simulation sim;
+    bool item_ran = false;
+    bool p_saw_item = false;
+    Lane<int> lane(sim.events(), [&](int &) { item_ran = true; });
+    sim.spawn("p", [&] {
+        sim.delay(10);
+        p_saw_item = item_ran;
+    });
+    sim.schedule(5, [&] { lane.push(10, 0); });
+    sim.run();
+    EXPECT_TRUE(p_saw_item);
+}
+
+TEST(Lane, ItemsPushedWhileRunningKeepFifoOrder)
+{
+    // The first item refills its own lane, through two ring growths,
+    // while three items still wait behind it.
+    EventQueue q;
+    std::vector<std::pair<Tick, int>> ran;
+    Lane<int> *self = nullptr;
+    Lane<int> lane(q, [&](int &v) {
+        ran.emplace_back(q.now(), v);
+        if (v == 0) {
+            for (int i = 4; i < 16; ++i)
+                self->push(Tick(10 + i / 2), i);
+        }
+    });
+    self = &lane;
+    for (int i = 0; i < 4; ++i)
+        lane.push(10, i);
+    q.run();
+    ASSERT_EQ(ran.size(), 16u);
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(ran[i].second, i);
+        EXPECT_EQ(ran[i].first, Tick(i < 4 ? 10 : 10 + i / 2));
+    }
+    EXPECT_EQ(lane.front(), nullptr);
+}
+
+TEST(LaneDeathTest, PushBeforeTheTailPanics)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue q;
+            Lane<int> lane(q, [](int &) {});
+            lane.push(10, 0);
+            lane.push(9, 1);
+        },
+        "before its lane's tail");
 }
 
 TEST(Fiber, RunsAndFinishes)

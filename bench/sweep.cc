@@ -18,23 +18,23 @@ namespace shrimp::bench
 namespace
 {
 
+/** The environment variable naming the RunReport stream's file. */
+constexpr const char *kReportEnv = "SHRIMP_REPORT_JSONL";
+
 /**
- * The append-only sink of the RunReport stream, bound to the
- * environment variable naming its file: one shared FILE handle for
- * the whole process, lazily opened, append-guarded by a mutex. A bad
- * path is complained about exactly once. Lines are written verbatim
- * (callers terminate them).
+ * The append-only sink of the RunReport stream, the file kReportEnv
+ * names: one shared FILE handle for the whole process, lazily
+ * opened, append-guarded by a mutex. A bad path is complained about
+ * exactly once. Lines are written verbatim (callers terminate them).
  */
-class LineSink
+class ReportSink
 {
   public:
-    explicit LineSink(const char *env_var) : envVar(env_var) {}
-
     void
     append(const std::string &chunk)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        const char *p = std::getenv(envVar);
+        const char *p = std::getenv(kReportEnv);
         if (!p || !*p)
             return;
         // Open once per path; if the environment repoints the sink
@@ -45,7 +45,7 @@ class LineSink
             path = p;
             out = std::fopen(p, "a");
             if (!out)
-                warn("cannot append to %s (%s)", p, envVar);
+                warn("cannot append to %s (%s)", p, kReportEnv);
         }
         if (!out)
             return;
@@ -56,21 +56,20 @@ class LineSink
     bool
     enabled() const
     {
-        const char *p = std::getenv(envVar);
+        const char *p = std::getenv(kReportEnv);
         return p && *p;
     }
 
   private:
-    const char *envVar;
     std::string path;
     std::mutex mutex;
     std::FILE *out = nullptr;
 };
 
-LineSink &
+ReportSink &
 reportSink()
 {
-    static LineSink sink("SHRIMP_REPORT_JSONL");
+    static ReportSink sink;
     return sink;
 }
 
@@ -116,7 +115,7 @@ sweepJobs()
 void
 emitReport(const RunReport &report)
 {
-    LineSink &sink = reportSink();
+    ReportSink &sink = reportSink();
     if (!sink.enabled())
         return;
     std::string line = report.toJson(/*pretty=*/false);

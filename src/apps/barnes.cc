@@ -233,7 +233,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
             const std::int32_t pool_end = (q + 1) * cells_per;
 
             for (int i = first; i < last; ++i)
-                v.writeStruct(&bodies[i], &init[i], sizeof(Body));
+                v.writeRange(&bodies[i], &init[i], sizeof(Body));
             v.barrier();
             region.enter(q);
 
@@ -248,7 +248,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
                 if (q == 0) {
                     Cell root{};
                     root.level = 0;
-                    v.writeStruct(&cells[0], &root, sizeof(Cell));
+                    v.writeRange(&cells[0], &root, sizeof(Cell));
                 }
                 pool_next = q * cells_per + (q == 0 ? 1 : 0);
                 v.barrier();
@@ -298,8 +298,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
                         c = cell.child[oct];
                         if (c == 0) {
                             cell.child[oct] = i + 1;
-                            v.writeStruct(&cells[cur], &cell,
-                                          sizeof(Cell));
+                            v.writeRange(&cells[cur], &cell, sizeof(Cell));
                             v.unlock(cell_lock(cur));
                             break;
                         }
@@ -334,11 +333,9 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
                         nc.level = cell.level + 1;
                         nc.child[octantOf(opos, sub_centre)] =
                             other + 1;
-                        v.writeStruct(&cells[fresh], &nc,
-                                      sizeof(Cell));
+                        v.writeRange(&cells[fresh], &nc, sizeof(Cell));
                         cell.child[oct] = -(fresh + 1);
-                        v.writeStruct(&cells[cur], &cell,
-                                      sizeof(Cell));
+                        v.writeRange(&cells[cur], &cell, sizeof(Cell));
                         v.unlock(cell_lock(cur));
 
                         centre[0] = sub_centre[0];
@@ -476,8 +473,7 @@ runBarnesSvm(const core::ClusterConfig &cluster_config,
                 for (int i = first; i < last; ++i) {
                     integrate(local[i - first], config.dt);
                     cpu.compute(config.perInteractionCost);
-                    v.writeStruct(&bodies[i], &local[i - first],
-                                  sizeof(Body));
+                    v.writeRange(&bodies[i], &local[i - first], sizeof(Body));
                 }
                 v.barrier();
             }

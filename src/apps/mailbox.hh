@@ -36,7 +36,7 @@ class Mailbox
     Mailbox(core::Cluster &cluster, int nprocs, std::size_t slot_bytes)
         : cluster(cluster), nprocs(nprocs),
           slotBytes((slot_bytes + 15) / 16 * 16),
-          ready(nprocs, false), state(nprocs)
+          setup(nprocs), state(nprocs)
     {
     }
 
@@ -52,17 +52,7 @@ class Mailbox
         r.inbox = static_cast<char *>(
             mem.alloc(stride * std::size_t(nprocs), true));
         r.exp = ep.exportBuffer(r.inbox, stride * std::size_t(nprocs));
-        ready[rank] = true;
-
-        Simulation &sim = ep.node().simulation();
-        auto all = [this] {
-            for (bool b : ready)
-                if (!b)
-                    return false;
-            return true;
-        };
-        while (!all())
-            sim.delay(microseconds(10));
+        setup.arriveAndWait(ep.node().simulation());
 
         r.proxy.assign(nprocs, core::kInvalidProxy);
         r.sendSeq.assign(nprocs, 0);
@@ -151,7 +141,7 @@ class Mailbox
     core::Cluster &cluster;
     int nprocs;
     std::size_t slotBytes;
-    std::vector<bool> ready;
+    Rendezvous setup; //!< every inbox is exported
     std::vector<PerRank> state;
 };
 

@@ -237,16 +237,15 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
         std::uint32_t *windowA = nullptr;
         std::uint32_t *windowB = nullptr;
         std::vector<core::ProxyId> proxyA, proxyB;
-        bool exported = false;
     };
     std::vector<RankBufs> bufs(nprocs);
+    Rendezvous setup(nprocs);
 
     for (int q = 0; q < nprocs; ++q) {
         cluster.spawnOn(q, "radix", [&, q] {
             core::Endpoint &ep = cluster.vmmc(q);
             auto &mem = ep.node().mem();
             auto &cpu = cluster.node(q).cpu();
-            Simulation &sim = cluster.sim();
             RankBufs &b = bufs[q];
 
             b.partA = mem.allocArray<std::uint32_t>(per, true);
@@ -254,16 +253,7 @@ runRadixVmmc(const core::ClusterConfig &cluster_config, bool use_au,
             std::memcpy(b.partA, init_keys.data() + per * q, per * 4);
             b.expA = ep.exportBuffer(b.partA, per * 4);
             b.expB = ep.exportBuffer(b.partB, per * 4);
-            b.exported = true;
-
-            auto all = [&] {
-                for (auto &x : bufs)
-                    if (!x.exported)
-                        return false;
-                return true;
-            };
-            while (!all())
-                sim.delay(microseconds(10));
+            setup.arriveAndWait(cluster.sim());
 
             b.proxyA.assign(nprocs, core::kInvalidProxy);
             b.proxyB.assign(nprocs, core::kInvalidProxy);

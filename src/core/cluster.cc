@@ -175,18 +175,15 @@ Cluster::Cluster(const ClusterConfig &config) : _config(config)
         switch (config.nicKind) {
           case NicKind::Shrimp:
             nics.push_back(std::make_unique<nic::ShrimpNic>(
-                *nodes.back(), *_network, config.shrimpNic,
-                config.reliability));
+                *nodes.back(), *_network, config.shrimpNic));
             break;
           case NicKind::Baseline:
             nics.push_back(std::make_unique<nic::BaselineNic>(
-                *nodes.back(), *_network, config.baselineNic,
-                config.reliability));
+                *nodes.back(), *_network, config.baselineNic));
             break;
           case NicKind::Modern:
             nics.push_back(std::make_unique<nic::ModernNic>(
-                *nodes.back(), *_network, config.modernNic,
-                config.reliability));
+                *nodes.back(), *_network, config.modernNic));
             break;
         }
         endpoints.push_back(std::make_unique<Endpoint>(
@@ -302,12 +299,6 @@ Cluster::run()
             [this] { return watchdogDetail(); });
     }
     _sim.run();
-}
-
-nic::NicBase::PeerHealth
-Cluster::peerHealth(int src, int dst) const
-{
-    return nics.at(src)->peerHealth(NodeId(dst));
 }
 
 std::uint64_t

@@ -74,9 +74,6 @@ struct ClusterConfig
     nic::BaselineNicParams baselineNic;
     nic::ModernNicParams modernNic;
 
-    /** Reliability-protocol tunables (used only in fault mode). */
-    nic::ReliabilityParams reliability;
-
     /** Physical memory arena per node. */
     std::size_t nodeMemBytes = 96ull * 1024 * 1024;
 
@@ -182,15 +179,6 @@ class Cluster
 
     /** Aggregate a per-node counter over all nodes ("<node>.X"). */
     std::uint64_t sumNodeCounter(const std::string &suffix);
-
-    /**
-     * In-run peer-health query (ROADMAP): the state of node @p src's
-     * reliability channel toward node @p dst. All-zero outside fault
-     * mode or before any traffic. Sockets/NX use this to detect a
-     * stalled or dead peer instead of scraping "rel.dst<N>.*"
-     * scalars.
-     */
-    nic::NicBase::PeerHealth peerHealth(int src, int dst) const;
 
   private:
     friend class Endpoint;

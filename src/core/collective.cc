@@ -10,8 +10,7 @@ namespace shrimp::core
 
 Collective::Collective(Cluster &cluster, int nprocs)
     : cluster(cluster), nprocs(nprocs),
-      exported(nprocs, kInvalidExport), ready(nprocs, false),
-      ranks(nprocs)
+      exported(nprocs, kInvalidExport), setup(nprocs), ranks(nprocs)
 {
     if (nprocs < 1 || nprocs > kMaxProcs)
         fatal("Collective: nprocs %d out of range", nprocs);
@@ -39,19 +38,10 @@ Collective::init(int rank)
     r.page = static_cast<char *>(ep.node().mem().alloc(bytes, true));
     std::fill(r.page, r.page + bytes, 0);
     exported[rank] = ep.exportBuffer(r.page, bytes);
-    ready[rank] = true;
 
     // Init-phase rendezvous: wait (model-level) until every rank has
     // exported, then import the pages we need.
-    Simulation &sim = ep.node().simulation();
-    auto all_ready = [this] {
-        for (int i = 0; i < nprocs; ++i)
-            if (!ready[i])
-                return false;
-        return true;
-    };
-    while (!all_ready())
-        sim.delay(microseconds(10));
+    setup.arriveAndWait(ep.node().simulation());
 
     if (rank == 0) {
         r.toMembers.resize(nprocs, kInvalidProxy);

@@ -80,7 +80,7 @@ class Collective
 
     // Model-level shared setup state (init-phase only, uncharged).
     std::vector<ExportId> exported;
-    std::vector<bool> ready;
+    Rendezvous setup;
 
     struct PerRank
     {

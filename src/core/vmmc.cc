@@ -32,14 +32,6 @@ Endpoint::Endpoint(Cluster &cluster, node::Node &n, nic::NicBase &nic)
                       n.name() + ".vmmc.notifications")
 {
     _nic.setDeliverHook([this](const nic::Delivery &d) { onDeliver(d); });
-    // A dead peer (fault mode, fatalOnGiveUp off) wakes every blocked
-    // waiter at both ends of the dead channel, so wait predicates can
-    // re-check peer health instead of sleeping forever: a receiver
-    // waiting on this node's data has no other wake-up coming.
-    _nic.setPeerDeadHook([this](NodeId dst) {
-        wakePollers();
-        _cluster.vmmc(int(dst)).wakePollers();
-    });
 }
 
 ExportId

@@ -295,8 +295,8 @@ class Endpoint
      *
      * The first check runs in the process; every poll after it runs
      * in event context and the process resumes only when @p cond
-     * holds, so @p cond must be a pure read of simulation state (it
-     * may fatal) and must not rely on Simulation::current().
+     * holds, so @p cond must be a pure read of simulation state and
+     * must not rely on Simulation::current().
      */
     void waitUntil(const std::function<bool()> &cond);
 

@@ -89,7 +89,7 @@ void
 Network::scheduleDelivery(Packet &&pkt, Tick deliver)
 {
     pkt.life.delivered = deliver;
-    auto [p, id] = _pool.acquireRef();
+    auto [p, id] = _pool.acquire();
     *p = std::move(pkt);
     sim.scheduleAt(deliver, [this, p, id = id] {
         receivers[p->dst](*p);

@@ -7,9 +7,9 @@
  * the datapath is a pop/push on that list instead of a heap
  * allocation plus shared_ptr control block.
  *
- * Ownership discipline: acquire() hands out a default-constructed
- * slot; the holder (a pending delivery event or a NIC retransmit
- * buffer) calls release() exactly once when done. release() resets
+ * Ownership discipline: acquire() hands out a slot with its id; the
+ * holder (a pending delivery event or a NIC retransmit buffer) keeps
+ * both and calls release(id) exactly once when done. release() resets
  * the packet in place, which drops its payload shared_ptr reference
  * immediately rather than at some later recycling point. Slots still
  * outstanding when the pool is destroyed (e.g. deliveries pending at
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "mesh/packet.hh"
-#include "sim/logging.hh"
 
 namespace shrimp::mesh
 {
@@ -44,7 +43,7 @@ class PacketPool
 
     /** Pop a free slot, growing by one slab if the pool is dry. */
     Ref
-    acquireRef()
+    acquire()
     {
         if (_freeHead == kNone)
             grow();
@@ -55,9 +54,6 @@ class PacketPool
         ++_inUse;
         return {&slab.packets[i], id};
     }
-
-    /** Pop a free slot when the caller has no use for the id. */
-    Packet *acquire() { return acquireRef().pkt; }
 
     /**
      * Return slot @p id to the free list. The payload reference is
@@ -75,9 +71,6 @@ class PacketPool
         _freeHead = id;
         --_inUse;
     }
-
-    /** Return @p p to the free list, recovering its id by scan. */
-    void release(Packet *p) { release(slotOf(p)); }
 
     /** Outstanding (acquired, not yet released) slots. */
     std::size_t inUse() const { return _inUse; }
@@ -107,23 +100,6 @@ class PacketPool
         for (std::uint32_t i = 0; i < kSlabSize; ++i)
             slab.nextFree[i] = i + 1 < kSlabSize ? base + i + 1 : kNone;
         _freeHead = base;
-    }
-
-    /**
-     * Global slot id of @p p. The scan is over slabs, not slots, and
-     * a pool rarely grows past one or two slabs (steady-state traffic
-     * recycles), so this stays a couple of pointer comparisons.
-     */
-    std::uint32_t
-    slotOf(const Packet *p) const
-    {
-        for (std::size_t s = 0; s < _slabs.size(); ++s) {
-            const Packet *base = _slabs[s]->packets.data();
-            if (p >= base && p < base + kSlabSize)
-                return (std::uint32_t(s) << kSlabShift) +
-                       std::uint32_t(p - base);
-        }
-        panic("PacketPool::release of a packet not from this pool");
     }
 
     std::vector<std::unique_ptr<Slab>> _slabs;

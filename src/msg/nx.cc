@@ -45,7 +45,7 @@ nextSetBit(const std::vector<std::uint64_t> &words, int i, int n)
 
 NxDomain::NxDomain(core::Cluster &cluster, const NxConfig &config)
     : cluster(cluster), config(config), coll(cluster, config.nprocs),
-      exported(config.nprocs, false)
+      setup(config.nprocs)
 {
     int n = config.nprocs;
     if (n < 1 || n > cluster.nodeCount())
@@ -105,18 +105,9 @@ NxDomain::init(int rank)
         static_cast<char *>(mem.alloc(credit_bytes, true));
     creditExports[rank] =
         ep.exportBuffer(creditPages[rank], credit_bytes);
-    exported[rank] = true;
 
     // Rendezvous (model-level), then import peers' rings.
-    Simulation &sim = ep.node().simulation();
-    auto all = [this] {
-        for (bool e : exported)
-            if (!e)
-                return false;
-        return true;
-    };
-    while (!all())
-        sim.delay(microseconds(10));
+    setup.arriveAndWait(ep.node().simulation());
 
     for (int peer = 0; peer < n; ++peer) {
         if (peer == rank)
@@ -150,16 +141,6 @@ NxProcess::numnodes() const
 }
 
 void
-NxProcess::checkPeerAlive(int peer) const
-{
-    if (dom.cluster.peerHealth(rank, peer).gaveUp ||
-        dom.cluster.peerHealth(peer, rank).gaveUp)
-        fatal("NX rank %d: peer %d declared dead "
-              "(link-level retransmission gave up)",
-              rank, peer);
-}
-
-void
 NxProcess::csend(int type, const void *buf, std::size_t len, int to)
 {
     if (to == rank)
@@ -187,8 +168,7 @@ NxProcess::csend(int type, const void *buf, std::size_t len, int to)
     std::size_t need = total + wrap_bytes;
 
     // Flow control: wait for the receiver's credit returns.
-    ep.waitUntil([this, &out, need, cap, to] {
-        checkPeerAlive(to);
+    ep.waitUntil([&out, need, cap] {
         return out.writePos + need - *out.credit <= cap;
     });
 
@@ -448,19 +428,7 @@ NxProcess::crecvProbe(int typesel, int from, void *buf,
             return len;
         }
         std::uint64_t before = ep.deliveries();
-        ep.waitUntil([this, &ep, before, from] {
-            // A receive that names its sender dies as soon as that
-            // peer is declared dead; a wildcard receive dies if any
-            // peer it might be waiting on has.
-            if (from != -1) {
-                checkPeerAlive(from);
-            } else {
-                for (int p = 0; p < dom.config.nprocs; ++p)
-                    if (p != rank)
-                        checkPeerAlive(p);
-            }
-            return ep.deliveries() != before;
-        });
+        ep.waitUntil([&ep, before] { return ep.deliveries() != before; });
     }
 }
 

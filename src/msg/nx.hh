@@ -161,14 +161,6 @@ class NxProcess
     /** Unlink @p m from its sender's FIFO and free its slot. */
     void takePending(const Match &m);
 
-    /**
-     * Fatal if either direction to @p peer has been declared dead
-     * (Cluster::peerHealth — the link-level retransmission gave up).
-     * Checked from blocking-wait predicates so a stuck csend/crecv
-     * dies with a diagnosis instead of hanging.
-     */
-    void checkPeerAlive(int peer) const;
-
     NxDomain &dom;
     int rank;
 
@@ -265,7 +257,8 @@ class NxDomain
     std::vector<core::ExportId> creditExports;
     std::vector<std::vector<core::ProxyId>> creditProxies;
 
-    std::vector<bool> exported;
+    /** Every rank has exported its rings and credits (init phase). */
+    Rendezvous setup;
 };
 
 } // namespace shrimp::msg

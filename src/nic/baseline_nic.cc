@@ -8,18 +8,15 @@ namespace shrimp::nic
 {
 
 BaselineNic::BaselineNic(node::Node &n, mesh::Network &net,
-                         const BaselineNicParams &params,
-                         const ReliabilityParams &rel)
-    : BaselineNic(n, net, NicKind::Baseline, "bnic", "fw_engine", params,
-                  rel)
+                         const BaselineNicParams &params)
+    : BaselineNic(n, net, NicKind::Baseline, "bnic", "fw_engine", params)
 {
 }
 
 BaselineNic::BaselineNic(node::Node &n, mesh::Network &net, NicKind kind,
                          const std::string &name, const char *engine,
-                         const BaselineNicParams &params,
-                         const ReliabilityParams &rel)
-    : NicBase(n, net, kind, rel), _params(params),
+                         const BaselineNicParams &params)
+    : NicBase(n, net, kind), _params(params),
       stPacketsIn(sim.stats(), n.name() + "." + name + ".packets_in"),
       stBytesIn(sim.stats(), n.name() + "." + name + ".bytes_in")
 {

@@ -54,11 +54,9 @@ class BaselineNic : public NicBase
      * @param n Owning node.
      * @param net The backplane.
      * @param params Adapter tunables.
-     * @param rel Reliability-protocol tunables.
      */
     BaselineNic(node::Node &n, mesh::Network &net,
-                const BaselineNicParams &params = BaselineNicParams(),
-                const ReliabilityParams &rel = {});
+                const BaselineNicParams &params = BaselineNicParams());
 
     /** Parameters access. */
     const BaselineNicParams &params() const { return _params; }
@@ -71,8 +69,7 @@ class BaselineNic : public NicBase
      */
     BaselineNic(node::Node &n, mesh::Network &net, NicKind kind,
                 const std::string &name, const char *engine,
-                const BaselineNicParams &params,
-                const ReliabilityParams &rel);
+                const BaselineNicParams &params);
 
     /**
      * Announce a packet that has landed as @p d: set the notification

@@ -6,10 +6,8 @@ namespace shrimp::nic
 {
 
 ModernNic::ModernNic(node::Node &n, mesh::Network &net,
-                     const ModernNicParams &params,
-                     const ReliabilityParams &rel)
-    : BaselineNic(n, net, NicKind::Modern, "mnic", "sq_engine", params,
-                  rel),
+                     const ModernNicParams &params)
+    : BaselineNic(n, net, NicKind::Modern, "mnic", "sq_engine", params),
       _params(params),
       stCqInterrupts(sim.stats(), n.name() + ".mnic.cq_interrupts"),
       stCqEvents(sim.stats(), n.name() + ".mnic.cq_events"),

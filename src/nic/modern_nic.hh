@@ -76,11 +76,9 @@ class ModernNic : public BaselineNic
      * @param n Owning node.
      * @param net The backplane.
      * @param params Adapter tunables.
-     * @param rel Reliability-protocol tunables.
      */
     ModernNic(node::Node &n, mesh::Network &net,
-              const ModernNicParams &params = ModernNicParams(),
-              const ReliabilityParams &rel = {});
+              const ModernNicParams &params = ModernNicParams());
 
     std::uint64_t notifyCount(std::uint32_t id) const override;
 

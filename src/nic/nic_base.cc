@@ -9,12 +9,42 @@
 namespace shrimp::nic
 {
 
-NicBase::NicBase(node::Node &n, mesh::Network &net, NicKind kind,
-                 const ReliabilityParams &rel)
+namespace
+{
+
+/**
+ * Floor of the retransmission timeout. Deliberately conservative:
+ * lost packets in the middle of a window are recovered fast via
+ * NACKs, so the timer only covers losses at the tail of a window, and
+ * a short timeout fires spuriously whenever mesh backlog delays an
+ * ACK beyond it (costing duplicate traffic, not correctness).
+ * Channels with round-trip history adapt upward from this floor: the
+ * armed timeout is srtt + 4*rttvar (RFC6298-style) clamped to
+ * [kRtoBase, kRtoMax], so a congested path raises its own timer
+ * instead of firing spuriously.
+ */
+constexpr Tick kRtoBase = microseconds(300);
+
+/** Backoff cap: the timeout doubles per fire up to this. */
+constexpr Tick kRtoMax = microseconds(5000);
+
+/**
+ * Consecutive timeouts without forward progress before the NIC
+ * declares the path dead and ends the run. Bounds simulation time
+ * under a permanent outage.
+ */
+constexpr int kRtoGiveUp = 64;
+
+/** On-wire size of an ACK/NACK packet (header only). */
+constexpr std::uint32_t kCtrlWireBytes = 16;
+
+} // anonymous namespace
+
+NicBase::NicBase(node::Node &n, mesh::Network &net, NicKind kind)
     : _node(n), sim(n.simulation()), _net(net),
       receives(n.simulation().events(),
                [this](std::shared_ptr<NicPayload> &p) { complete(*p); }),
-      _kind(kind), _reliable(net.reliabilityEnabled()), _rel(rel),
+      _kind(kind), _reliable(net.reliabilityEnabled()),
       stCorruptRx(n.simulation().stats(), "mesh.corrupt_rx"),
       stDupRx(n.simulation().stats(), "mesh.dup_rx"),
       stRetransmits(n.simulation().stats(), "mesh.retransmits"),
@@ -237,7 +267,8 @@ NicBase::channelFor(NodeId dst)
             ch.stRttvarUs = &stats.scalar(prefix + "rttvar_us");
             ch.stLastRtoUs =
                 &stats.scalar(prefix + "last_rto_fire_us");
-            ch.stGaveUp = &stats.scalar(prefix + "gave_up");
+            // Stays 0: a give-up ends the run before any report.
+            stats.scalar(prefix + "gave_up");
             ch.accRttUs = &stats.accumulator(prefix + "ack_rtt_us");
         }
         if (!rttHist)
@@ -245,23 +276,6 @@ NicBase::channelFor(NodeId dst)
                 _node.name() + ".rel.ack_rtt_us", 0.1, 1e5, 150);
     }
     return ch;
-}
-
-NicBase::PeerHealth
-NicBase::peerHealth(NodeId dst) const
-{
-    auto it = channels.find(dst);
-    if (it == channels.end())
-        return PeerHealth();
-    const RelChannel &ch = it->second;
-    PeerHealth v;
-    v.outstanding = ch.unacked.size();
-    v.srtt = ch.srtt;
-    v.rttvar = ch.rttvar;
-    v.lastRtoFire = ch.lastRtoFire;
-    v.rtoStreak = ch.rtoStreak;
-    v.gaveUp = ch.gaveUp;
-    return v;
 }
 
 std::size_t
@@ -300,9 +314,8 @@ Tick
 NicBase::rtoFor(const RelChannel &ch) const
 {
     if (ch.srtt == 0)
-        return _rel.rtoBase;
-    return std::clamp(ch.srtt + 4 * ch.rttvar, _rel.rtoBase,
-                      _rel.rtoMax);
+        return kRtoBase;
+    return std::clamp(ch.srtt + 4 * ch.rttvar, kRtoBase, kRtoMax);
 }
 
 void
@@ -314,11 +327,6 @@ NicBase::netSend(mesh::Packet pkt)
     }
 
     RelChannel &ch = channelFor(pkt.dst);
-    if (ch.gaveUp) {
-        // The path was declared dead (fatalOnGiveUp off): sends to it
-        // evaporate, like writes into an unplugged cable.
-        return;
-    }
     pkt.kind = mesh::PacketKind::Data;
     pkt.seq = ch.nextSeq++;
     pkt.checksum = mesh::packetChecksum(pkt);
@@ -326,10 +334,9 @@ NicBase::netSend(mesh::Packet pkt)
     // Keep a clean copy (in a pool slot) before handing the packet to
     // the mesh: the fault plane mutates the in-flight checksum, never
     // this copy.
-    mesh::Packet *slot = _net.pool().acquire();
-    *slot = pkt;
-    ch.unacked.push_back(slot);
-    ch.sentAt.push_back(sim.now());
+    mesh::PacketPool::Ref slot = _net.pool().acquire();
+    *slot.pkt = pkt;
+    ch.unacked.push_back({slot, sim.now()});
     if (ch.stOutstanding)
         ch.stOutstanding->set(double(ch.unacked.size()));
     // Invariant: the timer is armed exactly while unacked is non-empty.
@@ -412,15 +419,16 @@ NicBase::handleAck(const mesh::Packet &pkt)
     Tick now = sim.now();
 
     bool progress = false;
-    while (!ch.unacked.empty() && ch.unacked.front()->seq < pkt.seq) {
+    while (!ch.unacked.empty() &&
+           ch.unacked.front().slot.pkt->seq < pkt.seq) {
+        const Unacked &u = ch.unacked.front();
         // Karn's rule: a retransmitted packet's ACK is ambiguous
         // (original or copy?), so only first-transmission sequences
         // contribute round-trip samples.
-        if (ch.unacked.front()->seq > ch.retxMaxSeq)
-            sampleRtt(ch, now - ch.sentAt.front());
-        _net.pool().release(ch.unacked.front());
+        if (u.slot.pkt->seq > ch.retxMaxSeq)
+            sampleRtt(ch, now - u.sentAt);
+        _net.pool().release(u.slot.id);
         ch.unacked.pop_front();
-        ch.sentAt.pop_front();
         progress = true;
     }
     if (progress) {
@@ -444,10 +452,10 @@ NicBase::handleNack(const mesh::Packet &pkt)
 
     // A NACK for seq acknowledges everything before it...
     bool progress = false;
-    while (!ch.unacked.empty() && ch.unacked.front()->seq < pkt.seq) {
-        _net.pool().release(ch.unacked.front());
+    while (!ch.unacked.empty() &&
+           ch.unacked.front().slot.pkt->seq < pkt.seq) {
+        _net.pool().release(ch.unacked.front().slot.id);
         ch.unacked.pop_front();
-        ch.sentAt.pop_front();
         progress = true;
     }
     if (progress) {
@@ -466,15 +474,16 @@ NicBase::handleNack(const mesh::Packet &pkt)
 void
 NicBase::retransmit(RelChannel &ch, NodeId dst)
 {
-    ch.retxMaxSeq = std::max(ch.retxMaxSeq, ch.unacked.back()->seq);
-    for (std::size_t i = 0; i < ch.unacked.size(); ++i) {
+    ch.retxMaxSeq =
+        std::max(ch.retxMaxSeq, ch.unacked.back().slot.pkt->seq);
+    for (const Unacked &u : ch.unacked) {
         stRetransmits.inc();
         // The buffered copy still carries the original send's causal
         // context, so the resend — and the eventual delivery — stay
         // parented on the operation that first sent the packet.
-        sim.recorder().leaf(ch.unacked[i]->life.cause, int(nodeId()),
+        sim.recorder().leaf(u.slot.pkt->life.cause, int(nodeId()),
                             "nic.retx", sim.now(), sim.now());
-        mesh::Packet copy = *ch.unacked[i];
+        mesh::Packet copy = *u.slot.pkt;
         _net.send(std::move(copy));
     }
 
@@ -497,33 +506,13 @@ NicBase::rtoFire(NodeId dst)
         return;
 
     stRtoFires.inc();
-    ch.lastRtoFire = sim.now();
     if (ch.stLastRtoUs)
         ch.stLastRtoUs->set(toMicroseconds(sim.now()));
-    if (++ch.rtoStreak > _rel.rtoGiveUp) {
-        ch.gaveUp = true;
-        if (ch.stGaveUp)
-            ch.stGaveUp->set(1.0);
-        if (_rel.fatalOnGiveUp)
-            fatal("%s: %d retransmission timeouts to node %u without "
-                  "progress -- link permanently down?",
-                  _node.name().c_str(), ch.rtoStreak, dst);
-        // Non-fatal death: release the retransmit window (nothing will
-        // ever ACK it), stop the timer, and let blocked upper layers
-        // re-check peerHealth().
-        while (!ch.unacked.empty()) {
-            _net.pool().release(ch.unacked.front());
-            ch.unacked.pop_front();
-            ch.sentAt.pop_front();
-        }
-        if (ch.stOutstanding)
-            ch.stOutstanding->set(0.0);
-        ch.rto.cancel();
-        if (peerDeadHook)
-            peerDeadHook(dst);
-        return;
-    }
-    ch.rtoNow = std::min(ch.rtoNow * 2, _rel.rtoMax);
+    if (++ch.rtoStreak > kRtoGiveUp)
+        fatal("%s: %d retransmission timeouts to node %u without "
+              "progress -- link permanently down?",
+              _node.name().c_str(), ch.rtoStreak, dst);
+    ch.rtoNow = std::min(ch.rtoNow * 2, kRtoMax);
     retransmit(ch, dst);
 }
 
@@ -535,7 +524,7 @@ NicBase::sendCtrl(NodeId dst, mesh::PacketKind kind, std::uint64_t seq)
     mesh::Packet pkt;
     pkt.src = _node.id();
     pkt.dst = dst;
-    pkt.wireBytes = _rel.ctrlWireBytes;
+    pkt.wireBytes = kCtrlWireBytes;
     pkt.hwPackets = 1;
     pkt.kind = kind;
     pkt.seq = seq;

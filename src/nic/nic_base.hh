@@ -33,8 +33,10 @@
  * sender retransmit buffer with timeout + exponential backoff. The
  * protocol preserves the in-order delivery invariant VMMC relies on:
  * a receiver hands packets to the NI model strictly in sequence
- * order, exactly once. With the fault plane off, every packet passes
- * straight through with zero protocol state or overhead.
+ * order, exactly once. A path that makes no progress through a run of
+ * retransmission timeouts ends the run (NicBase::rtoFire). With the
+ * fault plane off, every packet passes straight through with zero
+ * protocol state or overhead.
  */
 
 #ifndef SHRIMP_NIC_NIC_BASE_HH
@@ -61,50 +63,11 @@ class Scalar;
 namespace shrimp::nic
 {
 
-/** Tunables of the link-level reliability protocol (fault mode). */
-struct ReliabilityParams
-{
-    /**
-     * Floor of the retransmission timeout. Deliberately conservative:
-     * lost packets in the middle of a window are recovered fast via
-     * NACKs, so the timer only covers losses at the tail of a window,
-     * and a short timeout fires spuriously whenever mesh backlog
-     * delays an ACK beyond it (costing duplicate traffic, not
-     * correctness). Channels with round-trip history adapt upward
-     * from this floor: the armed timeout is srtt + 4*rttvar
-     * (RFC6298-style) clamped to [rtoBase, rtoMax], so a congested
-     * path raises its own timer instead of firing spuriously.
-     */
-    Tick rtoBase = microseconds(300);
-
-    /** Backoff cap: RTO doubles per fire up to this. */
-    Tick rtoMax = microseconds(5000);
-
-    /**
-     * Consecutive timeouts without forward progress before the NIC
-     * declares the path dead. Bounds simulation time under a
-     * permanent outage.
-     */
-    int rtoGiveUp = 64;
-
-    /**
-     * When true (the default), a give-up kills the run with a fatal
-     * error. When false, the channel is marked dead instead: its
-     * retransmit window is released, later sends to it are dropped,
-     * and upper layers observe the death through peerHealth() — the
-     * basis of application-level failover experiments.
-     */
-    bool fatalOnGiveUp = true;
-
-    /** On-wire size of an ACK/NACK packet (header only). */
-    std::uint32_t ctrlWireBytes = 16;
-};
-
 /**
  * Largest mesh whose NICs publish the per-destination "rel.dst<D>.*"
  * scalar mirror of each reliability channel. Past it the mirror
  * would put O(nodes^2) scalars in every RunReport; channel state
- * itself (and peerHealth()) is unaffected.
+ * itself is unaffected.
  */
 inline constexpr int kPerDestStatsMaxNodes = 64;
 
@@ -162,7 +125,6 @@ class NicBase
 {
   public:
     using DeliverHook = std::function<void(const Delivery &)>;
-    using PeerDeadHook = std::function<void(NodeId)>;
 
     /**
      * @param n Owning node (the NIC writes arriving data into its
@@ -171,11 +133,8 @@ class NicBase
      *            receiver for the node.
      * @param kind Which adapter this is; caps() reads its row of the
      *             capability table.
-     * @param rel Reliability-protocol tunables (used only in fault
-     *            mode).
      */
-    NicBase(node::Node &n, mesh::Network &net, NicKind kind,
-            const ReliabilityParams &rel = {});
+    NicBase(node::Node &n, mesh::Network &net, NicKind kind);
 
     virtual ~NicBase() = default;
 
@@ -194,38 +153,8 @@ class NicBase
     /** Convenience capability read. */
     bool supportsAutomaticUpdate() const { return caps().autoUpdate; }
 
-    // ------------------------------------------------------------------
-    // Peer health (ROADMAP: in-run stall/death surfacing)
-    // ------------------------------------------------------------------
-
-    /**
-     * Read-only snapshot of one sender-side reliability channel, so
-     * upper layers (sockets/NX, via Cluster::peerHealth) can observe
-     * a stalled or dead destination without scraping the
-     * "<node>.rel.dst<D>.*" scalars the same fields are mirrored as.
-     */
-    struct PeerHealth
-    {
-        std::uint64_t outstanding = 0; //!< unacked packets in flight
-        Tick srtt = 0;            //!< smoothed ACK round-trip, 0 = none
-        Tick rttvar = 0;          //!< round-trip variation estimate
-        Tick lastRtoFire = kTickNever; //!< time of the last timeout
-        int rtoStreak = 0;        //!< consecutive fires, no progress
-        bool gaveUp = false;      //!< path declared dead
-    };
-
-    /** Channel state toward @p dst (all-zero if never used). */
-    PeerHealth peerHealth(NodeId dst) const;
-
     /** Total unacked packets across channels (rel.retx_backlog gauge). */
     std::size_t retransmitBacklog() const;
-
-    /**
-     * Hook invoked (event context) when a channel gives up with
-     * fatalOnGiveUp off, so blocked processes can re-check their
-     * peer's health instead of sleeping forever.
-     */
-    void setPeerDeadHook(PeerDeadHook h) { peerDeadHook = std::move(h); }
 
     // ------------------------------------------------------------------
     // Mapping setup (driven by the VMMC system layer)
@@ -373,8 +302,7 @@ class NicBase
      * Inject @p pkt into the backplane. With reliability on, stamps
      * the per-destination sequence number and checksum, keeps a copy
      * in the retransmit buffer and arms the retransmission timer;
-     * with it off, forwards straight to the mesh. Sends to a dead
-     * (gaveUp) channel are dropped.
+     * with it off, forwards straight to the mesh.
      */
     void netSend(mesh::Packet pkt);
 
@@ -390,7 +318,6 @@ class NicBase
     OutgoingPageTable _opt;
     IncomingPageTable _ipt;
     DeliverHook deliverHook;
-    PeerDeadHook peerDeadHook;
 
     /**
      * Receive completions: an adapter pushes each packet at the tick
@@ -419,6 +346,13 @@ class NicBase
     CounterHandle stSends;
     CounterHandle stSendBytes;
 
+    /** A sent packet awaiting its ACK. */
+    struct Unacked
+    {
+        mesh::PacketPool::Ref slot; //!< clean copy, in a pool slot
+        Tick sentAt;                //!< first-send time
+    };
+
     /** Sender-side per-destination reliability state. */
     struct RelChannel
     {
@@ -430,8 +364,7 @@ class NicBase
          * ACK/NACK progress, so buffering a packet costs a pool pop
          * instead of a heap-backed deque copy.
          */
-        std::deque<mesh::Packet *> unacked;
-        std::deque<Tick> sentAt;        //!< first-send time, parallel
+        std::deque<Unacked> unacked;
         EventHandle rto;                //!< pending timeout, if any
         Tick rtoNow = 0;                //!< current backoff value
         int rtoStreak = 0;              //!< consecutive fires, no progress
@@ -439,14 +372,11 @@ class NicBase
         // Round-trip estimators (adaptive RTO) + observability.
         Tick srtt = 0;             //!< smoothed ACK round-trip
         Tick rttvar = 0;           //!< round-trip variation (RFC6298)
-        Tick lastRtoFire = kTickNever; //!< last timeout fire time
-        bool gaveUp = false;       //!< give-up reached
         std::uint64_t retxMaxSeq = 0; //!< highest seq ever resent
         Scalar *stOutstanding = nullptr; //!< ".outstanding" gauge
         Scalar *stSrttUs = nullptr;      //!< ".srtt_us" gauge
         Scalar *stRttvarUs = nullptr;    //!< ".rttvar_us" gauge
         Scalar *stLastRtoUs = nullptr;   //!< ".last_rto_fire_us"
-        Scalar *stGaveUp = nullptr;      //!< ".gave_up" flag
         Accumulator *accRttUs = nullptr; //!< ".ack_rtt_us" samples
     };
 
@@ -471,7 +401,7 @@ class NicBase
 
     /**
      * The adaptive timeout for @p ch: srtt + 4*rttvar clamped to
-     * [rtoBase, rtoMax], or plain rtoBase before any round-trip
+     * [kRtoBase, kRtoMax], or plain kRtoBase before any round-trip
      * sample exists. Exponential backoff in rtoFire still doubles
      * from whatever this returns.
      */
@@ -482,11 +412,16 @@ class NicBase
     void sendCtrl(NodeId dst, mesh::PacketKind kind, std::uint64_t seq);
     void sendNackOnce(RelReceiver &rx, NodeId src);
     void armRto(RelChannel &ch, NodeId dst);
+
+    /**
+     * The retransmission timer toward @p dst fired: back off and
+     * resend the window, or, after kRtoGiveUp fires in a row without
+     * progress, end the run with a fatal diagnosis.
+     */
     void rtoFire(NodeId dst);
     void retransmit(RelChannel &ch, NodeId dst);
 
     bool _reliable = false;
-    ReliabilityParams _rel;
     std::unordered_map<NodeId, RelChannel> channels;
     std::unordered_map<NodeId, RelReceiver> rxStreams;
 

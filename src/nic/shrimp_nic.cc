@@ -23,9 +23,8 @@ auStorePackets(std::uint32_t bytes)
 } // anonymous namespace
 
 ShrimpNic::ShrimpNic(node::Node &n, mesh::Network &net,
-                     const ShrimpNicParams &params,
-                     const ReliabilityParams &rel)
-    : NicBase(n, net, NicKind::Shrimp, rel), _params(params),
+                     const ShrimpNicParams &params)
+    : NicBase(n, net, NicKind::Shrimp), _params(params),
       statPrefix(n.name() + ".nic"),
       stEisaBusyPs(sim.stats(), statPrefix + ".eisa_busy_ps"),
       stAuStores(sim.stats(), statPrefix + ".au_stores"),

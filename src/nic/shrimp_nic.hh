@@ -87,11 +87,9 @@ class ShrimpNic : public NicBase
      * @param net The backplane; the NIC attaches itself as the
      *            receiver for the node.
      * @param params NIC tunables.
-     * @param rel Reliability-protocol tunables.
      */
     ShrimpNic(node::Node &n, mesh::Network &net,
-              const ShrimpNicParams &params = ShrimpNicParams(),
-              const ReliabilityParams &rel = {});
+              const ShrimpNicParams &params = ShrimpNicParams());
 
     void bindAu(node::Frame local, NodeId dst_node, node::Frame dst_frame,
                 bool combining, bool interrupt_request) override;
@@ -106,9 +104,6 @@ class ShrimpNic : public NicBase
 
     /** Current outgoing-FIFO fill, bytes. */
     std::uint32_t fifoFill() const { return _fifoFill; }
-
-    /** Parameters (mutable so experiments can flip what-if knobs). */
-    ShrimpNicParams &params() { return _params; }
 
   private:
     /**

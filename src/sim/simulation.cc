@@ -42,6 +42,14 @@ WaitQueue::wakeAll(Simulation &sim)
     return n;
 }
 
+void
+Rendezvous::arriveAndWait(Simulation &sim)
+{
+    ++arrived;
+    while (arrived < n)
+        sim.delay(microseconds(10));
+}
+
 Simulation::Simulation() : _recorder(*this) {}
 
 std::vector<std::string>

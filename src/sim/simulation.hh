@@ -113,6 +113,26 @@ class WaitQueue
 };
 
 /**
+ * Setup rendezvous of a fixed number of processes (model-level,
+ * uncharged): each arrives once, then polls every 10 µs of simulated
+ * time until all have arrived. The last arrival passes straight
+ * through.
+ */
+class Rendezvous
+{
+  public:
+    /** A rendezvous of @p n processes. */
+    explicit Rendezvous(int n) : n(n) {}
+
+    /** Count the calling process in; block until all n are in. */
+    void arriveAndWait(Simulation &sim);
+
+  private:
+    int n;
+    int arrived = 0;
+};
+
+/**
  * The simulation kernel.
  */
 class Simulation

@@ -127,16 +127,6 @@ Socket::Socket(SocketDomain &dom, int rank, int peer)
 }
 
 void
-Socket::checkPeerAlive() const
-{
-    if (dom.cluster.peerHealth(_rank, _peer).gaveUp ||
-        dom.cluster.peerHealth(_peer, _rank).gaveUp)
-        fatal("socket %d<->%d: peer declared dead "
-              "(link-level retransmission gave up)",
-              _rank, _peer);
-}
-
-void
 Socket::pushCounter()
 {
     core::Endpoint &ep = dom.cluster.vmmc(_rank);
@@ -168,10 +158,8 @@ Socket::push(const void *buf, std::size_t len, bool staging_copy)
         // Wait for ring space (peer returns credits in inCtl->read...
         // no: credits for OUR production come back in OUR inCtl.read).
         volatile std::uint64_t *credit = &inCtl->read;
-        ep.waitUntil([this, credit, cap] {
-            checkPeerAlive();
-            return produced - *credit < cap;
-        });
+        ep.waitUntil(
+            [this, credit, cap] { return produced - *credit < cap; });
 
         std::size_t space = cap - std::size_t(produced - *credit);
         std::size_t off = std::size_t(produced % cap);
@@ -219,10 +207,7 @@ Socket::recv(void *buf, std::size_t maxlen)
                         "sock.recv");
 
     volatile std::uint64_t *written = &inCtl->written;
-    ep.waitUntil([this, written] {
-        checkPeerAlive();
-        return *written > consumed;
-    });
+    ep.waitUntil([this, written] { return *written > consumed; });
 
     std::size_t avail = std::size_t(*written - consumed);
     std::size_t off = std::size_t(consumed % cap);

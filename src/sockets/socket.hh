@@ -87,14 +87,6 @@ class Socket
     void push(const void *buf, std::size_t len, bool staging_copy);
     void pushCounter();
 
-    /**
-     * Fatal if either direction of the connection has declared the
-     * peer dead (Cluster::peerHealth — the link-level retransmission
-     * gave up). Checked from every blocking-wait predicate so a
-     * blocked send/recv dies with a diagnosis instead of hanging.
-     */
-    void checkPeerAlive() const;
-
     SocketDomain &dom;
     int _rank;
     int _peer;

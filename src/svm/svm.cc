@@ -141,7 +141,6 @@ struct SvmRuntime::RankState
     std::vector<std::unique_ptr<std::vector<char>>> twins;
     std::vector<PageId> dirtyList;
     std::map<PageId, std::vector<char>> pendingDiffs;
-    bool initialized = false;
 
     /**
      * Pages applyNotices invalidated since the last barrier, and
@@ -195,7 +194,7 @@ struct SvmRuntime::RankState
 // ---------------------------------------------------------------------
 
 SvmRuntime::SvmRuntime(core::Cluster &cluster, const SvmConfig &config)
-    : cluster(cluster), cfg(config)
+    : cluster(cluster), cfg(config), setup(config.nprocs)
 {
     if (cfg.nprocs < 1 || cfg.nprocs > cluster.nodeCount())
         fatal("SvmRuntime: nprocs %d out of range", cfg.nprocs);
@@ -368,18 +367,7 @@ SvmRuntime::init(int rank)
             handleCtl(rank, src, off, n);
         });
 
-    rs.initialized = true;
-
-    // Rendezvous with the other ranks (init phase, model-level).
-    Simulation &sim = ep.node().simulation();
-    auto all = [this] {
-        for (int r = 0; r < cfg.nprocs; ++r)
-            if (!ranks[r]->initialized)
-                return false;
-        return true;
-    };
-    while (!all())
-        sim.delay(microseconds(10));
+    setup.arriveAndWait(ep.node().simulation());
 
     for (int peer = 0; peer < cfg.nprocs; ++peer) {
         if (peer == rank)
@@ -418,7 +406,7 @@ SvmRuntime::init(int rank)
 // ---------------------------------------------------------------------
 
 char *
-SvmRuntime::ensureRead(int rank, const void *caddr, std::size_t bytes)
+SvmRuntime::ensureRead(int rank, const void *caddr)
 {
     RankState &rs = *ranks[rank];
     PageId page = pageOfCanonical(caddr);
@@ -426,12 +414,11 @@ SvmRuntime::ensureRead(int rank, const void *caddr, std::size_t bytes)
     if (!ps.valid)
         fetchPage(rank, page);
     cluster.node(rank).cpu().chargeAccess(1);
-    (void)bytes;
     return replicaAddr(rank, caddr);
 }
 
 char *
-SvmRuntime::ensureWrite(int rank, const void *caddr, std::size_t bytes)
+SvmRuntime::ensureWrite(int rank, const void *caddr)
 {
     RankState &rs = *ranks[rank];
     PageId page = pageOfCanonical(caddr);
@@ -450,7 +437,6 @@ SvmRuntime::ensureWrite(int rank, const void *caddr, std::size_t bytes)
             rs.dirtyList.push_back(page);
         }
     }
-    (void)bytes;
     return replicaAddr(rank, caddr);
 }
 
@@ -491,14 +477,12 @@ SvmRuntime::writeRange(int rank, void *caddr, const void *src,
     const char *s = static_cast<const char *>(src);
     std::size_t remaining = bytes;
     while (remaining > 0) {
-        PageId page = pageOfCanonical(c);
         std::size_t page_off =
             std::size_t(c - replicas[0]) % node::kPageBytes;
         std::size_t chunk = std::min<std::size_t>(
             remaining, node::kPageBytes - page_off);
-        char *local = ensureWrite(rank, c, chunk);
+        char *local = ensureWrite(rank, c);
         storeShared(rank, local, s, chunk);
-        (void)page;
         c += chunk;
         s += chunk;
         remaining -= chunk;
@@ -519,13 +503,6 @@ SvmRuntime::readStruct(int rank, const void *caddr, std::size_t bytes,
     }
     cluster.node(rank).cpu().chargeAccess(std::uint64_t(accesses));
     return replicaAddr(rank, caddr);
-}
-
-void
-SvmRuntime::writeStruct(int rank, void *caddr, const void *src,
-                        std::size_t bytes)
-{
-    writeRange(rank, caddr, src, bytes);
 }
 
 void
@@ -990,7 +967,7 @@ SvmRuntime::barrier(int rank)
     std::uint64_t epoch = ++rs.barrierSeq;
     if (rank == 0) {
         cluster.node(rank).cpu().compute(cfg.handlerCost);
-        managerBarrierArrive(0, 0, epoch, rs.vc);
+        managerBarrierArrive(0, rs.vc);
     } else {
         std::size_t payload = std::size_t(cfg.nprocs) * 4;
         std::vector<char> msg(sizeof(CtlHeader) + payload);
@@ -1006,11 +983,8 @@ SvmRuntime::barrier(int rank)
 }
 
 void
-SvmRuntime::managerBarrierArrive(int mgr, int rank_arrived,
-                                 std::uint64_t epoch, const Vc &vc)
+SvmRuntime::managerBarrierArrive(int mgr, const Vc &vc)
 {
-    (void)rank_arrived;
-    (void)epoch;
     vcMax(barrierVc, vc);
     ++barrierArrived;
     if (barrierArrived < cfg.nprocs)
@@ -1065,8 +1039,7 @@ SvmRuntime::sendCtlWithNotices(int rank, int to, std::uint32_t kind,
 }
 
 void
-SvmRuntime::sendCtl(int rank, int to, const void *msg, std::size_t bytes,
-                    core::ProxyId proxy_override)
+SvmRuntime::sendCtl(int rank, int to, const void *msg, std::size_t bytes)
 {
     RankState &rs = *ranks[rank];
     core::Endpoint &ep = cluster.vmmc(rank);
@@ -1115,16 +1088,13 @@ SvmRuntime::sendCtl(int rank, int to, const void *msg, std::size_t bytes,
     auto *h = reinterpret_cast<CtlHeader *>(stamped.data());
     h->cursorAfter = cursor_after;
 
-    core::ProxyId proxy = proxy_override != core::kInvalidProxy
-                              ? proxy_override
-                              : rs.reqProxy[to];
     core::Endpoint::SendOptions opts;
     opts.notify = true;
     // Control messages gate protocol progress: on coalescing adapters
     // they are marked solicited so the completion queue drains (and
     // the dispatcher runs) immediately instead of at the next batch.
     opts.urgent = useNotify;
-    ep.send(proxy, stamped.data(), bytes, offset, opts);
+    ep.send(rs.reqProxy[to], stamped.data(), bytes, offset, opts);
     rs.stCtlMsgs.inc();
 }
 
@@ -1211,7 +1181,7 @@ SvmRuntime::handleCtl(int rank, NodeId src, std::uint32_t offset,
       case kBarrArrive: {
         Vc vc(cfg.nprocs);
         std::memcpy(vc.data(), payload, std::size_t(cfg.nprocs) * 4);
-        managerBarrierArrive(rank, int(h.src), h.arg0, vc);
+        managerBarrierArrive(rank, vc);
         break;
       }
       case kBarrRelease: {

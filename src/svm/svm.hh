@@ -148,7 +148,7 @@ class SvmRuntime
     T
     read(int rank, const T *caddr)
     {
-        char *local = ensureRead(rank, caddr, sizeof(T));
+        char *local = ensureRead(rank, caddr);
         return *reinterpret_cast<T *>(local);
     }
 
@@ -157,7 +157,7 @@ class SvmRuntime
     void
     write(int rank, T *caddr, T value)
     {
-        char *local = ensureWrite(rank, caddr, sizeof(T));
+        char *local = ensureWrite(rank, caddr);
         storeShared(rank, local, &value, sizeof(T));
     }
 
@@ -176,10 +176,6 @@ class SvmRuntime
      */
     const char *readStruct(int rank, const void *caddr,
                            std::size_t bytes, int accesses);
-
-    /** Structure write: per-page ensure + protocol store path. */
-    void writeStruct(int rank, void *caddr, const void *src,
-                     std::size_t bytes);
 
     /** Acquire lock @p id. */
     void lock(int rank, int id);
@@ -220,8 +216,8 @@ class SvmRuntime
     using Vc = std::vector<std::uint32_t>;
 
     // Access-layer internals.
-    char *ensureRead(int rank, const void *caddr, std::size_t bytes);
-    char *ensureWrite(int rank, const void *caddr, std::size_t bytes);
+    char *ensureRead(int rank, const void *caddr);
+    char *ensureWrite(int rank, const void *caddr);
     void storeShared(int rank, char *local, const void *src,
                      std::size_t bytes);
     void fetchPage(int rank, PageId page);
@@ -237,8 +233,7 @@ class SvmRuntime
     static void vcMax(Vc &into, const Vc &other);
 
     // Messaging.
-    void sendCtl(int rank, int to, const void *msg, std::size_t bytes,
-                 core::ProxyId proxy_override = core::kInvalidProxy);
+    void sendCtl(int rank, int to, const void *msg, std::size_t bytes);
     void sendCtlWithNotices(int rank, int to, std::uint32_t kind,
                             std::uint32_t arg0, const Vc &vc,
                             std::size_t notice_bytes);
@@ -250,13 +245,15 @@ class SvmRuntime
                             const Vc &req_vc);
     void managerLockRelease(int mgr, int lock_id, const Vc &rel_vc);
     void managerGrant(int mgr, int lock_id, int to, const Vc &req_vc);
-    void managerBarrierArrive(int mgr, int rank_arrived,
-                              std::uint64_t epoch, const Vc &vc);
+    void managerBarrierArrive(int mgr, const Vc &vc);
 
     PageId pageOfCanonical(const void *caddr) const;
 
     core::Cluster &cluster;
     SvmConfig cfg;
+
+    /** Every rank has exported its regions (init phase). */
+    Rendezvous setup;
 
     /**
      * NIC-capability driven (nic::NicCaps::batchedNotify): when the
@@ -328,12 +325,6 @@ class SvmView
     readStruct(const void *p, std::size_t n, int accesses) const
     {
         return rt.readStruct(rank, p, n, accesses);
-    }
-
-    void
-    writeStruct(void *p, const void *src, std::size_t n) const
-    {
-        rt.writeStruct(rank, p, src, n);
     }
 
     void

@@ -377,7 +377,7 @@ TEST(Reliability, CorruptedPacketsAreDroppedAndResent)
 TEST(Reliability, GiveUpOnDeadPathIsFatal)
 {
     // Total loss: no ACK ever returns, so the timer backs off, fires
-    // rtoGiveUp times without progress, and the NIC declares the path
+    // 64 times without progress, and the 65th fire declares the path
     // dead instead of retransmitting forever.
     FaultParams f;
     f.dropRate = 1.0;
@@ -401,7 +401,7 @@ TEST(Reliability, GiveUpOnDeadPathIsFatal)
             });
             h.sim.run();
         },
-        "retransmission timeouts");
+        "node0: 65 retransmission timeouts to node 1 without progress");
 }
 
 TEST(Reliability, ZeroRateProtocolIsTransparent)
@@ -622,75 +622,15 @@ TEST(FaultReport, FaultsBlockAppearsOnlyInFaultMode)
 }
 
 // ----------------------------------------------------------------------
-// Peer health: non-fatal give-up and its consumers
+// A dead path ends the run wherever the upper layers block on it
 // ----------------------------------------------------------------------
-
-TEST(PeerHealth, NonFatalGiveUpMarksChannelDeadAndCompletes)
-{
-    // Same dead path as GiveUpOnDeadPathIsFatal, but with
-    // fatalOnGiveUp off the run terminates, the channel is flagged,
-    // and the peer-dead hook fires — the basis for the upper layers'
-    // diagnosis instead of a simulator abort.
-    FaultParams f;
-    f.dropRate = 1.0;
-    f.seed = 1;
-    Simulation sim;
-    Network net(sim, 2, 1,
-                [&f] {
-                    NetworkParams p;
-                    p.fault = f;
-                    return p;
-                }());
-    node::Node n0(sim, 0, node::MachineParams(), 1 << 22);
-    node::Node n1(sim, 1, node::MachineParams(), 1 << 22);
-    nic::ReliabilityParams rel;
-    rel.fatalOnGiveUp = false;
-    nic::ShrimpNic nic0(n0, net, nic::ShrimpNicParams(), rel);
-    nic::ShrimpNic nic1(n1, net, nic::ShrimpNicParams(), rel);
-
-    NodeId dead_peer = kInvalidNode;
-    nic0.setPeerDeadHook([&](NodeId d) { dead_peer = d; });
-
-    char *dst = static_cast<char *>(n1.mem().alloc(4096, true));
-    std::memset(dst, 0, 4096);
-    nic::OptIndex proxy = nic0.importPage(1, n1.mem().frameOf(dst), 1);
-    sim.spawn("send", [&] {
-        char v = 1;
-        nic::SendDesc req;
-        req.src = &v;
-        req.proxy = proxy;
-        req.dstOffset = 0;
-        req.bytes = 1;
-        nic0.post(req);
-    });
-    sim.run(); // must terminate: no infinite retransmission
-
-    EXPECT_EQ(dead_peer, NodeId(1));
-    nic::NicBase::PeerHealth ph = nic0.peerHealth(NodeId(1));
-    EXPECT_TRUE(ph.gaveUp);
-    EXPECT_EQ(ph.outstanding, 0u); // unacked state was released
-    EXPECT_GT(ph.rtoStreak, 0);
-    EXPECT_EQ(sim.stats().scalarValue("node0.rel.dst1.gave_up"), 1.0);
-}
-
-TEST(PeerHealth, ClusterSurfacesHealthyChannelState)
-{
-    core::ClusterConfig cc;
-    cc.meshWidth = 2;
-    cc.meshHeight = 1;
-    core::Cluster cluster(cc);
-    nic::NicBase::PeerHealth ph = cluster.peerHealth(0, 1);
-    EXPECT_FALSE(ph.gaveUp);
-    EXPECT_EQ(ph.outstanding, 0u);
-    EXPECT_EQ(ph.rtoStreak, 0);
-}
 
 namespace
 {
 
 /**
- * A 2x1 cluster whose only path is dead: every packet drops and the
- * channel gives up without aborting the simulator.
+ * A 2x1 cluster whose only path is dead: every packet drops, so the
+ * first channel to run out of retransmission timeouts ends the run.
  */
 core::ClusterConfig
 deadPathCluster()
@@ -700,14 +640,13 @@ deadPathCluster()
     cc.meshHeight = 1;
     cc.network.fault.dropRate = 1.0;
     cc.network.fault.seed = 1;
-    cc.reliability.fatalOnGiveUp = false;
     return cc;
 }
 
 /**
  * Rank 1 sends one NX message to rank 0, which blocks receiving it
- * from @p from (-1 = any sender). Only node 1's channel gives up, so
- * the receiver learns of the death only if the give-up wakes node 0.
+ * from @p from (-1 = any sender). The message never arrives, so no
+ * delivery ever wakes the receiver.
  */
 void
 nxReceiveFromDeadPeer(int from)
@@ -731,10 +670,10 @@ nxReceiveFromDeadPeer(int from)
 
 } // anonymous namespace
 
-TEST(PeerHealth, DeadPeerKillsBlockedSocketSend)
+TEST(DeadPath, KillsBlockedSocketSend)
 {
-    // A socket blocked on ring credits from a peer whose path died
-    // must fatal with a diagnosis, not sleep forever.
+    // A socket blocked on ring credits from a peer whose path died:
+    // the run ends with the NIC's diagnosis, not in a hang.
     EXPECT_DEATH(
         {
             core::Cluster cluster(deadPathCluster());
@@ -754,20 +693,20 @@ TEST(PeerHealth, DeadPeerKillsBlockedSocketSend)
             });
             cluster.sim().run();
         },
-        "peer declared dead");
+        "retransmission timeouts");
 }
 
-TEST(PeerHealth, DeadPeerKillsBlockedNxNamedReceive)
+TEST(DeadPath, KillsBlockedNxNamedReceive)
 {
-    EXPECT_DEATH(nxReceiveFromDeadPeer(1), "declared dead");
+    EXPECT_DEATH(nxReceiveFromDeadPeer(1), "retransmission timeouts");
 }
 
-TEST(PeerHealth, DeadPeerKillsBlockedNxWildcardReceive)
+TEST(DeadPath, KillsBlockedNxWildcardReceive)
 {
-    EXPECT_DEATH(nxReceiveFromDeadPeer(-1), "declared dead");
+    EXPECT_DEATH(nxReceiveFromDeadPeer(-1), "retransmission timeouts");
 }
 
-TEST(PeerHealth, DeadPeerKillsBlockedSocketRecv)
+TEST(DeadPath, KillsBlockedSocketRecv)
 {
     // The sender's small write fits its ring and returns; the
     // receiver waits on data that never arrives.
@@ -787,5 +726,5 @@ TEST(PeerHealth, DeadPeerKillsBlockedSocketRecv)
             });
             cluster.sim().run();
         },
-        "declared dead");
+        "retransmission timeouts");
 }

@@ -274,32 +274,38 @@ TEST(Network, ManyToOneCongestsEjectionLinks)
 TEST(PacketPool, RecyclesSlotsLifo)
 {
     PacketPool pool;
-    Packet *a = pool.acquire();
+    PacketPool::Ref a = pool.acquire();
     EXPECT_EQ(pool.inUse(), 1u);
-    pool.release(a);
+    pool.release(a.id);
     EXPECT_EQ(pool.inUse(), 0u);
     // The freed slot is the next one handed out: steady-state traffic
     // keeps touching the same hot records.
-    EXPECT_EQ(pool.acquire(), a);
-    pool.release(a);
+    PacketPool::Ref b = pool.acquire();
+    EXPECT_EQ(b.pkt, a.pkt);
+    EXPECT_EQ(b.id, a.id);
+    pool.release(b.id);
 }
 
 TEST(PacketPool, GrowsByWholeSlabsAndKeepsOldSlots)
 {
     PacketPool pool;
-    std::vector<Packet *> held;
+    std::vector<PacketPool::Ref> held;
     for (int i = 0; i < 300; ++i)
         held.push_back(pool.acquire());
     EXPECT_EQ(pool.inUse(), 300u);
     EXPECT_EQ(pool.capacity(), 512u); // two 256-slot slabs
     // Slabs never move: every pointer handed out stays distinct and
-    // valid across growth.
-    std::vector<Packet *> sorted = held;
+    // valid across growth, and ids go out lowest first.
+    std::vector<Packet *> sorted;
+    for (std::size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(held[i].id, std::uint32_t(i));
+        sorted.push_back(held[i].pkt);
+    }
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
               sorted.end());
-    for (Packet *p : held)
-        pool.release(p);
+    for (const PacketPool::Ref &r : held)
+        pool.release(r.id);
     EXPECT_EQ(pool.inUse(), 0u);
     EXPECT_EQ(pool.capacity(), 512u);
 }
@@ -309,20 +315,13 @@ TEST(PacketPool, ReleaseDropsPayloadReference)
     PacketPool pool;
     std::shared_ptr<void> payload =
         std::make_shared<std::vector<std::uint8_t>>(64);
-    Packet *p = pool.acquire();
+    PacketPool::Ref r = pool.acquire();
     Packet src;
     src.payload = payload;
-    *p = src;
+    *r.pkt = src;
     EXPECT_EQ(payload.use_count(), 3); // local + src + pool slot
-    pool.release(p);
+    pool.release(r.id);
     src.payload.reset();
     // The pool does not pin payload memory while a slot sits free.
     EXPECT_EQ(payload.use_count(), 1);
-}
-
-TEST(PacketPoolDeathTest, ForeignPointerPanics)
-{
-    PacketPool pool;
-    Packet stray;
-    EXPECT_DEATH(pool.release(&stray), "not from this pool");
 }
